@@ -31,7 +31,7 @@ def jobs(seed: int, full_bc: bool):
         ("ratio_separable_01_10", ["ratio", "separable2x2", "01", "10"]),
         ("superposable_bloch_poles", ["superposable", "bloch", "(0,0,1)", "(0,0,-1)"]),
         ("superposable_separable_01_10",
-         ["superposable", "separable2x2", "01", "10", "--grid", "1024"]),
+         ["superposable", "separable2x2", "01", "10"]),
         ("face_octahedron_edge", ["face", "spekkens", "e1", "e2"]),
         ("face_octahedron_facet", ["face", "spekkens", "e1", "e2", "e3"]),
         ("protocol_clone_60deg", ["protocol", "clone", "--bloch-angle", "60"]),

@@ -20,6 +20,7 @@ the JB norm inequalities) live here too.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,8 @@ import numpy as np
 from . import linalg, transition
 from .config import DEFAULT_TOL
 from .errors import PreconditionError
-from .polytope import (Face, SimplexDecision, VPolytope, generated_face,
-                       is_simplex)
+from .polytope import (Face, VPolytope, generated_face, is_simplex,
+                       radon_partition)
 
 REFUTED = "refuted"
 NOT_REFUTED = "not_refuted"
@@ -142,22 +143,6 @@ class JBVerdict:
         }
 
 
-def _face_evidence(k: VPolytope) -> list[dict]:
-    """BallDescriptor of the generated face for every vertex pair."""
-    out = []
-    n = len(k.vertices)
-    for i in range(n):
-        for j in range(i + 1, n):
-            f = generated_face(k, k.vertices[i], k.vertices[j])
-            d = ball_descriptor(f)
-            out.append({
-                "pair": [i, j],
-                "face_vertices": list(f.vertex_indices),
-                "ball": d.to_json_dict(),
-            })
-    return out
-
-
 def check_polytope(k: VPolytope, with_face_evidence: bool | None = None) -> JBVerdict:
     """Decide the necessary conditions for a finite-vertex state space.
 
@@ -167,63 +152,78 @@ def check_polytope(k: VPolytope, with_face_evidence: bool | None = None) -> JBVe
     ambiguous mixture, and a non-simplex JB state space would need
     continuum many extreme points, so finitely many vertices refute it
     outright.  A polytope that passes the pairwise test can still expose a
-    generated face with 3 or more vertices, which no ball B^n matches.
+    generated face with 3 or more vertices, which no ball B^n matches.  If
+    every generated face is a segment yet the vertices are affinely
+    dependent, an exact Radon partition certifies the non-simplex.
     """
     n = len(k.vertices)
     if with_face_evidence is None:
         with_face_evidence = n <= 8
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    @functools.cache
+    def face(i: int, j: int) -> Face:
+        return generated_face(k, k.vertices[i], k.vertices[j])
+
     decision = is_simplex(k)
-    evidence = _face_evidence(k) if with_face_evidence else None
+    evidence = None
+    if with_face_evidence:
+        evidence = [{"pair": [i, j], "face_vertices": list(face(i, j).vertex_indices),
+                     "ball": ball_descriptor(face(i, j)).to_json_dict()}
+                    for i, j in pairs]
+    nonsimplex_note = ("a non-simplex JB state space needs continuum many "
+                       f"extreme points, but this polytope has {n}")
 
     if not decision.pairwise_simplex:
         cert = decision.certificate
-        certificate = {
+        failed, certificate = FINITE_NONSIMPLEX, {
             "kind": "ambiguous_mixture",
             "indices": list(cert.indices),
             "w": cert.w, "x": cert.x, "y": cert.y, "z": cert.z,
             "lam": cert.lam, "mu": cert.mu,
             "mixture_point": cert.mixture_point(),
-            "note": (
-                "a point interior to two different vertex segments; a "
-                "non-simplex JB state space needs continuum many extreme "
-                f"points, but this polytope has {n}"
-            ),
+            "note": "a point interior to two different vertex segments; " + nonsimplex_note,
         }
-        if evidence is not None:
-            certificate["face_evidence"] = evidence
-        return JBVerdict(REFUTED, FINITE_NONSIMPLEX, certificate)
-
-    if not decision.affinely_independent:
+    elif not decision.affinely_independent:
         # Pairwise-simplex but affinely dependent: hunt for a generated face
         # that is not a segment.
-        for i in range(n):
-            for j in range(i + 1, n):
-                f = generated_face(k, k.vertices[i], k.vertices[j])
-                if len(f.vertex_indices) > 2:
-                    certificate = {
-                        "kind": "non_ball_face",
-                        "pair": [i, j],
-                        "face_vertices": list(f.vertex_indices),
-                        "ball": ball_descriptor(f).to_json_dict(),
-                        "note": (
-                            "the face generated by this extreme pair has "
-                            f"{len(f.vertex_indices)} extreme points; no "
-                            "Euclidean ball B^n has finitely many extreme "
-                            "points beyond a segment's two"
-                        ),
-                    }
-                    if evidence is not None:
-                        certificate["face_evidence"] = evidence
-                    return JBVerdict(REFUTED, FACE_NOT_BALL, certificate)
-
-    certificate = None
+        big = next(((i, j) for i, j in pairs if len(face(i, j).vertex_indices) > 2), None)
+        if big is not None:
+            f = face(*big)
+            failed, certificate = FACE_NOT_BALL, {
+                "kind": "non_ball_face",
+                "pair": list(big),
+                "face_vertices": list(f.vertex_indices),
+                "ball": ball_descriptor(f).to_json_dict(),
+                "note": (
+                    "the face generated by this extreme pair has "
+                    f"{len(f.vertex_indices)} extreme points; no "
+                    "Euclidean ball B^n has finitely many extreme "
+                    "points beyond a segment's two"
+                ),
+            }
+        else:
+            # Every generated face is a segment (a neighbourly polytope),
+            # but affinely dependent vertices still make a non-simplex.
+            first, second, point = radon_partition(k)
+            failed, certificate = FINITE_NONSIMPLEX, {
+                "kind": "affine_dependence",
+                "first": {"indices": list(first), "weights": list(first.values())},
+                "second": {"indices": list(second), "weights": list(second.values())},
+                "point": point,
+                "note": ("two convex combinations of disjoint vertex sets give "
+                         "the same point; " + nonsimplex_note),
+            }
+    else:
+        survey = None if evidence is None else {
+            "kind": "survey", "face_evidence": evidence, "note": "all checked conditions hold"}
+        return JBVerdict(NOT_REFUTED, None, survey)
     if evidence is not None:
-        certificate = {"kind": "survey", "face_evidence": evidence,
-                       "note": "all checked conditions hold"}
-    return JBVerdict(NOT_REFUTED, None, certificate)
+        certificate["face_evidence"] = evidence
+    return JBVerdict(REFUTED, failed, certificate)
 
 
-def check_separable_pair(x, y, path_steps: int = 64, search_grid: int = 1024) -> JBVerdict:
+def check_separable_pair(x, y, path_steps: int = 64) -> JBVerdict:
     """Connectivity vs superposability for the separable two-qubit theory.
 
     The inputs must be orthogonal pure product states, orthogonal in both
@@ -234,7 +234,7 @@ def check_separable_pair(x, y, path_steps: int = 64, search_grid: int = 1024) ->
     handle = transition.StateSpaceHandle.separable_2x2()
     path = transition.path_connect_product_states(x, y, steps=path_steps)
     prep = transition.path_report(path)
-    search = transition.superposability_search(handle, x, y, grid=search_grid)
+    search = transition.superposability_search(handle, x, y)
     if search.found:
         raise PreconditionError(
             "superposability search unexpectedly found an equal superposition; "

@@ -99,7 +99,8 @@ CLAIMS: tuple[Claim, ...] = (
         id="separable-superposition-gap",
         statement=(
             "For product states orthogonal in both factors, no separable "
-            "state has transition ratio 1/2 to both: the overlap bound "
+            "state has transition ratio 1/2 to both: by the identity "
+            "1 - (a + c - 2ac) = (1 - a)(1 - c) + ac the overlap bound "
             "a + c - 2ac reaches 1 only at the corners (1,0) and (0,1), "
             "where one of the two required transition probabilities is 0."
         ),

@@ -219,8 +219,10 @@ def cmd_analyze(args, tol: Tolerances) -> dict:
         k = h.payload
         verdict = admissibility.check_polytope(k)
         labels = vertex_labels(k)
+        # The diagonal is 1: the LP's own constraint f(x) = 1 fixes it.
         matrix = [
-            [transition.affine_ratio_polytope(k, x, y).value for y in k.vertices]
+            [Fraction(1) if x == y else transition.affine_ratio_polytope(k, x, y).value
+             for y in k.vertices]
             for x in k.vertices
         ]
         report.update({
@@ -296,8 +298,7 @@ def cmd_superposable(args, tol: Tolerances) -> dict:
     h = resolve_theory(args.theory)
     x = parse_state(h, args.x)
     y = parse_state(h, args.y)
-    cert = transition.superposability_search(h, x, y, grid=args.grid,
-                                             tol=tol.equality)
+    cert = transition.superposability_search(h, x, y, tol=tol.equality)
     return {
         "command": "superposable",
         "theory": theory_name(h),
@@ -490,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x")
     p.add_argument("y")
     p.add_argument("--grid", type=int, default=1024,
-                   help="grid resolution for the separable search")
+                   help="deprecated and ignored: the separable engine proves "
+                        "its bound without a grid (must still be positive)")
 
     p = sub.add_parser("face", parents=[common],
                        help="face of a polytope generated by given points")

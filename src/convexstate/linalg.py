@@ -8,11 +8,9 @@ Conventions used package-wide:
   |00>, |01>, |10>, |11>, with the FIRST factor as subsystem A;
 * Hermitian and density-matrix inputs are validated, never trusted.
 
-The eigensolver is a cyclic Jacobi iteration run on the real symmetric
-2n x 2n embedding [[Re a, -Im a], [Im a, Re a]] of an n x n Hermitian
-matrix.  At the dimensions this package works with (<= 16) that is simple,
-deterministic and provably convergent.  numpy is used for array arithmetic
-only; no numpy.linalg decompositions are called from library code.
+Eigensystems come from numpy.linalg (LAPACK's Hermitian solvers), called
+only through ``eigvalsh`` and ``eigh`` here, after the input has been
+validated and symmetrized by ``require_hermitian``.
 
 All functions here are pure and safe to call concurrently.
 """
@@ -26,8 +24,6 @@ import numpy as np
 from .errors import PreconditionError
 
 HERMITIAN_ATOL = 1e-12
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 60
 
 IDENT2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -85,7 +81,7 @@ def require_hermitian(a, atol: float = HERMITIAN_ATOL, what: str = "matrix") -> 
             f"{what} is not Hermitian: max |a - a^dagger| = {dev:.3e} > {atol:.1e}"
         )
     # Symmetrize away representation noise so downstream exact identities
-    # (e.g. realified embedding symmetry) hold to machine precision.
+    # hold to machine precision.
     return 0.5 * (m + m.conj().T)
 
 
@@ -160,124 +156,23 @@ def partial_transpose(rho, subsystem: str = "B", dims: tuple[int, int] = (2, 2))
 
 
 # ---------------------------------------------------------------------------
-# Eigensolver: cyclic Jacobi on the realified embedding
+# Eigensolver
 # ---------------------------------------------------------------------------
 
-def realify(h: np.ndarray) -> np.ndarray:
-    """Real symmetric 2n x 2n embedding of a Hermitian matrix.
-
-    [[Re h, -Im h], [Im h, Re h]] has the same spectrum as h with every
-    eigenvalue doubled; (u; v) is an eigenvector iff u + iv is one of h.
-    """
-    re, im = np.real(h), np.imag(h)
-    top = np.hstack([re, -im])
-    bot = np.hstack([im, re])
-    return np.vstack([top, bot])
-
-
-def _jacobi_symmetric(s: np.ndarray, want_vectors: bool,
-                      tol: float = JACOBI_TOL) -> tuple[np.ndarray, np.ndarray | None]:
-    """Cyclic Jacobi diagonalization of a real symmetric matrix.
-
-    Returns eigenvalues sorted ascending and, if requested, the matching
-    orthonormal eigenvector columns.
-    """
-    a = np.array(s, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n) if want_vectors else None
-    fro = math.sqrt(float(np.sum(a * a)))
-    thresh = tol * max(1.0, fro)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        # Sum the off-diagonal squares directly; subtracting the diagonal
-        # mass from the total cancels catastrophically near convergence.
-        stripped = a.copy()
-        np.fill_diagonal(stripped, 0.0)
-        off = math.sqrt(float(np.sum(stripped * stripped)))
-        if off <= thresh:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= thresh / (n * n):
-                    continue
-                phi = 0.5 * math.atan2(2.0 * apq, a[q, q] - a[p, p])
-                c, sn = math.cos(phi), math.sin(phi)
-                # rows
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - sn * rq
-                a[q, :] = sn * rp + c * rq
-                # columns
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - sn * cq
-                a[:, q] = sn * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                if v is not None:
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - sn * vq
-                    v[:, q] = sn * vp + c * vq
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    if v is not None:
-        v = v[:, order]
-    return w, v
-
-
 def eigvalsh(a) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending.
-
-    Computed on the realified embedding; the doubled spectrum is collapsed
-    by taking every other sorted value.
-    """
-    h = require_hermitian(a)
-    w2, _ = _jacobi_symmetric(realify(h), want_vectors=False)
-    return w2[::2].copy()
+    """Eigenvalues of a Hermitian matrix, ascending."""
+    return np.linalg.eigvalsh(require_hermitian(a))
 
 
 def eigh(a) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition (w ascending, unitary columns v).
-
-    The 2n realified eigenvectors complexify to 2n exact eigenvectors of
-    `a` forming a tight frame; a greedy Gram-Schmidt pass keeps the n
-    best-conditioned independent ones.
-    """
-    h = require_hermitian(a)
-    n = h.shape[0]
-    w2, v2 = _jacobi_symmetric(realify(h), want_vectors=True)
-    cands = [(w2[j], v2[:n, j] + 1j * v2[n:, j]) for j in range(2 * n)]
-
-    kept: list[tuple[float, np.ndarray]] = []
-    used = [False] * len(cands)
-    for _ in range(n):
-        best_idx, best_res, best_vec = -1, -1.0, None
-        for idx, (_, z) in enumerate(cands):
-            if used[idx]:
-                continue
-            r = z.copy()
-            for _, kz in kept:
-                r -= kz * np.vdot(kz, r)
-            rn = float(np.real(np.vdot(r, r)))
-            if rn > best_res + 1e-15:
-                best_idx, best_res, best_vec = idx, rn, r
-        if best_idx < 0 or best_res <= 1e-12:
-            raise PreconditionError("eigenvector extraction failed; matrix may be ill-conditioned")
-        used[best_idx] = True
-        kept.append((cands[best_idx][0], best_vec / math.sqrt(best_res)))
-
-    kept.sort(key=lambda p: p[0])
-    w = np.array([p[0] for p in kept])
-    v = np.column_stack([p[1] for p in kept])
+    """Full eigendecomposition (w ascending, unitary columns v)."""
+    w, v = np.linalg.eigh(require_hermitian(a))
     return w, v
 
 
 def operator_norm(a) -> float:
     """Spectral norm of a Hermitian matrix (largest |eigenvalue|)."""
-    w = eigvalsh(a)
-    return float(max(abs(w[0]), abs(w[-1])))
+    return float(np.max(np.abs(eigvalsh(a))))
 
 
 def min_eigenvalue(a) -> float:
@@ -286,8 +181,7 @@ def min_eigenvalue(a) -> float:
 
 def top_eigenvector(a) -> np.ndarray:
     """Unit eigenvector for the largest eigenvalue."""
-    w, v = eigh(a)
-    return v[:, -1].copy()
+    return eigh(a)[1][:, -1].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +193,11 @@ def is_psd(a, slack: float = 1e-10) -> bool:
 
 
 def is_density(rho, tol: float = 1e-10) -> bool:
-    m = np.asarray(rho, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    try:
+        require_density(rho, tol=tol)
+    except PreconditionError:
         return False
-    if not is_hermitian(m, atol=max(HERMITIAN_ATOL, tol)):
-        return False
-    if abs(float(np.real(np.trace(m))) - 1.0) > tol:
-        return False
-    return is_psd(0.5 * (m + m.conj().T), slack=tol)
+    return True
 
 
 def require_density(rho, tol: float = 1e-10, what: str = "state") -> np.ndarray:
@@ -324,12 +215,11 @@ def require_density(rho, tol: float = 1e-10, what: str = "state") -> np.ndarray:
 
 def is_rank1_projection(p, tol: float = 1e-10) -> bool:
     """Idempotency test for a Hermitian matrix: p^2 == p and trace 1."""
-    m = np.asarray(p, dtype=complex)
-    if not is_hermitian(m, atol=max(HERMITIAN_ATOL, tol)):
+    try:
+        require_rank1_projection(p, tol=tol)
+    except PreconditionError:
         return False
-    if abs(float(np.real(np.trace(m))) - 1.0) > tol:
-        return False
-    return float(np.max(np.abs(m @ m - m))) <= tol
+    return True
 
 
 def require_rank1_projection(p, tol: float = 1e-10, what: str = "state") -> np.ndarray:

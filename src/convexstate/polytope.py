@@ -14,7 +14,9 @@ Simplex testing exposes two notions side by side:
 Affine independence implies the pairwise property (barycentric coordinates
 are unique), so segment enumeration only runs on affinely dependent input;
 when it finds a crossing it returns the four vertices and weights as a
-machine-checkable certificate.
+machine-checkable certificate.  Any affinely dependent vertex set also
+has an exact Radon partition (``radon_partition``), read off a rational
+kernel vector of the homogenised vertices without any LP.
 """
 
 from __future__ import annotations
@@ -252,6 +254,36 @@ class AmbiguousMixtureCertificate:
         left = self.mixture_point()
         right = tuple(self.mu * a + (1 - self.mu) * b for a, b in zip(self.y, self.z))
         return left == right
+
+
+def radon_partition(k: VPolytope):
+    """Radon partition from the first affine dependence among the vertices.
+
+    The first non-pivot column of the row-reduced homogenised vertices
+    (v_i; 1) gives a kernel vector lam supported on a circuit.  Returns its
+    positive and negative parts as {index: weight} maps, each scaled to sum
+    1, and the point both convex combinations give; None if independent.
+    """
+    verts = k.vertices
+    rows = [list(coords) for coords in zip(*verts)] + [[Fraction(1)] * len(verts)]
+    for col in range(len(verts)):
+        piv = next((i for i in range(col, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            # Columns 0..col-1 are unit pivots: column col = sum_i rows[i][col] * column i.
+            lam = [-rows[i][col] for i in range(col)] + [Fraction(1)]
+            break
+        rows[col], rows[piv] = rows[piv], rows[col]
+        p = rows[col][col]
+        rows[col] = [a / p for a in rows[col]]
+        rows = [r if i == col else [a - r[col] * b for a, b in zip(r, rows[col])]
+                for i, r in enumerate(rows)]
+    else:
+        return None
+    total = sum(c for c in lam if c > 0)
+    first = {i: c / total for i, c in enumerate(lam) if c > 0}
+    second = {i: -c / total for i, c in enumerate(lam) if c < 0}
+    point = tuple(sum(w * verts[i][d] for i, w in first.items()) for d in range(k.ambient_dim))
+    return first, second, point
 
 
 @dataclass(frozen=True)

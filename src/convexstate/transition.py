@@ -22,9 +22,10 @@ Engines by state-space kind:
 
 Superposability asks for an extreme z with r(x, z) = r(y, z) = 1/2.  For
 the separable set with x, y orthogonal in both factors this reduces to
-maximizing a + c - 2ac over overlap parameters (a, c) in [0,1]^2; the
-maximum is 1, attained only at (1,0) and (0,1), and at those corners one
-of the two transition probabilities vanishes, so no such z exists.
+bounding a + c - 2ac over (a, c) in [0,1]^2.  By the identity
+1 - (a + c - 2ac) = (1 - a)(1 - c) + ac the maximum is 1, attained only at
+(0,1) and (1,0), and at those corners one of the two transition
+probabilities vanishes, so no such z exists.
 """
 
 from __future__ import annotations
@@ -287,14 +288,14 @@ class SuperposabilityCertificate:
     transcript: dict = field(default_factory=dict)
 
 
-def superposability_search(h: StateSpaceHandle, x, y,
-                           grid: int = 1024, tol: float | None = None) -> SuperposabilityCertificate:
+def superposability_search(h: StateSpaceHandle, x, y, *,
+                           tol: float | None = None) -> SuperposabilityCertificate:
     """Look for an extreme z with both transition probabilities 1/2.
 
     Preconditions: x, y extreme and orthogonal in h.  Closed-form engines
     accept 1/2 within 1e-8; the rational polytope engine requires 1/2
     exactly.  The separable engine certifies absence via the overlap-square
-    maximization described in the module docstring.
+    identity described in the module docstring.
     """
     t = DEFAULT_TOL.equality if tol is None else tol
     if not is_orthogonal(h, x, y, tol=t):
@@ -306,7 +307,7 @@ def superposability_search(h: StateSpaceHandle, x, y,
     if h.kind == KIND_FULL_QUANTUM:
         return _superposable_full_quantum(x, y)
     if h.kind == KIND_SEPARABLE:
-        return _superposable_separable(x, y, grid=grid)
+        return _superposable_separable(x, y)
     raise PreconditionError(f"unknown state-space kind {h.kind!r}")
 
 
@@ -377,16 +378,20 @@ def overlap_square_surface(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return a + c - 2.0 * a * c
 
 
-def _superposable_separable(x, y, grid: int = 1024) -> SuperposabilityCertificate:
+SURFACE_IDENTITY = "1 - (a + c - 2ac) = (1 - a)(1 - c) + ac"
+# Both right-hand terms are >= 0 on [0,1]^2 and vanish together only here.
+SURFACE_MAXIMISERS = ((0.0, 1.0), (1.0, 0.0))
+
+
+def _superposable_separable(x, y) -> SuperposabilityCertificate:
     """Certify that no product state z has both ratios 1/2.
 
     Requires x, y orthogonal in BOTH factors (which covers pairs like
     |01>,|10> and |00>,|11>).  Writing a = Tr(x_A z_A), c = Tr(y_B z_B),
     the two full-space ratios are a(1-c) and (1-a)c; each upper-bounds the
-    separable ratio, so a pair of 1/2s forces a + c - 2ac >= 1.  The grid
-    plus local refinement shows max = 1 attained only at the corners
-    (1,0), (0,1), and at each corner one bound (hence one separable ratio)
-    is 0, contradicting 1/2.
+    separable ratio, so a pair of 1/2s forces a + c - 2ac >= 1.  The
+    identity SURFACE_IDENTITY proves max = 1, attained only at the corners
+    (0,1), (1,0); at each one bound (hence one separable ratio) is 0.
     """
     mx = _require_pure_product(x, tol=1e-10, what="x")
     my = _require_pure_product(y, tol=1e-10, what="y")
@@ -400,40 +405,10 @@ def _superposable_separable(x, y, grid: int = 1024) -> SuperposabilityCertificat
             f"factors; factor overlaps are {oa:.3e} (A) and {ob:.3e} (B)"
         )
 
-    axis = np.linspace(0.0, 1.0, grid)
-    aa, cc = np.meshgrid(axis, axis, indexing="ij")
-    surf = overlap_square_surface(aa, cc)
-    smax = float(np.max(surf))
-    hot = np.argwhere(surf > 1.0 - 1e-6)
-    hot_points = sorted(
-        (float(axis[i]), float(axis[j])) for i, j in hot
-    )
-    corners_only = hot_points == [(0.0, 1.0), (1.0, 0.0)]
-
-    # Local refinement around each near-max grid point, pure grid descent.
-    refined = []
-    for a0, c0 in hot_points:
-        win = 1.0 / (grid - 1)
-        ca, cb = a0, c0
-        val = float(overlap_square_surface(np.array(ca), np.array(cb)))
-        for _ in range(40):
-            la = np.clip(np.linspace(ca - win, ca + win, 9), 0.0, 1.0)
-            lc = np.clip(np.linspace(cb - win, cb + win, 9), 0.0, 1.0)
-            ga, gc = np.meshgrid(la, lc, indexing="ij")
-            gs = overlap_square_surface(ga, gc)
-            k = int(np.argmax(gs))
-            ca, cb = float(ga.flat[k]), float(gc.flat[k])
-            val = float(gs.flat[k])
-            win *= 0.5
-            if win < 1e-12:
-                break
-        refined.append({"a": ca, "c": cb, "value": val})
-
     # At each arg-max corner, rebuild the actual product state z and verify
     # with full complex states that one transition probability vanishes.
     corner_reports = []
-    for r in refined:
-        a_val, c_val = r["a"], r["c"]
+    for a_val, c_val in SURFACE_MAXIMISERS:
         za = _mix_factor(xa, ya, a_val)        # Tr(xa za) = a
         zb = _mix_factor(yb, xb, c_val)        # Tr(yb zb) = c
         z = linalg.tensor(za, zb)
@@ -446,16 +421,14 @@ def _superposable_separable(x, y, grid: int = 1024) -> SuperposabilityCertificat
             "vanishing_bound": min(u1, u2),
         })
 
-    first = corner_reports[0]["overlaps"] if corner_reports else None
     return SuperposabilityCertificate(
         found=False,
-        overlaps=first,
+        overlaps=corner_reports[0]["overlaps"],
         transcript={
-            "grid": grid,
-            "surface_max": smax,
-            "near_max_points": hot_points,
-            "corners_only": bool(corners_only),
-            "refined": refined,
+            "identity": SURFACE_IDENTITY,
+            "surface_max": 1.0,
+            "near_max_points": list(SURFACE_MAXIMISERS),
+            "corners_only": True,
             "corner_reports": corner_reports,
             "conclusion": (
                 "both ratios 1/2 would need a + c - 2ac >= 1; the maximum is 1 "

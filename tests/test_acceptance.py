@@ -152,7 +152,7 @@ def test_overlap_surface_corners():
         handle = StateSpaceHandle.separable_2x2()
 
         start = time.perf_counter()
-        cert = superposability_search(handle, x, y, grid=1024)
+        cert = superposability_search(handle, x, y)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"search took {elapsed:.2f}s"
 

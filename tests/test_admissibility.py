@@ -86,6 +86,47 @@ def test_bipyramid_refuted_by_face():
     assert not cert["ball"]["is_ball"]
 
 
+@pytest.mark.parametrize("ts", [(-3, -1, 0, 1, 2, 4), (0, 1, 2, 3, 4, 5, 6)])
+def test_neighbourly_polytope_refuted_by_affine_dependence(ts):
+    # Cyclic polytopes C(n, 4) on the moment curve: every vertex pair spans
+    # an edge, so neither the ambiguous-mixture nor the face test fires.
+    points = [(t, t ** 2, t ** 3, t ** 4) for t in ts]
+    verdict = check_polytope(VPolytope(points))
+    assert verdict.verdict == REFUTED
+    assert verdict.failed_condition == FINITE_NONSIMPLEX
+    cert = verdict.to_json_dict()["certificate"]
+    assert cert["kind"] == "affine_dependence"
+    assert all(e["ball"]["is_ball"] for e in cert["face_evidence"])
+
+    # Exact re-check from the JSON alone: two convex combinations of
+    # disjoint vertex sets that land on the reported point.
+    point = [Fraction(c) for c in cert["point"]]
+    first, second = cert["first"], cert["second"]
+    assert not set(first["indices"]) & set(second["indices"])
+    for side in (first, second):
+        weights = [Fraction(w) for w in side["weights"]]
+        assert all(w > 0 for w in weights) and sum(weights) == 1
+        mix = [sum(w * Fraction(points[i][k]) for i, w in zip(side["indices"], weights))
+               for k in range(4)]
+        assert mix == point
+
+
+def test_check_polytope_computes_each_generated_face_once(monkeypatch):
+    import convexstate.admissibility as adm
+
+    calls = []
+    original = adm.generated_face
+
+    def counting(k, x, y):
+        calls.append((x, y))
+        return original(k, x, y)
+
+    monkeypatch.setattr(adm, "generated_face", counting)
+    verdict = check_polytope(BIPYRAMID)
+    assert verdict.failed_condition == FACE_NOT_BALL
+    assert len(calls) == len(set(calls)) == 10
+
+
 def test_face_evidence_present_for_small_polytopes():
     verdict = check_polytope(make_classical_simplex(2))
     evidence = verdict.certificate["face_evidence"]
@@ -149,7 +190,7 @@ def test_affine_invariance():
 def test_separable_pair_refuted():
     x = linalg.projector(linalg.ket("01"))
     y = linalg.projector(linalg.ket("10"))
-    verdict = check_separable_pair(x, y, path_steps=32, search_grid=256)
+    verdict = check_separable_pair(x, y, path_steps=32)
     assert verdict.verdict == REFUTED
     assert verdict.failed_condition == CONNECTED_BUT_UNSUPERPOSABLE
     cert = verdict.certificate

@@ -54,6 +54,15 @@ def test_nonpositive_budgets_are_usage_errors(capsys):
                "--grid", "0")[0] == 2
 
 
+def test_deprecated_grid_flag_keeps_the_certificate(capsys):
+    code, out, _ = run(capsys, "superposable", "separable2x2", "01", "10",
+                       "--grid", "1")
+    assert code == 0
+    corners = json.loads(out)["transcript"]["corner_reports"]
+    assert len(corners) == 2
+    assert [c["vanishing_bound"] for c in corners] == [0.0, 0.0]
+
+
 def test_broken_theory_file_reports_position(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"name": "x",\n "ambient_dim": }')

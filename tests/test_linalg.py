@@ -1,11 +1,14 @@
-"""Kernel checks against numpy.linalg oracles.
+"""Kernel checks against independent oracles.
 
-The library computes eigensystems with its own Jacobi routine; numpy's
-eigensolvers appear here only as reference values.
+The library computes eigensystems with numpy.linalg (LAPACK's divide and
+conquer drivers), so eigenvalues are checked against scipy.linalg (the
+relatively robust representation drivers) and eigenvectors by their own
+residuals ||Av - lambda v|| and ||V^H V - I||.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,16 +78,27 @@ def test_require_hermitian_symmetrizes_and_rejects():
 
 
 # ---------------------------------------------------------------------------
-# Eigensolver vs numpy
+# Eigensolver vs scipy and its own residuals
 # ---------------------------------------------------------------------------
+
+def assert_eigensystem(h, w, v, tol=1e-10):
+    """Residual checks that need no reference solver: every column is an
+    eigenvector for its eigenvalue, and the columns are orthonormal."""
+    n = h.shape[0]
+    scale = 1 + linalg.hs_norm(h)
+    assert np.max(np.linalg.norm(h @ v - v * w, axis=0)) <= tol * scale
+    assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= tol
+    assert np.all(np.diff(w) >= 0)
+
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_eigvalsh_matches_numpy(n):
+    # Reference: scipy.linalg.eigvalsh, independent of the numpy call under test.
     rng = np.random.default_rng(100 + n)
     for _ in range(10):
         h = random_hermitian(rng, n)
         mine = linalg.eigvalsh(h)
-        ref = np.linalg.eigvalsh(h)
+        ref = scipy.linalg.eigvalsh(h)
         assert np.max(np.abs(mine - ref)) <= 1e-10 * (1 + np.abs(ref).max())
 
 
@@ -97,6 +111,8 @@ def test_eigh_reconstructs(n):
         scale = 1 + linalg.hs_norm(h)
         assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - h)) <= 1e-10 * scale
         assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 1e-10
+        assert_eigensystem(h, w, v)
+        assert np.max(np.abs(w - scipy.linalg.eigh(h, eigvals_only=True))) <= 1e-10 * scale
 
 
 def test_eigh_degenerate_spectra():
@@ -110,13 +126,32 @@ def test_eigh_degenerate_spectra():
         w, v = linalg.eigh(h)
         assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - h)) <= 1e-10
         assert np.max(np.abs(v.conj().T @ v - np.eye(h.shape[0]))) <= 1e-10
+        assert_eigensystem(h, w, v)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_eigh_residuals_at_larger_sizes(n):
+    rng = np.random.default_rng(300 + n)
+    for _ in range(4):
+        h = random_hermitian(rng, n)
+        w, v = linalg.eigh(h)
+        assert_eigensystem(h, w, v)
+        ref = scipy.linalg.eigvalsh(h)
+        assert np.max(np.abs(linalg.eigvalsh(h) - ref)) <= 1e-10 * (1 + np.abs(ref).max())
+
+
+def test_eigensolver_rejects_non_hermitian():
+    with pytest.raises(PreconditionError):
+        linalg.eigvalsh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(PreconditionError):
+        linalg.eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_extremal_eigen_helpers():
     rng = np.random.default_rng(5)
     for _ in range(10):
         h = random_hermitian(rng, 4)
-        ref = np.linalg.eigvalsh(h)
+        ref = scipy.linalg.eigvalsh(h)
         assert abs(linalg.min_eigenvalue(h) - ref[0]) <= 1e-10
         assert abs(linalg.operator_norm(h) - np.abs(ref).max()) <= 1e-10
         vec = linalg.top_eigenvector(h)
@@ -144,7 +179,7 @@ def test_partial_trace_preserves_trace_and_positivity():
         for side in ("A", "B"):
             red = linalg.partial_trace(rho, side)
             assert abs(np.trace(red).real - 1) <= 1e-12
-            assert np.linalg.eigvalsh(red)[0] >= -1e-12
+            assert scipy.linalg.eigvalsh(red)[0] >= -1e-12
 
 
 def test_partial_trace_epr_is_maximally_mixed():
@@ -169,7 +204,7 @@ def test_partial_transpose_involution_and_product():
 
 def test_partial_transpose_epr_negative():
     epr = linalg.projector(linalg.ket("01") - linalg.ket("10"))
-    w = np.linalg.eigvalsh(linalg.partial_transpose(epr, "B"))
+    w = scipy.linalg.eigvalsh(linalg.partial_transpose(epr, "B"))
     assert abs(w[0] + 0.5) <= 1e-12
 
 
@@ -220,4 +255,4 @@ def test_jordan_square_psd(seed):
     rng = np.random.default_rng(seed)
     a = random_hermitian(rng, 3)
     sq = linalg.jordan_product(a, a)
-    assert np.linalg.eigvalsh(sq)[0] >= -1e-10 * (1 + linalg.hs_norm(a) ** 2)
+    assert scipy.linalg.eigvalsh(sq)[0] >= -1e-10 * (1 + linalg.hs_norm(a) ** 2)

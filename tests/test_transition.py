@@ -202,7 +202,7 @@ def test_separable_superposability_absent():
     h = StateSpaceHandle.separable_2x2()
     x = linalg.projector(linalg.ket("01"))
     y = linalg.projector(linalg.ket("10"))
-    cert = superposability_search(h, x, y, grid=512)
+    cert = superposability_search(h, x, y)
     assert not cert.found
     t = cert.transcript
     assert abs(t["surface_max"] - 1.0) <= 1e-10
