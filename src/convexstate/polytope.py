@@ -107,6 +107,11 @@ class VPolytope:
 
 def _membership_problem(vertices: Sequence[Point], point: Point,
                         objective: Sequence | None = None) -> LPProblem:
+    if len(point) != len(vertices[0]):
+        raise ValueError(
+            f"point has {len(point)} coordinates, polytope lives in "
+            f"dimension {len(vertices[0])}"
+        )
     d = len(point)
     n = len(vertices)
     a_eq = [[vertices[i][k] for i in range(n)] for k in range(d)]
@@ -117,11 +122,6 @@ def _membership_problem(vertices: Sequence[Point], point: Point,
 
 
 def _hull_contains(vertices: Sequence[Point], point: Point) -> bool:
-    if len(point) != len(vertices[0]):
-        raise ValueError(
-            f"point has {len(point)} coordinates, polytope lives in "
-            f"dimension {len(vertices[0])}"
-        )
     sol = lp_solve(_membership_problem(vertices, point))
     return sol.status == OPTIMAL
 
@@ -150,18 +150,17 @@ def minimal_face(k: VPolytope, point: Sequence) -> Face:
     A vertex belongs to the minimal face iff some convex representation of
     the point gives it positive weight, i.e. iff the maximum of its weight
     over all representations is positive; that maximum is an exact LP.
+    The LPs share one feasible set, so the first also decides membership.
     """
     p = parse_point(point)
-    if not k.contains(p):
-        raise ValueError(f"point {tuple(map(str, p))} is not in the polytope")
     n = len(k.vertices)
     support = []
     for i in range(n):
         obj = [Fraction(0)] * n
         obj[i] = Fraction(-1)
         sol = lp_solve(_membership_problem(k.vertices, p, objective=obj))
-        if sol.status != OPTIMAL:  # cannot happen: membership already proved
-            raise ValueError("support LP unexpectedly infeasible")
+        if sol.status != OPTIMAL:
+            raise ValueError(f"point {tuple(map(str, p))} is not in the polytope")
         if -sol.value > 0:
             support.append(i)
     return Face(k, tuple(support))

@@ -17,8 +17,12 @@ projector E and later steer it into D0 or D1 with a local nonselective
 measurement (computational or +/- basis).  In a theory without
 entanglement E is unavailable, and ``binding_attack_search`` looks for a
 separable substitute (best mixture of pure product states plus two
-A-side channels).  Finding none within budget is evidence of binding, not
-a proof, and is reported as such.
+A-side channels).  Its multi-started coordinate descent runs every start
+in lockstep as one row of a numpy batch, and scores a row through each
+channel's 4x4 superoperator acting on the realigned state.  The best
+residual found is attained, so it bounds the ansatz's minimum from above;
+finding no attack within budget is evidence of binding, not a proof, and
+is reported as such.
 """
 
 from __future__ import annotations
@@ -169,74 +173,79 @@ _CHANNEL_PARAMS = _N_KRAUS * 8          # 4 Kraus ops, 2x2 complex each
 _STATE_PARAMS = 7                       # 3 + 3 Bloch components + weight seed
 
 
-def _channel_from_params(p: np.ndarray) -> np.ndarray | None:
-    """Trace-preserving channel from 32 raw reals.
+def _realign(ops: np.ndarray) -> np.ndarray:
+    """Reindex pair-space operators [(a,i),(d,j)] -> [(a,d),(i,j)].
 
-    Raw 2x2 seeds are normalized by S^{-1/2} with S = sum K^dag K; the
-    2x2 PSD square root has a closed form.  Returns None when S is close
-    to singular (the move is rejected rather than regularized, keeping
-    every accepted channel trace-preserving to machine precision).
+    An involution that keeps the HS norm.  Realigned, an A-side channel
+    acts by left multiplication with its superoperator.
     """
-    seeds = (p[0::2] + 1j * p[1::2]).reshape(_N_KRAUS, 2, 2)
-    s = np.einsum("nba,nbc->ac", seeds.conj(), seeds)
-    tr = float(np.real(s[0, 0] + s[1, 1]))
-    det = float(np.real(s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]))
-    if tr <= 1e-8 or det <= 1e-10 * max(1.0, tr) ** 2:
-        return None
-    root_det = math.sqrt(max(det, 0.0))
-    denom = math.sqrt(tr + 2.0 * root_det)
-    sqrt_s = (s + root_det * np.eye(2)) / denom
-    a, b = sqrt_s[0, 0], sqrt_s[0, 1]
-    c, d = sqrt_s[1, 0], sqrt_s[1, 1]
-    det_sqrt = a * d - b * c
-    inv_sqrt = np.array([[d, -b], [-c, a]], dtype=complex) / det_sqrt
-    return np.einsum("nab,bc->nac", seeds, inv_sqrt)
+    lead = ops.shape[:-2]
+    return ops.reshape(*lead, 2, 2, 2, 2).swapaxes(-3, -2).reshape(*lead, 4, 4)
 
 
-_PAULI_STACK = np.stack([linalg.PAULI_X, linalg.PAULI_Y, linalg.PAULI_Z])
-_Z_AXIS = np.array([0.0, 0.0, 1.0])
+def _channels_from_params(p: np.ndarray):
+    """Trace-preserving channels from rows of 32 raw reals.
 
-
-def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    norms = np.sqrt(np.sum(rows * rows, axis=1))
-    out = np.where(norms[:, None] > 0.0, rows / np.where(norms == 0.0, 1.0, norms)[:, None],
-                   _Z_AXIS[None, :])
-    return out
-
-
-def _sigma_from_params(p: np.ndarray, support: int) -> np.ndarray:
-    """Mixture of pure product states from support * 7 raw reals.
-
-    Each row of 7 is (Bloch seed of A factor, Bloch seed of B factor,
-    weight seed); seeds are normalized, weights squared and renormalized,
-    and a zero Bloch seed falls back to the +z axis.
+    Per row, raw 2x2 seeds are normalized by S^{-1/2} with S = sum K^dag K;
+    the 2x2 PSD square root has a closed form.  Returns (kraus, superop,
+    ok) with shapes (m, 4, 2, 2), (m, 4, 4) and (m,), where
+    superop[(a,d),(b,c)] = sum_n K_n[a,b] conj(K_n[d,c]).  A row whose S is
+    close to singular gets ok = False: the move is rejected rather than
+    regularized, keeping every accepted channel trace-preserving to machine
+    precision.  Its kraus and superop are placeholders: they use
+    det S = 1 and tr S = 2, which keeps S + sqrt(det S) I invertible.
     """
-    q = p.reshape(support, _STATE_PARAMS)
-    ua = _unit_rows(q[:, 0:3])
-    ub = _unit_rows(q[:, 3:6])
-    w = q[:, 6] ** 2
-    total = float(np.sum(w))
-    if total <= 0.0:
-        w = np.ones(support)
-        total = float(support)
-    ea = 0.5 * (linalg.IDENT2[None, :, :] + np.einsum("ni,ijk->njk", ua, _PAULI_STACK))
-    fb = 0.5 * (linalg.IDENT2[None, :, :] + np.einsum("ni,ijk->njk", ub, _PAULI_STACK))
-    prods = np.einsum("nab,ncd->nacbd", ea, fb).reshape(support, 4, 4)
-    return np.einsum("n,nij->ij", w / total, prods)
+    m = p.shape[0]
+    seeds = (p[:, 0::2] + 1j * p[:, 1::2]).reshape(m, _N_KRAUS, 2, 2)
+    s = np.einsum("mnba,mnbc->mac", seeds.conj(), seeds)
+    tr = s[:, 0, 0].real + s[:, 1, 1].real
+    det = (s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]).real
+    ok = (tr > 1e-8) & (det > 1e-10 * np.maximum(1.0, tr) ** 2)
+    root_det = np.sqrt(np.where(ok, det, 1.0))
+    denom = np.sqrt(np.where(ok, tr, 2.0) + 2.0 * root_det)
+    sqrt_s = (s + root_det[:, None, None] * linalg.IDENT2) / denom[:, None, None]
+    a, b = sqrt_s[:, 0, 0], sqrt_s[:, 0, 1]
+    c, d = sqrt_s[:, 1, 0], sqrt_s[:, 1, 1]
+    inv_sqrt = np.stack([d, -b, -c, a], axis=1).reshape(m, 2, 2) / (a * d - b * c)[:, None, None]
+    kraus = np.einsum("mnab,mbc->mnac", seeds, inv_sqrt)
+    superop = np.einsum("mnab,mndc->madbc", kraus, kraus.conj()).reshape(m, 4, 4)
+    return kraus, superop, ok
 
 
-def _lift_a(kraus: np.ndarray) -> np.ndarray:
-    """Kraus operators on A lifted to the pair space: K -> K tensor I."""
-    k = kraus.shape[0]
-    return np.einsum("nij,ab->niajb", kraus, linalg.IDENT2).reshape(k, 4, 4)
+def _bloch_vectors(seeds: np.ndarray) -> np.ndarray:
+    """Row-major flattened qubit projectors for nonzero Bloch seeds; a zero
+    seed falls back to the +z axis."""
+    norms = np.sqrt(np.sum(seeds * seeds, axis=-1, keepdims=True))
+    u = np.where(norms > 0.0, seeds / np.where(norms == 0.0, 1.0, norms), (0.0, 0.0, 1.0))
+    x, y, z = u[..., 0], u[..., 1], u[..., 2]
+    return 0.5 * np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=-1)
 
 
-def _lifted_residual(sigma, lifted0, lifted1, d0, d1) -> float:
-    r0 = np.sum(lifted0 @ sigma @ lifted0.conj().transpose(0, 2, 1), axis=0)
-    r1 = np.sum(lifted1 @ sigma @ lifted1.conj().transpose(0, 2, 1), axis=0)
-    e0 = r0 - d0
-    e1 = r1 - d1
-    return float(np.sum(np.abs(e0) ** 2) + np.sum(np.abs(e1) ** 2))
+def _sigmas_from_params(p: np.ndarray, support: int) -> np.ndarray:
+    """Realigned mixtures of pure product states from rows of support * 7
+    raw reals.
+
+    Each group of 7 is (Bloch seed of A factor, Bloch seed of B factor,
+    weight seed); weights are squared and renormalized, uniform when all
+    are zero.  Realigned, the mixture sum_n w_n a_n (x) b_n is the sum of
+    outer products w_n vec(a_n) vec(b_n)^T.
+    """
+    q = p.reshape(p.shape[0], support, _STATE_PARAMS)
+    w = q[:, :, 6] ** 2
+    total = np.sum(w, axis=1, keepdims=True)
+    w = np.where(total > 0.0, w / np.where(total > 0.0, total, 1.0), 1.0 / support)
+    return np.einsum("mn,mnx,mny->mxy", w, _bloch_vectors(q[:, :, 0:3]),
+                     _bloch_vectors(q[:, :, 3:6]))
+
+
+def _residuals(sigmas: np.ndarray, superops: np.ndarray, ok: np.ndarray,
+               targets: np.ndarray) -> np.ndarray:
+    """|Lambda0(sigma) - D0|^2 + |Lambda1(sigma) - D1|^2 per row, from
+    realigned sigmas (m, 4, 4), superoperator pairs (m, 2, 4, 4) and
+    realigned targets (2, 4, 4); inf where either channel was rejected."""
+    err = superops @ sigmas[:, None] - targets
+    val = np.sum(err.real ** 2 + err.imag ** 2, axis=(1, 2, 3))
+    return np.where(ok.all(axis=1), val, math.inf)
 
 
 @dataclass(frozen=True)
@@ -263,9 +272,20 @@ def binding_attack_search(d0=None, d1=None, support: int = 8, starts: int = 32,
     4-Kraus A-side channels.  Optimization is gradient-free coordinate
     descent (pattern search with a shrinking step), multi-started from
     seeded random points plus one warm start at sigma = D0 with identity
-    channels.  The reported residual is an upper bound on nothing and a
-    lower bound on nothing: it is the best attack found within budget; a
-    large value is evidence for binding, not a proof.
+    channels.
+
+    The starts run in lockstep as rows of one numpy batch.  Every row
+    keeps its own first-improvement control flow: at the shared coordinate
+    it tries +step, then -step only if that failed; its step halves after
+    a sweep without improvement, and the row stops once the step falls
+    below 1e-4.  Each probe rebuilds the one component (sigma, Lambda0 or
+    Lambda1) the coordinate feeds, for the rows still probing, and scores
+    them with one batched product of superoperators and realigned states.
+    `evaluations` counts one per row probed.
+
+    The reported residual is attained by the returned (sigma, Lambda0,
+    Lambda1), so it is an upper bound on the ansatz's minimum.  It is not
+    a lower bound: a large value is evidence for binding, not a proof.
     """
     if support < 1 or starts < 1 or sweeps < 1:
         raise PreconditionError(
@@ -275,91 +295,82 @@ def binding_attack_search(d0=None, d1=None, support: int = 8, starts: int = 32,
         d0, d1, _ = build_bb84_states()
     d0 = linalg.require_density(d0, what="D0")
     d1 = linalg.require_density(d1, what="D1")
+    targets = _realign(np.stack([d0, d1]))
 
     n_sigma = support * _STATE_PARAMS
-    k1_off = n_sigma + _CHANNEL_PARAMS
-    n_total = k1_off + _CHANNEL_PARAMS
-    evals = 0
+    offsets = (n_sigma, n_sigma + _CHANNEL_PARAMS)
+    n_total = n_sigma + 2 * _CHANNEL_PARAMS
 
-    def lifted_channel(raw):
-        k = _channel_from_params(raw)
-        return (None, None) if k is None else (k, _lift_a(k))
+    def build(p):
+        sigmas = _sigmas_from_params(p[:, :n_sigma], support)
+        built = [_channels_from_params(p[:, off:off + _CHANNEL_PARAMS]) for off in offsets]
+        superops = np.stack([b[1] for b in built], axis=1)
+        ok = np.stack([b[2] for b in built], axis=1)
+        return sigmas, superops, ok, _residuals(sigmas, superops, ok, targets)
 
-    def components(p):
-        k0, l0 = lifted_channel(p[n_sigma:k1_off])
-        k1, l1 = lifted_channel(p[k1_off:])
-        return (_sigma_from_params(p[:n_sigma], support), k0, l0, k1, l1)
+    warm = np.zeros(n_total)
+    # sigma = D0: half |0>|1>, half |1>|0>
+    warm[0:7] = [0, 0, 1, 0, 0, -1, 1.0]
+    if support >= 2:
+        warm[7:14] = [0, 0, -1, 0, 0, 1, 1.0]
+    for i in range(2, support):
+        warm[i * 7:(i + 1) * 7] = [0, 0, 1, 0, 0, 1, 0.0]
+    for off in offsets:
+        warm[off + 0] = 1.0   # K_0 = I (real part of entries (0,0) and (1,1))
+        warm[off + 6] = 1.0
 
-    def value_of(parts):
-        nonlocal evals
-        evals += 1
-        sigma, k0, l0, k1, l1 = parts
-        if k0 is None or k1 is None:
-            return math.inf
-        return _lifted_residual(sigma, l0, l1, d0, d1)
+    params = np.empty((starts, n_total))
+    params[0] = warm
+    for s in range(1, starts):
+        params[s] = np.random.default_rng([int(seed), s]).normal(scale=0.8, size=n_total)
+        for off in offsets:
+            params[s, off + 0] += 1.0
+            params[s, off + 6] += 1.0
+    sigmas, superops, ok, val = build(params)
+    evals = starts
+    bad = np.flatnonzero(~np.isfinite(val))
+    if bad.size:
+        params[bad] = warm
+        sigmas[bad], superops[bad], ok[bad], val[bad] = build(params[bad])
+        evals += bad.size
 
-    def update_component(parts, p, j):
-        """Rebuild only the component that parameter j feeds."""
-        sigma, k0, l0, k1, l1 = parts
-        if j < n_sigma:
-            sigma = _sigma_from_params(p[:n_sigma], support)
-        elif j < k1_off:
-            k0, l0 = lifted_channel(p[n_sigma:k1_off])
-        else:
-            k1, l1 = lifted_channel(p[k1_off:])
-        return sigma, k0, l0, k1, l1
-
-    def warm_params():
-        p = np.zeros(n_total)
-        # sigma = D0: half |0>|1>, half |1>|0>
-        p[0:7] = [0, 0, 1, 0, 0, -1, 1.0]
-        if support >= 2:
-            p[7:14] = [0, 0, -1, 0, 0, 1, 1.0]
-        for i in range(2, support):
-            p[i * 7:(i + 1) * 7] = [0, 0, 1, 0, 0, 1, 0.0]
-        for off in (n_sigma, n_sigma + _CHANNEL_PARAMS):
-            p[off + 0] = 1.0   # K_0 = I (real part of entries (0,0) and (1,1))
-            p[off + 6] = 1.0
-        return p
-
-    best_val, best_parts, best_start = math.inf, None, -1
-    start_residuals = []
-    for s in range(starts):
-        if s == 0:
-            p = warm_params()
-        else:
-            rng = np.random.default_rng([int(seed), s])
-            p = rng.normal(scale=0.8, size=n_total)
-            for off in (n_sigma, k1_off):
-                p[off + 0] += 1.0
-                p[off + 6] += 1.0
-        parts = components(p)
-        val = value_of(parts)
-        if not math.isfinite(val):
-            p = warm_params()
-            parts = components(p)
-            val = value_of(parts)
-        step = 0.35
-        for _ in range(sweeps):
-            improved = False
-            for j in range(n_total):
-                for delta in (step, -step):
-                    q = p.copy()
-                    q[j] += delta
-                    parts2 = update_component(parts, q, j)
-                    v2 = value_of(parts2)
-                    if v2 < val - 1e-14:
-                        p, val, parts = q, v2, parts2
-                        improved = True
-                        break
-            if not improved:
-                step *= 0.5
-                if step < 1e-4:
+    step = np.full(starts, 0.35)
+    active = np.ones(starts, dtype=bool)
+    for _ in range(sweeps):
+        improved = np.zeros(starts, dtype=bool)
+        for j in range(n_total):
+            rows = np.flatnonzero(active)
+            for sign in (1.0, -1.0):
+                q = params[rows]
+                q[:, j] += sign * step[rows]
+                sup, flags = superops[rows], ok[rows]
+                if j < n_sigma:
+                    sig = _sigmas_from_params(q[:, :n_sigma], support)
+                else:
+                    sig = sigmas[rows]
+                    c = (j - n_sigma) // _CHANNEL_PARAMS
+                    off = offsets[c]
+                    _, sup[:, c], flags[:, c] = _channels_from_params(
+                        q[:, off:off + _CHANNEL_PARAMS])
+                v2 = _residuals(sig, sup, flags, targets)
+                evals += rows.size
+                acc = v2 < val[rows] - 1e-14
+                won = rows[acc]
+                params[won], val[won] = q[acc], v2[acc]
+                sigmas[won], superops[won], ok[won] = sig[acc], sup[acc], flags[acc]
+                improved[won] = True
+                rows = rows[~acc]
+                if not rows.size:
                     break
-        start_residuals.append(float(val))
-        if val < best_val:
-            best_val, best_parts, best_start = float(val), parts, s
-    sigma, k0, _, k1, _ = best_parts
+        step[active & ~improved] *= 0.5
+        active &= step >= 1e-4
+        if not active.any():
+            break
+
+    best = int(np.argmin(val))
+    best_val = float(val[best])
+    kraus0, kraus1 = (_channels_from_params(params[best:best + 1, off:off + _CHANNEL_PARAMS])[0][0]
+                      for off in offsets)
     message = (
         "no attack found within budget; residual stays well above zero "
         "(evidence for binding, not a proof)"
@@ -368,9 +379,9 @@ def binding_attack_search(d0=None, d1=None, support: int = 8, starts: int = 32,
     )
     return BindingSearchReport(
         residual=best_val, support=support, starts=starts, seed=seed, sweeps=sweeps,
-        best_start=best_start, start_residuals=tuple(start_residuals),
+        best_start=best, start_residuals=tuple(float(v) for v in val),
         evaluations=evals, message=message,
-        best_sigma=sigma, best_kraus0=k0, best_kraus1=k1,
+        best_sigma=_realign(sigmas[best]), best_kraus0=kraus0, best_kraus1=kraus1,
     )
 
 

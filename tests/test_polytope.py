@@ -8,7 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from convexstate import polytope
 from convexstate.errors import TheoryFormatError
+from convexstate.lp import lp_solve
 from convexstate.models import make_classical_simplex, make_spekkens_hull, make_square
 from convexstate.polytope import (AmbiguousMixtureCertificate, VPolytope,
                                   affine_dimension, affine_dimension_of,
@@ -82,6 +84,27 @@ def test_minimal_face_requires_membership():
     k = make_spekkens_hull()
     with pytest.raises(ValueError, match="not in the polytope"):
         minimal_face(k, (2, 0, 0))
+
+
+def test_minimal_face_solves_one_lp_per_vertex(monkeypatch):
+    solved = []
+
+    def counting(problem):
+        solved.append(problem)
+        return lp_solve(problem)
+
+    monkeypatch.setattr(polytope, "lp_solve", counting)
+    for k, point in ((make_spekkens_hull(), ("1/3", "1/3", "1/3")),
+                     (BIPYRAMID, (0, 0, 0))):
+        solved.clear()
+        minimal_face(k, point)
+        assert len(solved) == len(k.vertices)
+    solved.clear()
+    with pytest.raises(ValueError, match="not in the polytope"):
+        minimal_face(BIPYRAMID, (2, 0, 0))
+    assert len(solved) == 1
+    with pytest.raises(ValueError, match="coordinates"):
+        minimal_face(BIPYRAMID, (0, 0))
 
 
 def test_face_as_polytope_round_trip():

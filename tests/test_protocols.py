@@ -1,9 +1,11 @@
 """Cloning chain and bit-commitment analyses."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from convexstate import linalg
+from convexstate import linalg, protocols
 from convexstate.errors import InternalCheckError, PreconditionError
 from convexstate.protocols import (BindingSearchReport, apply_channel_a,
                                    binding_attack_search, binding_residual,
@@ -167,6 +169,71 @@ def test_binding_search_deterministic():
     r2 = binding_attack_search(support=2, starts=3, seed=5, sweeps=6)
     assert r1.residual == r2.residual
     assert r1.start_residuals == r2.start_residuals
+
+
+# Captured from the serial search (one start and one coordinate probe at a
+# time) that preceded the lockstep batch; the batch must retrace it.
+# Under (1, 3, 30, 0) the starts stop in sweeps 24 and 28; the third runs all 30.
+PINNED_TRAJECTORIES = {
+    (2, 3, 6, 5): (2616, 0, (0.25000054090860624, 0.2634880999830396,
+                             0.2912304291927958)),
+    (4, 6, 12, 0): (12411, 5, (0.1267608570655548, 0.17017944533811413,
+                               0.13412643461759202, 0.1309938313300849,
+                               0.12764620289409792, 0.12557250887141844)),
+    (1, 3, 30, 0): (11515, 0, (0.8750000000034899, 0.8750000000390048,
+                               0.8750000045936585)),
+}
+
+
+@pytest.mark.parametrize("budget", sorted(PINNED_TRAJECTORIES))
+def test_binding_search_pinned_trajectory(budget):
+    support, starts, sweeps, seed = budget
+    evaluations, best_start, residuals = PINNED_TRAJECTORIES[budget]
+    report = binding_attack_search(support=support, starts=starts, seed=seed,
+                                   sweeps=sweeps)
+    assert report.evaluations == evaluations
+    assert report.best_start == best_start
+    assert len(report.start_residuals) == starts
+    for got, want in zip(report.start_residuals, residuals):
+        assert abs(got - want) <= 1e-12
+    assert report.residual == report.start_residuals[best_start]
+
+
+def test_binding_search_best_point_oracle():
+    report = binding_attack_search(support=4, starts=6, seed=0, sweeps=12)
+    direct = binding_residual(report.best_sigma, report.best_kraus0,
+                              report.best_kraus1, D0, D1)
+    assert abs(report.residual - direct) <= 1e-12
+    assert linalg.is_density(report.best_sigma)
+    pt = linalg.partial_transpose(report.best_sigma, "B")
+    assert linalg.min_eigenvalue(pt) >= -1e-12
+    assert kraus_completeness_deviation(report.best_kraus0) <= 1e-10
+    assert kraus_completeness_deviation(report.best_kraus1) <= 1e-10
+
+
+def test_channel_builder_rejects_singular_row_alone():
+    rng = np.random.default_rng(73)
+    raw = rng.normal(size=(3, 32))
+    raw[1] = 0.0
+    sigmas = protocols._sigmas_from_params(rng.normal(size=(3, 14)), 2)
+    targets = protocols._realign(np.stack([D0, D1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kraus, superop, ok = protocols._channels_from_params(raw)
+        pair = np.stack([superop, superop], axis=1)
+        values = protocols._residuals(sigmas, pair, np.stack([ok, ok], axis=1), targets)
+    assert ok.tolist() == [True, False, True]
+    assert values[1] == np.inf
+    for i in (0, 2):
+        k1, t1, ok1 = protocols._channels_from_params(raw[i:i + 1])
+        assert ok1.tolist() == [True]
+        assert np.array_equal(kraus[i], k1[0]) and np.array_equal(superop[i], t1[0])
+        assert kraus_completeness_deviation(kraus[i]) <= 1e-12
+        one = protocols._residuals(sigmas[i:i + 1], np.stack([t1, t1], axis=1),
+                                   np.stack([ok1, ok1], axis=1), targets)
+        assert one[0] == values[i]
+        sigma = protocols._realign(sigmas[i])
+        assert abs(values[i] - binding_residual(sigma, kraus[i], kraus[i], D0, D1)) <= 1e-12
 
 
 def test_binding_search_rejects_bad_budgets():
