@@ -1,11 +1,30 @@
 """Two-phase dense simplex with Bland's anti-cycling rule, over exact rationals.
 
-The kernel pivots on ``fractions.Fraction`` tableaus, so rational-mode
-solutions are exact: optimal points satisfy every constraint with zero
-error and can serve as certificates.  ``mode="float"`` runs the same exact
-kernel on the (exactly representable) rational values of the float inputs
-and converts the answer back, so it inherits the exactness guarantee up to
-the final conversion.
+The tableau is integer-preserving (Edmonds/Bareiss pivoting): its entries
+are Python ints that share one positive common denominator ``den``.
+
+- *Start.* Every constraint row is multiplied by one LCM of all the
+  denominators in the rows and right-hand sides.  The slack and artificial
+  columns keep the coefficient 1, so the start is an integer tableau with
+  ``den = 1`` and the artificials as its basis.
+- *Pivot.* On the entry p = tab[r][c], row r stays as it is, every other
+  row x becomes (x*p - x[c]*tab[r]) / den, and p becomes the new ``den``.
+  Each quotient is an integer minor of the start tableau, so the division
+  is exact; it is checked all the same.  A negative pivot, which only
+  occurs while leftover artificials are driven out, has its row negated
+  first, so ``den`` stays positive.
+- *Cost row.* It is pivoted the same way, with the phase-2 objective
+  multiplied by the LCM of its denominators.  Only the signs of its
+  entries are read.
+- *Answer.* A ``Fraction`` is built only when the basic solution is read.
+
+Against the tableau of ``Fraction``s that the same rules would pivot, the
+integer start scales all rows by one positive number and the slack and
+artificial columns by another.  That multiplies every reduced cost and
+every ratio-test ratio of one entering column by a positive factor, so
+Bland's rule takes the same pivots and returns the same point.  Optimal
+points satisfy every constraint with zero error, can serve as
+certificates, and are re-checked in ``Fraction``s before they are returned.
 
 Problems are stated as
 
@@ -18,7 +37,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
+
+from .errors import InternalCheckError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -93,27 +115,21 @@ class LPProblem:
 @dataclass(frozen=True)
 class LPSolution:
     status: str
-    value: Fraction | float | None
-    point: tuple | None
+    value: Fraction | None
+    point: tuple[Fraction, ...] | None
 
 
-def lp_solve(problem: LPProblem, mode: str = "rational") -> LPSolution:
-    if mode not in ("rational", "float"):
-        raise ValueError(f"mode must be 'rational' or 'float', got {mode!r}")
+def lp_solve(problem: LPProblem) -> LPSolution:
     status, point = _solve_exact(problem)
     if status != OPTIMAL:
         return LPSolution(status, None, None)
     value = sum((c * x for c, x in zip(problem.objective, point)), _ZERO)
     _verify(problem, point)
-    if mode == "float":
-        return LPSolution(OPTIMAL, float(value), tuple(float(x) for x in point))
     return LPSolution(OPTIMAL, value, tuple(point))
 
 
 def _verify(problem: LPProblem, point: Sequence[Fraction]) -> None:
     """Exact feasibility re-check of a claimed optimum (defensive)."""
-    from .errors import InternalCheckError
-
     for row, b in zip(problem.a_eq, problem.b_eq):
         if sum((a * x for a, x in zip(row, point)), _ZERO) != b:
             raise InternalCheckError("simplex returned an infeasible point (eq)")
@@ -199,35 +215,41 @@ def _solve_exact(problem: LPProblem) -> tuple[str, list[Fraction] | None]:
     n_slack = sum(1 for e in row_is_eq if not e)
     ncols = ny + n_slack + m  # y vars, slacks, artificials
 
-    # Tableau rows: [coeffs | rhs], with rhs normalized nonnegative and an
-    # artificial basis.  Slack signs flip with the row when rhs was negative.
-    tab: list[list[Fraction]] = []
+    # Integer tableau rows: [coeffs | rhs] times one common scale, with rhs
+    # normalized nonnegative and an artificial basis.  Slack and artificial
+    # coefficients stay 1; slack signs flip with the row when rhs was
+    # negative.
+    scale = lcm(*(x.denominator for row in rows for x in row),
+                *(b.denominator for b in rhs))
+    tab: list[list[int]] = []
     basis: list[int] = []
     slack_at = ny
     for i in range(m):
-        row = list(rows[i]) + [_ZERO] * (n_slack + m) + [rhs[i]]
+        row = ([x.numerator * (scale // x.denominator) for x in rows[i]]
+               + [0] * (n_slack + m)
+               + [rhs[i].numerator * (scale // rhs[i].denominator)])
         if not row_is_eq[i]:
-            row[slack_at] = _ONE
+            row[slack_at] = 1
             slack_at += 1
         if row[-1] < 0:
             row = [-x for x in row]
         art = ny + n_slack + i
-        row[art] = _ONE
+        row[art] = 1
         tab.append(row)
         basis.append(art)
+    den = 1
 
     # Phase 1: minimize the sum of artificials.
-    cost = [_ZERO] * (ncols + 1)
-    for i in range(m):
-        for j in range(ncols + 1):
-            cost[j] -= tab[i][j]
-    for i in range(m):
-        cost[basis[i]] = _ZERO
+    cost = [0] * (ncols + 1)
+    for row in tab:
+        cost = [x - t for x, t in zip(cost, row)]
+    for b in basis:
+        cost[b] = 0
     art_start = ny + n_slack
-    status = _iterate(tab, basis, cost, ncols, allowed_max=ncols)
+    status, den = _iterate(tab, basis, cost, den, allowed_max=ncols)
     if status == UNBOUNDED:  # impossible in phase 1; defensive
         return INFEASIBLE, None
-    if -cost[-1] != 0:
+    if cost[-1] != 0:
         return INFEASIBLE, None
 
     # Drive leftover artificials out of the basis or drop redundant rows.
@@ -239,32 +261,33 @@ def _solve_exact(problem: LPProblem) -> tuple[str, list[Fraction] | None]:
             )
             if piv is None:
                 continue  # redundant row
-            _pivot(tab, basis, None, i, piv)
+            den = _pivot(tab, basis, None, i, piv, den)
         keep.append(i)
     tab = [tab[i] for i in keep]
     basis = [basis[i] for i in keep]
-    m = len(tab)
 
-    # Phase 2 cost row from the original objective (restated in y vars).
-    cy = [_ZERO] * (ncols + 1)
+    # Phase 2 cost row from the original objective (restated in y vars and
+    # made integral), reduced against the basis: den * cy - sum cb * row.
+    obj_scale = lcm(*(cval.denominator for cval in problem.objective))
+    cy = [0] * (ncols + 1)
     for j, cval in enumerate(problem.objective):
         if cval == 0:
             continue
+        v = cval.numerator * (obj_scale // cval.denominator)
         for yk, sign in terms[j]:
-            cy[yk] += cval if sign > 0 else -cval
-    cost = list(cy)
-    for i in range(m):
-        cb = cy[basis[i]]
+            cy[yk] += v if sign > 0 else -v
+    cost = [den * x for x in cy]
+    for b, row in zip(basis, tab):
+        cb = cy[b]
         if cb != 0:
-            for j in range(ncols + 1):
-                cost[j] -= cb * tab[i][j]
-    status = _iterate(tab, basis, cost, ncols, allowed_max=art_start)
+            cost = [x - cb * t for x, t in zip(cost, row)]
+    status, den = _iterate(tab, basis, cost, den, allowed_max=art_start)
     if status == UNBOUNDED:
         return UNBOUNDED, None
 
     yvals = [_ZERO] * ncols
-    for i in range(m):
-        yvals[basis[i]] = tab[i][-1]
+    for b, row in zip(basis, tab):
+        yvals[b] = Fraction(row[-1], den)
     point = []
     for j in range(n):
         x = shifts[j]
@@ -274,47 +297,71 @@ def _solve_exact(problem: LPProblem) -> tuple[str, list[Fraction] | None]:
     return OPTIMAL, point
 
 
-def _iterate(tab, basis, cost, ncols, allowed_max) -> str:
-    """Bland-rule simplex iterations on an existing feasible tableau.
+def _iterate(tab, basis, cost, den, allowed_max) -> tuple[str, int]:
+    """Bland-rule simplex iterations on an existing feasible tableau;
+    returns the status and the common denominator it ends with.
 
     Entering: lowest-index column with negative reduced cost (restricted to
     columns below ``allowed_max`` so phase 2 never re-enters artificials).
     Leaving: minimum-ratio row, ties broken by lowest basic variable index.
+    Ratios rhs/a with a > 0 are compared by cross-multiplying.
     """
     while True:
         enter = next(
             (j for j in range(allowed_max) if cost[j] < 0), None
         )
         if enter is None:
-            return OPTIMAL
-        leave, best = None, None
-        for i in range(len(tab)):
-            a = tab[i][enter]
+            return OPTIMAL, den
+        leave, best_b, best_a = None, 0, 1
+        for i, row in enumerate(tab):
+            a = row[enter]
             if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    leave, best = i, ratio
+                if leave is not None:
+                    lhs, rhs = row[-1] * best_a, best_b * a
+                    if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                        continue
+                leave, best_b, best_a = i, row[-1], a
         if leave is None:
-            return UNBOUNDED
-        _pivot(tab, basis, cost, leave, enter)
+            return UNBOUNDED, den
+        den = _pivot(tab, basis, cost, leave, enter, den)
 
 
-def _pivot(tab, basis, cost, r, c) -> None:
-    piv = tab[r][c]
-    inv = _ONE / piv
-    tab[r] = [x * inv for x in tab[r]]
+def _pivot(tab, basis, cost, r, c, den) -> int:
+    """Integer-preserving pivot on tab[r][c]; returns the new denominator.
+
+    Row r stays as it is (negated first if its pivot is negative) and every
+    other row, the cost row too when given, becomes (x*p - x[c]*row_r) / den.
+    """
     prow = tab[r]
-    for i in range(len(tab)):
-        if i == r:
-            continue
-        f = tab[i][c]
-        if f != 0:
-            tab[i] = [x - f * p for x, p in zip(tab[i], prow)]
+    p = prow[c]
+    if p < 0:
+        prow = tab[r] = [-x for x in prow]
+        p = -p
+    for i, row in enumerate(tab):
+        if i != r:
+            tab[i] = _eliminate(row, prow, c, p, den)
     if cost is not None:
-        f = cost[c]
-        if f != 0:
-            for j in range(len(cost)):
-                cost[j] -= f * prow[j]
+        cost[:] = _eliminate(cost, prow, c, p, den)
     basis[r] = c
+    return p
+
+
+def _eliminate(row, prow, c, p, den) -> list[int]:
+    """(row*p - row[c]*prow) / den, with the division checked."""
+    f = row[c]
+    if f != 0:
+        vals = [x * p - f * y for x, y in zip(row, prow)]
+    elif p == den:
+        return row
+    else:
+        vals = [x * p for x in row]
+    if den == 1:
+        return vals
+    out = [v // den for v in vals]
+    # With den > 0 every floor-division remainder lies in [0, den), so the
+    # division is exact for all entries iff the remainders sum to zero.
+    if sum(vals) != den * sum(out):
+        raise InternalCheckError(
+            f"inexact integer pivot: a row is not divisible by {den}"
+        )
+    return out

@@ -2,8 +2,8 @@
 
 A polytope is given by its vertices (rational coordinates).  Faces are
 represented as vertex subsets, and every face query reduces to vertex
-support linear programs in rational mode, so the answers are exact
-certificates rather than approximations.
+support linear programs solved in exact rational arithmetic, so the
+answers are exact certificates rather than approximations.
 
 Simplex testing exposes two notions side by side:
 

@@ -90,7 +90,7 @@ class AffineFunctional:
 class RatioResult:
     """Affine ratio, possibly only bracketed.
 
-    lo == hi means the value is known (exactly, in rational mode).  The
+    lo == hi means the value is known (exactly, for polytopes).  The
     witness, when present, is a feasible functional: range in [0,1] on the
     space, witness(x) = 1 — so its value at y upper-bounds the infimum.
     """
@@ -113,7 +113,7 @@ class RatioResult:
 # Ratio engines
 # ---------------------------------------------------------------------------
 
-def affine_ratio_polytope(k: VPolytope, x, y, mode: str = "rational") -> RatioResult:
+def affine_ratio_polytope(k: VPolytope, x, y) -> RatioResult:
     """Exact LP evaluation of the affine ratio between two vertices."""
     px, py = parse_point(x), parse_point(y)
     ix, iy = k.vertex_index(px), k.vertex_index(py)
@@ -135,13 +135,12 @@ def affine_ratio_polytope(k: VPolytope, x, y, mode: str = "rational") -> RatioRe
     objective = list(py) + [1]
     prob = LPProblem.make(objective, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
                           bounds=[(None, None)] * (d + 1))
-    sol = lp_solve(prob, mode="rational")
+    sol = lp_solve(prob)
     if sol.status != OPTIMAL:  # functional f == const 1 is always feasible
         raise PreconditionError(f"ratio LP unexpectedly {sol.status}")
     witness = AffineFunctional(tuple(sol.point[:d]), sol.point[d])
-    value = sol.value if mode == "rational" else float(sol.value)
-    return RatioResult(lo=value, hi=value, witness=witness,
-                       detail={"mode": mode, "x_index": ix, "y_index": iy})
+    return RatioResult(lo=sol.value, hi=sol.value, witness=witness,
+                       detail={"x_index": ix, "y_index": iy})
 
 
 def _unit3(v) -> np.ndarray:
@@ -253,9 +252,9 @@ def affine_ratio_separable(x, y, tol: float = DEFAULT_TOL.equality,
     )
 
 
-def affine_ratio(h: StateSpaceHandle, x, y, mode: str = "rational") -> RatioResult:
+def affine_ratio(h: StateSpaceHandle, x, y) -> RatioResult:
     if h.kind == KIND_VPOLYTOPE:
-        return affine_ratio_polytope(h.payload, x, y, mode=mode)
+        return affine_ratio_polytope(h.payload, x, y)
     if h.kind == KIND_BLOCH:
         return affine_ratio_bloch(x, y)
     if h.kind == KIND_FULL_QUANTUM:

@@ -108,14 +108,6 @@ def test_degenerate_multiple_optima_value_unique():
     assert x + y == 1 and 0 <= x <= 1
 
 
-def test_float_mode_returns_floats():
-    prob = LPProblem.make([2, 3], a_ub=[[-1, -2], [-2, -1]], b_ub=[-3, -3])
-    sol = lp_solve(prob, mode="float")
-    assert sol.status == OPTIMAL
-    assert isinstance(sol.value, float)
-    assert abs(sol.value - 5.0) <= 1e-12
-
-
 def test_make_validates_shapes():
     with pytest.raises(ValueError):
         LPProblem.make([1, 2], a_ub=[[1]], b_ub=[0])
@@ -152,12 +144,12 @@ def test_against_scipy_linprog(n_var, n_ub, n_eq):
         c, a_ub, b_ub, a_eq, b_eq, bounds = _random_problem(rng, n_var, n_ub, n_eq)
         prob = LPProblem.make(c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
                               bounds=bounds)
-        mine = lp_solve(prob, mode="float")
+        mine = lp_solve(prob)
         ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                       bounds=bounds, method="highs")
         if ref.status == 0:
             assert mine.status == OPTIMAL
-            assert abs(mine.value - ref.fun) <= 1e-7 * (1 + abs(ref.fun))
+            assert abs(float(mine.value) - ref.fun) <= 1e-7 * (1 + abs(ref.fun))
             checked += 1
         elif ref.status == 2:
             assert mine.status == INFEASIBLE
