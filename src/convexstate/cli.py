@@ -490,9 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("theory", help=ZOO_HELP)
     p.add_argument("x")
     p.add_argument("y")
-    p.add_argument("--grid", type=int, default=1024,
-                   help="deprecated and ignored: the separable engine proves "
-                        "its bound without a grid (must still be positive)")
 
     p = sub.add_parser("face", parents=[common],
                        help="face of a polytope generated by given points")
@@ -545,9 +542,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"convexstate: error: --{flag} must be positive",
                       file=sys.stderr)
                 return 2
-    if args.command == "superposable" and args.grid <= 0:
-        print("convexstate: error: --grid must be positive", file=sys.stderr)
-        return 2
     tol = Tolerances.resolve(args.tol)
     try:
         report = _DISPATCH[args.command](args, tol)

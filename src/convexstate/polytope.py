@@ -1,9 +1,11 @@
 """V-representation polytopes with exact rational face machinery.
 
 A polytope is given by its vertices (rational coordinates).  Faces are
-represented as vertex subsets, and every face query reduces to vertex
-support linear programs solved in exact rational arithmetic, so the
-answers are exact certificates rather than approximations.
+represented as vertex subsets, and every face query reduces to support
+linear programs solved in exact rational arithmetic, so the answers are
+exact certificates rather than approximations.  ``minimal_face`` harvests
+the face from the supports of successive optimal representations of the
+point, at most min(|F| + 1, n) LPs for a face of |F| of the n vertices.
 
 Simplex testing exposes two notions side by side:
 
@@ -75,7 +77,8 @@ class VPolytope:
         return f"VPolytope(dim={self.ambient_dim}, vertices={len(self.vertices)}{tag})"
 
     def contains(self, point: Sequence) -> bool:
-        return _hull_contains(self.vertices, parse_point(point))
+        p = parse_point(point)
+        return p in self.vertices or _hull_contains(self.vertices, p)
 
     def vertex_index(self, point: Sequence) -> int | None:
         p = parse_point(point)
@@ -145,25 +148,33 @@ class Face:
 
 
 def minimal_face(k: VPolytope, point: Sequence) -> Face:
-    """Smallest face of `k` containing `point`.
+    """Smallest face of `k` containing `point`, harvested from LP supports.
 
-    A vertex belongs to the minimal face iff some convex representation of
-    the point gives it positive weight, i.e. iff the maximum of its weight
-    over all representations is positive; that maximum is an exact LP.
-    The LPs share one feasible set, so the first also decides membership.
+    A vertex belongs to the minimal face iff some convex representation
+    lam of the point gives it positive weight.  Over the representations,
+    maximize the total weight of the undecided vertices U (all at first):
+    every vertex with lam_i > 0 at the exact optimum is in the face, with
+    that optimum as its certificate, and leaves U.  An optimum of 0 means
+    every vertex left in U has weight 0 in every representation, so none
+    is in the face.  Each LP that does not stop the loop decides at least
+    one vertex, so a call solves at most min(|F| + 1, n) LPs; they share
+    one feasible set, so the first also decides membership.
     """
     p = parse_point(point)
     n = len(k.vertices)
-    support = []
-    for i in range(n):
-        obj = [Fraction(0)] * n
-        obj[i] = Fraction(-1)
+    undecided = set(range(n))
+    face = []
+    while undecided:
+        obj = [Fraction(-1) if i in undecided else Fraction(0) for i in range(n)]
         sol = lp_solve(_membership_problem(k.vertices, p, objective=obj))
         if sol.status != OPTIMAL:
             raise ValueError(f"point {tuple(map(str, p))} is not in the polytope")
-        if -sol.value > 0:
-            support.append(i)
-    return Face(k, tuple(support))
+        if sol.value == 0:
+            break
+        hit = [i for i in undecided if sol.point[i] > 0]
+        face += hit
+        undecided.difference_update(hit)
+    return Face(k, tuple(sorted(face)))
 
 
 def generated_face(k: VPolytope, x: Sequence, y: Sequence) -> Face:

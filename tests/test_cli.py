@@ -50,17 +50,12 @@ def test_bad_simplex_size(capsys):
 
 def test_nonpositive_budgets_are_usage_errors(capsys):
     assert run(capsys, "protocol", "bc", "--starts", "0")[0] == 2
-    assert run(capsys, "superposable", "separable2x2", "01", "10",
-               "--grid", "0")[0] == 2
 
 
-def test_deprecated_grid_flag_keeps_the_certificate(capsys):
-    code, out, _ = run(capsys, "superposable", "separable2x2", "01", "10",
-                       "--grid", "1")
-    assert code == 0
-    corners = json.loads(out)["transcript"]["corner_reports"]
-    assert len(corners) == 2
-    assert [c["vanishing_bound"] for c in corners] == [0.0, 0.0]
+def test_face_outside_point_is_domain_error(capsys):
+    code, _, err = run(capsys, "face", "spekkens", "(2,0,0)")
+    assert code == 3
+    assert "point (2,0,0) is not in the polytope" in err
 
 
 def test_broken_theory_file_reports_position(capsys, tmp_path):

@@ -18,6 +18,7 @@ import pytest
 from convexstate import cli, lp
 from convexstate.errors import InternalCheckError
 from convexstate.lp import OPTIMAL, UNBOUNDED, LPProblem, lp_solve
+from convexstate.polytope import VPolytope, verify_face
 
 PINNED_REPORTS = Path(__file__).parent / "data" / "pinned_reports"
 
@@ -200,18 +201,26 @@ def test_pivot_keeps_the_denominator_positive():
 
 
 # Theories for the report pins: a scrambled 3-cube and 4-cube (a signed
-# coordinate permutation plus a shift, vertices shuffled) and a bipyramid
-# with rational apexes.
+# coordinate permutation plus a shift, vertices shuffled), a bipyramid
+# with rational apexes and the cyclic polytope C(9,3).
 _CUBE3 = [(v[2], 1 - v[0], -v[1]) for v in itertools.product((0, 1), repeat=3)]
 random.Random(3).shuffle(_CUBE3)
 _CUBE4 = [(1 - v[2], v[0], v[3] - 1, -v[1]) for v in itertools.product((0, 1), repeat=4)]
 random.Random(4).shuffle(_CUBE4)
 _BIPYRAMID = [(0, 0, 0), (4, 0, 0), (0, 4, 0), ("1/2", "3/2", 2), ("1/2", "3/2", "-1/3")]
+_CYCLIC9 = [(t, t * t, t ** 3) for t in range(9)]
+THEORIES = {"cube3": _CUBE3, "cube4": _CUBE4, "bipyramid": _BIPYRAMID, "cyclic9": _CYCLIC9}
 
+# The face pins were recorded from a minimal_face that solved one LP per
+# vertex.  A minimal face is unique, so every way of computing it must
+# give the same report.
 REPORTS = {
     "analyze_cube3": ("cube3", ["analyze"]),
     "ratio_cube4": ("cube4", ["ratio", "0", "13"]),
     "face_cube4": ("cube4", ["face", "0", "13"]),
+    "face_cube4_triple": ("cube4", ["face", "1", "2", "3"]),
+    "face_cube4_interior": ("cube4", ["face", "(1/3,1/4,-1/2,-2/3)"]),
+    "face_cyclic9": ("cyclic9", ["face", "2", "6"]),
     "analyze_bipyramid": ("bipyramid", ["analyze"]),
     "ratio_bipyramid": ("bipyramid", ["ratio", "3", "1"]),
     "face_bipyramid": ("bipyramid", ["face", "3", "4"]),
@@ -221,7 +230,7 @@ REPORTS = {
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_report_pinned(name, tmp_path):
     theory, (command, *args) = REPORTS[name]
-    verts = {"cube3": _CUBE3, "cube4": _CUBE4, "bipyramid": _BIPYRAMID}[theory]
+    verts = THEORIES[theory]
     theory_file = tmp_path / f"{theory}.json"
     theory_file.write_text(json.dumps({
         "name": theory, "ambient_dim": len(verts[0]),
@@ -230,3 +239,6 @@ def test_report_pinned(name, tmp_path):
     out = tmp_path / "report.json"
     assert cli.main([command, str(theory_file), *args, "--out", str(out)]) == 0
     assert out.read_text() == (PINNED_REPORTS / f"{name}.json").read_text()
+    if command == "face":
+        indices = json.loads(out.read_text())["face_vertex_indices"]
+        assert verify_face(VPolytope(verts), indices)

@@ -1,7 +1,9 @@
 """Exact convex geometry: faces, simplex decisions, certificates, and the
 theory file format."""
 
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from convexstate import polytope
 from convexstate.errors import TheoryFormatError
-from convexstate.lp import lp_solve
+from convexstate.lp import OPTIMAL, lp_solve
 from convexstate.models import make_classical_simplex, make_spekkens_hull, make_square
 from convexstate.polytope import (AmbiguousMixtureCertificate, VPolytope,
                                   affine_dimension, affine_dimension_of,
@@ -86,7 +88,72 @@ def test_minimal_face_requires_membership():
         minimal_face(k, (2, 0, 0))
 
 
-def test_minimal_face_solves_one_lp_per_vertex(monkeypatch):
+def _per_vertex_face(k, point):
+    """The minimal face by its definition: one LP per vertex, maximizing
+    that vertex's weight over all convex representations of the point."""
+    p = parse_point(point)
+    n = len(k.vertices)
+    support = []
+    for i in range(n):
+        obj = [Fraction(0)] * n
+        obj[i] = Fraction(-1)
+        sol = lp_solve(polytope._membership_problem(k.vertices, p, objective=obj))
+        assert sol.status == OPTIMAL
+        if sol.value < 0:
+            support.append(i)
+    return tuple(support)
+
+
+def _scrambled(verts, seed):
+    """An affine image (signed permutation, shear, shift) with the vertices
+    shuffled: the same face lattice in general position."""
+    rng = random.Random(seed)
+    d = len(verts[0])
+    perm = rng.sample(range(d), d)
+    signs = [rng.choice((-1, 1)) for _ in range(d)]
+    shear = Fraction(rng.randint(1, 5), rng.randint(2, 7))
+    shift = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)]
+    out = []
+    for v in verts:
+        w = [signs[a] * Fraction(v[perm[a]]) + shift[a] for a in range(d)]
+        w[0] += shear * w[-1]
+        out.append(tuple(w))
+    rng.shuffle(out)
+    return out
+
+
+def _face_cases():
+    """Seeded (name, polytope, point) cases: vertices, barycentres of random
+    vertex subsets and interior points of scrambled cubes, cross-polytopes,
+    the bipyramid and cyclic polytopes."""
+    cube4 = list(itertools.product((0, 1), repeat=4))
+    cross5 = [tuple(s if j == i else 0 for j in range(5))
+              for i in range(5) for s in (1, -1)]
+    polytopes = [("cube4_s0", VPolytope(_scrambled(cube4, 0))),
+                 ("cube4_s1", VPolytope(_scrambled(cube4, 1))),
+                 ("cross5_s0", VPolytope(_scrambled(cross5, 0))),
+                 ("cross5_s1", VPolytope(_scrambled(cross5, 1))),
+                 ("bipyramid", BIPYRAMID),
+                 ("cyclic9_3", VPolytope([(t, t**2, t**3) for t in range(9)])),
+                 ("cyclic7_4", VPolytope([(t, t**2, t**3, t**4) for t in range(7)]))]
+    rng = random.Random(7)
+    cases = []
+    for name, k in polytopes:
+        n = len(k.vertices)
+        points = [k.vertices[i] for i in rng.sample(range(n), 2)]
+        points += [k.barycenter(sorted(rng.sample(range(n), size))) for size in (2, 2, 3, 4)]
+        weights = [Fraction(rng.randint(1, 9)) for _ in range(n)]
+        points.append(tuple(sum(w * v[a] for w, v in zip(weights, k.vertices)) / sum(weights)
+                            for a in range(k.ambient_dim)))
+        cases += [(f"{name}_{j}", k, p) for j, p in enumerate(points)]
+    return cases
+
+
+FACE_CASES = _face_cases()
+
+
+@pytest.fixture
+def counted_lps(monkeypatch):
     solved = []
 
     def counting(problem):
@@ -94,17 +161,40 @@ def test_minimal_face_solves_one_lp_per_vertex(monkeypatch):
         return lp_solve(problem)
 
     monkeypatch.setattr(polytope, "lp_solve", counting)
+    return solved
+
+
+@pytest.mark.parametrize("name,k,point", FACE_CASES, ids=[c[0] for c in FACE_CASES])
+def test_minimal_face_matches_per_vertex_oracle(name, k, point):
+    face = minimal_face(k, point)
+    assert face.vertex_indices == _per_vertex_face(k, point)
+
+
+def test_minimal_face_lp_count_is_bounded(counted_lps):
+    for _, k, point in FACE_CASES:
+        counted_lps.clear()
+        face = minimal_face(k, point)
+        assert len(counted_lps) <= min(len(face.vertex_indices) + 1, len(k.vertices))
     for k, point in ((make_spekkens_hull(), ("1/3", "1/3", "1/3")),
                      (BIPYRAMID, (0, 0, 0))):
-        solved.clear()
+        counted_lps.clear()
         minimal_face(k, point)
-        assert len(solved) == len(k.vertices)
-    solved.clear()
+        assert len(counted_lps) == 2
+    counted_lps.clear()
     with pytest.raises(ValueError, match="not in the polytope"):
         minimal_face(BIPYRAMID, (2, 0, 0))
-    assert len(solved) == 1
+    assert len(counted_lps) == 1
     with pytest.raises(ValueError, match="coordinates"):
         minimal_face(BIPYRAMID, (0, 0))
+
+
+def test_contains_solves_no_lp_on_a_vertex(counted_lps):
+    assert BIPYRAMID.contains(("1/3", "1/3", 1))
+    assert counted_lps == []
+    assert BIPYRAMID.contains(("1/3", "1/3", 0))
+    assert len(counted_lps) == 1
+    assert not BIPYRAMID.contains((1, 1, 0))
+    assert len(counted_lps) == 2
 
 
 def test_face_as_polytope_round_trip():
