@@ -3,10 +3,17 @@
 The tableau is integer-preserving (Edmonds/Bareiss pivoting): its entries
 are Python ints that share one positive common denominator ``den``.
 
-- *Start.* Every constraint row is multiplied by one LCM of all the
-  denominators in the rows and right-hand sides.  The slack and artificial
-  columns keep the coefficient 1, so the start is an integer tableau with
-  ``den = 1`` and the artificials as its basis.
+- *Start.* Each variable becomes one or two nonnegative kernel variables,
+  and each kernel variable copies its coefficients from exactly one of the
+  original variables, so rows are filled by assignment.  Only nonzero
+  shifts (finite lower bounds, or upper bounds of variables bounded only
+  above) move the right-hand sides.  Every entry is written as
+  ``numerator * (scale // denominator)`` with ``scale`` the LCM of the
+  denominators in the rows and right-hand sides, so no ``Fraction`` is
+  added or multiplied per entry.  The slack and artificial columns keep the
+  coefficient 1, so the start is an integer tableau with ``den = 1`` and
+  the artificials as its basis: the tableau that scaling the
+  ``Fraction`` rows would give.
 - *Pivot.* On the entry p = tab[r][c], row r stays as it is, every other
   row x becomes (x*p - x[c]*tab[r]) / den, and p becomes the new ``den``.
   Each quotient is an integer minor of the start tableau, so the division
@@ -16,7 +23,10 @@ are Python ints that share one positive common denominator ``den``.
 - *Cost row.* It is pivoted the same way, with the phase-2 objective
   multiplied by the LCM of its denominators.  Only the signs of its
   entries are read.
-- *Answer.* A ``Fraction`` is built only when the basic solution is read.
+- *Phase 2.* Drive-out pivots and phase 2 never read an artificial
+  column, so those columns are dropped once phase 1 ends.
+- *Answer.* Each coordinate is read as one ``Fraction``, its integer
+  numerator over ``den``, plus its shift.
 
 Against the tableau of ``Fraction``s that the same rules would pivot, the
 integer start scales all rows by one positive number and the slack and
@@ -37,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 from typing import Sequence
 
 from .errors import InternalCheckError
@@ -47,11 +57,11 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def rat(x) -> Fraction:
-    """Exact conversion: ints, Fractions, 'p/q' strings, and binary floats."""
+    """Exact conversion: ints, Fractions, 'p/q' strings, and finite binary
+    floats."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
@@ -59,6 +69,8 @@ def rat(x) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     if isinstance(x, float):
+        if not isfinite(x):
+            raise ValueError(f"not a finite number: {x}")
         return Fraction(x)  # floats are dyadic rationals; this is exact
     raise TypeError(f"cannot convert {type(x).__name__} to a rational")
 
@@ -123,18 +135,20 @@ def lp_solve(problem: LPProblem) -> LPSolution:
     status, point = _solve_exact(problem)
     if status != OPTIMAL:
         return LPSolution(status, None, None)
-    value = sum((c * x for c, x in zip(problem.objective, point)), _ZERO)
+    value = sum((c * x for c, x in zip(problem.objective, point) if x), _ZERO)
     _verify(problem, point)
     return LPSolution(OPTIMAL, value, tuple(point))
 
 
 def _verify(problem: LPProblem, point: Sequence[Fraction]) -> None:
-    """Exact feasibility re-check of a claimed optimum (defensive)."""
+    """Exact feasibility re-check of a claimed optimum (defensive).  Row
+    sums skip the zero coordinates, which are most of a basic solution."""
+    support = [(j, x) for j, x in enumerate(point) if x]
     for row, b in zip(problem.a_eq, problem.b_eq):
-        if sum((a * x for a, x in zip(row, point)), _ZERO) != b:
+        if sum((row[j] * x for j, x in support), _ZERO) != b:
             raise InternalCheckError("simplex returned an infeasible point (eq)")
     for row, b in zip(problem.a_ub, problem.b_ub):
-        if sum((a * x for a, x in zip(row, point)), _ZERO) > b:
+        if sum((row[j] * x for j, x in support), _ZERO) > b:
             raise InternalCheckError("simplex returned an infeasible point (ub)")
     for x, (lo, hi) in zip(point, problem.bounds):
         if lo is not None and x < lo:
@@ -150,107 +164,81 @@ def _verify(problem: LPProblem, point: Sequence[Fraction]) -> None:
 def _solve_exact(problem: LPProblem) -> tuple[str, list[Fraction] | None]:
     n = len(problem.objective)
 
-    # Substitute each variable by nonnegative ones and collect the recipe
-    # needed to map kernel variables back: x_j = shift + sum(sign * y_k).
-    terms: list[list[tuple[int, int]]] = []  # per original var: [(y index, sign)]
-    shifts: list[Fraction] = []
-    ny = 0
-    extra_ub: list[tuple[list[tuple[int, Fraction]], Fraction]] = []
+    # Substitute each variable by nonnegative kernel ones:
+    # x_j = shift_j + sum(sign * y_k).  Each y_k belongs to exactly one x_j,
+    # recorded in ymap[k] = (j, sign), so kernel rows are assigned, not summed.
+    ymap: list[tuple[int, int]] = []
+    shifted: list[tuple[int, Fraction]] = []  # (j, shift) with shift != 0
+    boxed: list[tuple[int, Fraction]] = []    # (y index, hi - lo)
     for j, (lo, hi) in enumerate(problem.bounds):
         if lo is None and hi is None:
-            terms.append([(ny, +1), (ny + 1, -1)])
-            shifts.append(_ZERO)
-            ny += 2
-        elif lo is not None and hi is None:
-            terms.append([(ny, +1)])
-            shifts.append(lo)
-            ny += 1
-        elif lo is None and hi is not None:
-            terms.append([(ny, -1)])
-            shifts.append(hi)
-            ny += 1
+            ymap += [(j, 1), (j, -1)]
+            continue
+        if lo is None:
+            shift, sign = hi, -1
         else:
-            if hi < lo:
-                return INFEASIBLE, None
-            terms.append([(ny, +1)])
-            shifts.append(lo)
-            extra_ub.append(([(ny, _ONE)], hi - lo))
-            ny += 1
+            if hi is not None:
+                if hi < lo:
+                    return INFEASIBLE, None
+                boxed.append((len(ymap), hi - lo))
+            shift, sign = lo, 1
+        if shift:
+            shifted.append((j, shift))
+        ymap.append((j, sign))
+    ny = len(ymap)
 
-    def to_y_row(row: Sequence[Fraction]) -> tuple[list[Fraction], Fraction]:
-        """Rewrite a constraint row over original vars in kernel variables;
-        returns (coefficients, rhs adjustment from shifts)."""
-        coeffs = [_ZERO] * ny
-        shift_part = _ZERO
-        for j, a in enumerate(row):
-            if a == 0:
-                continue
-            shift_part += a * shifts[j]
-            for yk, sign in terms[j]:
-                coeffs[yk] += a if sign > 0 else -a
-        return coeffs, shift_part
+    # Constraint rows as (numerator, denominator) pairs; the right-hand sides
+    # move by the nonzero shifts only.  Bound rows y_k <= hi - lo come last.
+    rows = [*zip(problem.a_eq, problem.b_eq), *zip(problem.a_ub, problem.b_ub)]
+    ratios = [[a.as_integer_ratio() for a in row] for row, _ in rows]
+    rhs = [b for _, b in rows]
+    if shifted:
+        rhs = [b - sum((row[j] * s for j, s in shifted if row[j]), _ZERO)
+               for row, b in rows]
+    rhs += [gap for _, gap in boxed]
+    n_eq = len(problem.a_eq)
+    m = len(rhs)
+    n_slack = m - n_eq
+    art_start = ny + n_slack
+    ncols = art_start + m  # y vars, slacks, artificials
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    row_is_eq: list[bool] = []
-    for row, b in zip(problem.a_eq, problem.b_eq):
-        coeffs, shift_part = to_y_row(row)
-        rows.append(coeffs)
-        rhs.append(b - shift_part)
-        row_is_eq.append(True)
-    for row, b in zip(problem.a_ub, problem.b_ub):
-        coeffs, shift_part = to_y_row(row)
-        rows.append(coeffs)
-        rhs.append(b - shift_part)
-        row_is_eq.append(False)
-    for coeffs_sparse, b in extra_ub:
-        coeffs = [_ZERO] * ny
-        for yk, a in coeffs_sparse:
-            coeffs[yk] = a
-        rows.append(coeffs)
-        rhs.append(b)
-        row_is_eq.append(False)
-
-    m = len(rows)
-    n_slack = sum(1 for e in row_is_eq if not e)
-    ncols = ny + n_slack + m  # y vars, slacks, artificials
-
-    # Integer tableau rows: [coeffs | rhs] times one common scale, with rhs
-    # normalized nonnegative and an artificial basis.  Slack and artificial
-    # coefficients stay 1; slack signs flip with the row when rhs was
-    # negative.
-    scale = lcm(*(x.denominator for row in rows for x in row),
-                *(b.denominator for b in rhs))
+    # Integer tableau rows: [coeffs | rhs] times one LCM of the denominators,
+    # with rhs normalized nonnegative and an artificial basis.  Slack and
+    # artificial coefficients stay 1; slack signs flip with the row when
+    # rhs was negative.
+    scale = lcm(*{q for r in ratios for _, q in r}, *{b.denominator for b in rhs})
+    heads = []
+    for r in ratios:
+        vals = [p * (scale // q) for p, q in r]
+        heads.append([sign * vals[j] for j, sign in ymap])
+    for k, _ in boxed:
+        heads.append([scale if i == k else 0 for i in range(ny)])
     tab: list[list[int]] = []
     basis: list[int] = []
-    slack_at = ny
-    for i in range(m):
-        row = ([x.numerator * (scale // x.denominator) for x in rows[i]]
-               + [0] * (n_slack + m)
-               + [rhs[i].numerator * (scale // rhs[i].denominator)])
-        if not row_is_eq[i]:
-            row[slack_at] = 1
-            slack_at += 1
+    for i, (head, b) in enumerate(zip(heads, rhs)):
+        row = head + [0] * (n_slack + m) + [b.numerator * (scale // b.denominator)]
+        if i >= n_eq:
+            row[ny + i - n_eq] = 1
         if row[-1] < 0:
             row = [-x for x in row]
-        art = ny + n_slack + i
-        row[art] = 1
+        row[art_start + i] = 1
         tab.append(row)
-        basis.append(art)
+        basis.append(art_start + i)
     den = 1
 
     # Phase 1: minimize the sum of artificials.
-    cost = [0] * (ncols + 1)
-    for row in tab:
-        cost = [x - t for x, t in zip(cost, row)]
+    cost = [-sum(col) for col in zip(*tab)] if tab else [0] * (ncols + 1)
     for b in basis:
         cost[b] = 0
-    art_start = ny + n_slack
     status, den = _iterate(tab, basis, cost, den, allowed_max=ncols)
     if status == UNBOUNDED:  # impossible in phase 1; defensive
         return INFEASIBLE, None
     if cost[-1] != 0:
         return INFEASIBLE, None
+
+    # Nothing below reads an artificial column again: drive-out pivots on
+    # columns below art_start and phase 2 never enters an artificial.
+    tab = [row[:art_start] + row[-1:] for row in tab]
 
     # Drive leftover artificials out of the basis or drop redundant rows.
     keep = []
@@ -268,14 +256,10 @@ def _solve_exact(problem: LPProblem) -> tuple[str, list[Fraction] | None]:
 
     # Phase 2 cost row from the original objective (restated in y vars and
     # made integral), reduced against the basis: den * cy - sum cb * row.
-    obj_scale = lcm(*(cval.denominator for cval in problem.objective))
-    cy = [0] * (ncols + 1)
-    for j, cval in enumerate(problem.objective):
-        if cval == 0:
-            continue
-        v = cval.numerator * (obj_scale // cval.denominator)
-        for yk, sign in terms[j]:
-            cy[yk] += v if sign > 0 else -v
+    obj = [c.as_integer_ratio() for c in problem.objective]
+    obj_scale = lcm(*{q for _, q in obj})
+    vals = [p * (obj_scale // q) for p, q in obj]
+    cy = [sign * vals[j] for j, sign in ymap] + [0] * (n_slack + 1)
     cost = [den * x for x in cy]
     for b, row in zip(basis, tab):
         cb = cy[b]
@@ -285,15 +269,16 @@ def _solve_exact(problem: LPProblem) -> tuple[str, list[Fraction] | None]:
     if status == UNBOUNDED:
         return UNBOUNDED, None
 
-    yvals = [_ZERO] * ncols
+    # x_j = shift_j + (sum of sign * basic y numerators) / den.
+    ynum = [0] * art_start
     for b, row in zip(basis, tab):
-        yvals[b] = Fraction(row[-1], den)
-    point = []
-    for j in range(n):
-        x = shifts[j]
-        for yk, sign in terms[j]:
-            x += yvals[yk] if sign > 0 else -yvals[yk]
-        point.append(x)
+        ynum[b] = row[-1]
+    xnum = [0] * n
+    for (j, sign), v in zip(ymap, ynum):
+        xnum[j] += sign * v
+    point = [Fraction(v, den) if v else _ZERO for v in xnum]
+    for j, s in shifted:
+        point[j] += s
     return OPTIMAL, point
 
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import TheoryFormatError
-from .lp import INFEASIBLE, LPProblem, OPTIMAL, lp_solve, rat
+from .lp import LPProblem, OPTIMAL, lp_solve, rat
 
 Point = tuple[Fraction, ...]
 
@@ -419,7 +419,7 @@ def theory_from_dict(data, source: str = "<dict>") -> VPolytope:
     if not isinstance(name, str):
         raise TheoryFormatError(f"{source}: field 'name' must be a string")
     dim = data["ambient_dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise TheoryFormatError(f"{source}: field 'ambient_dim' must be a positive integer")
     raw = data["vertices"]
     if not isinstance(raw, list) or not raw:

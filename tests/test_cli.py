@@ -66,6 +66,24 @@ def test_broken_theory_file_reports_position(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+def test_nonfinite_theory_coordinate_is_usage_error(capsys, tmp_path, literal):
+    # Python's json accepts these literals and reads them as float inf/nan.
+    path = tmp_path / "inf.json"
+    path.write_text('{"name": "x", "ambient_dim": 1, "vertices": [[%s], [0]]}' % literal)
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert "vertex 0 coordinate 0" in err
+
+
+def test_boolean_ambient_dim_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text('{"name": "x", "ambient_dim": true, "vertices": [[1], [0]]}')
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert "'ambient_dim' must be a positive integer" in err
+
+
 def test_internal_error_maps_to_exit_4(capsys, monkeypatch):
     def boom(args, tol):
         raise InternalCheckError("synthetic")

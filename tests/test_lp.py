@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from convexstate import lp
+from convexstate.errors import InternalCheckError
 from convexstate.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LPProblem,
                             lp_solve, rat)
 
@@ -18,6 +20,9 @@ def test_rat_exact_conversions():
     assert rat(Fraction(7, 2)) == Fraction(7, 2)
     with pytest.raises(TypeError):
         rat(True)
+    for x in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="not a finite number"):
+            rat(x)
 
 
 def test_minimize_simple_cover():
@@ -174,3 +179,105 @@ def test_solution_point_is_feasible_exactly():
             assert sum(rat(r) * xi for r, xi in zip(row, x)) <= rat(rhs)
         for (lo, hi), xi in zip(bounds, x):
             assert rat(lo) <= xi <= rat(hi)
+
+
+_DENOMINATORS = (1, 2, 3, 5, 7)
+
+
+def _rational_problem(rng, n_var, n_ub, n_eq):
+    """Random LP with denominators 2, 3, 5 and 7 and with bounds that shift
+    the kernel variables: (lo, None) with lo != 0, (None, hi) and boxed.
+    Most right-hand sides are chosen feasible at a point inside the bounds."""
+    def q():
+        return Fraction(int(rng.integers(-12, 13)), int(rng.choice(_DENOMINATORS)))
+
+    def nonzero():
+        return next(x for x in iter(q, None) if x != 0)
+
+    bounds, x0 = [], []
+    for _ in range(n_var):
+        kind = int(rng.integers(0, 5))
+        lo, hi = nonzero(), None
+        if kind == 1:
+            lo, hi = None, nonzero()
+        elif kind == 2:
+            hi = lo + abs(nonzero())
+        elif kind == 3:
+            lo = None
+        elif kind == 4:
+            lo = Fraction(0)
+        bounds.append((lo, hi))
+        base = lo if lo is not None else (hi if hi is not None else q())
+        x0.append(base if hi is None or lo is None else (lo + hi) / 2)
+    c = [q() for _ in range(n_var)]
+    a_ub = [[q() for _ in range(n_var)] for _ in range(n_ub)]
+    a_eq = [[q() for _ in range(n_var)] for _ in range(n_eq)]
+    feasible = rng.random() < 0.8
+
+    def rhs(row):
+        return sum((a * x for a, x in zip(row, x0)), Fraction(0)) if feasible else q()
+    b_ub = [rhs(row) + abs(q()) for row in a_ub]
+    b_eq = [rhs(row) for row in a_eq]
+    return c, a_ub, b_ub, a_eq, b_eq, bounds
+
+
+def _floats(rows):
+    return [[float(x) for x in row] for row in rows] or None
+
+
+@pytest.mark.parametrize("n_var,n_ub,n_eq", [(2, 3, 0), (3, 3, 1), (4, 4, 2), (5, 3, 3)])
+def test_rational_data_against_scipy_linprog(n_var, n_ub, n_eq):
+    rng = np.random.default_rng(2000 + 10 * n_var + n_eq)
+    seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    for _ in range(40):
+        c, a_ub, b_ub, a_eq, b_eq, bounds = _rational_problem(rng, n_var, n_ub, n_eq)
+        mine = lp_solve(LPProblem.make(c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
+                                       bounds=bounds))
+        ref = linprog([float(x) for x in c], A_ub=_floats(a_ub),
+                      b_ub=[float(x) for x in b_ub] or None,
+                      A_eq=_floats(a_eq), b_eq=[float(x) for x in b_eq] or None,
+                      bounds=[tuple(None if v is None else float(v) for v in b)
+                              for b in bounds],
+                      method="highs")
+        expected = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[ref.status]
+        assert mine.status == expected
+        if expected == OPTIMAL:
+            assert abs(float(mine.value) - ref.fun) <= 1e-7 * (1 + abs(ref.fun))
+        seen[expected] += 1
+    assert seen[OPTIMAL] >= 10 and seen[INFEASIBLE] >= 1
+
+
+# Every coordinate of the feasible claim is nonzero and enters the equality,
+# so a row sum that drops any term rejects it.  Each bad claim breaks one
+# constraint and meets the others.
+_VERIFY_PROBLEM = LPProblem.make(
+    [0, 0, 0],
+    a_eq=[[1, 1, 1]], b_eq=[2],                     # x + y + z == 2
+    a_ub=[[1, -1, -1]], b_ub=[Fraction(1, 2)],      # x - y - z <= 1/2
+    bounds=[(0, None), (None, None), (1, 2)],       # x >= 0, 1 <= z <= 2
+)
+_FEASIBLE_CLAIM = ("1/4", "1/4", "3/2")
+_BAD_CLAIMS = {
+    "eq": ("1/2", "1/4", "1"),
+    "ub": ("3/2", "-1/2", "1"),
+    "lo": ("-1/4", "5/4", "1"),
+    "hi": ("1/4", "-5/4", "3"),
+}
+
+
+def _claim(monkeypatch, point):
+    monkeypatch.setattr(lp, "_solve_exact",
+                        lambda problem: (OPTIMAL, [Fraction(x) for x in point]))
+
+
+def test_verify_accepts_a_feasible_claim(monkeypatch):
+    _claim(monkeypatch, _FEASIBLE_CLAIM)
+    sol = lp_solve(_VERIFY_PROBLEM)
+    assert sol.status == OPTIMAL and sol.value == 0
+
+
+@pytest.mark.parametrize("branch", sorted(_BAD_CLAIMS))
+def test_verify_rejects_an_infeasible_claim(monkeypatch, branch):
+    _claim(monkeypatch, _BAD_CLAIMS[branch])
+    with pytest.raises(InternalCheckError, match=rf"infeasible point \({branch}\)"):
+        lp_solve(_VERIFY_PROBLEM)
