@@ -28,7 +28,7 @@ import numpy as np
 from . import linalg, transition
 from .config import DEFAULT_TOL
 from .errors import PreconditionError
-from .polytope import (Face, VPolytope, generated_face, is_simplex,
+from .polytope import (Face, VPolytope, find_ambiguous_mixture, generated_face,
                        radon_partition)
 
 REFUTED = "refuted"
@@ -147,35 +147,35 @@ def check_polytope(k: VPolytope, with_face_evidence: bool | None = None) -> JBVe
     """Decide the necessary conditions for a finite-vertex state space.
 
     A polytope's extreme points are isolated, so the path-connectivity
-    condition never applies; the binding conditions are (1) and (2).  A
-    polytope that is not a simplex in the pairwise sense admits an
-    ambiguous mixture, and a non-simplex JB state space would need
-    continuum many extreme points, so finitely many vertices refute it
-    outright.  A polytope that passes the pairwise test can still expose a
-    generated face with 3 or more vertices, which no ball B^n matches.  If
-    every generated face is a segment yet the vertices are affinely
-    dependent, an exact Radon partition certifies the non-simplex.
+    condition never applies; the binding conditions are (1) and (2).  The
+    vertices are a simplex iff they are affinely independent, and a
+    non-simplex JB state space would need continuum many extreme points, so
+    any affine dependence refutes a polytope outright.  The verdict reads
+    the first affine circuit A | B off ``radon_partition``, exactly and
+    without an LP, and certifies it by its shape:
+
+    * |A| = |B| = 2: two vertex segments cross, an ambiguous mixture;
+    * one side is a pair: the Radon point is interior to that pair's
+      segment, so the face the pair generates holds the whole circuit, at
+      least 5 extreme points, which no ball B^n has (one face computation);
+    * otherwise: the Radon partition itself.
+
+    One side cannot be a single vertex, since ``VPolytope`` keeps only
+    extreme points.
     """
     n = len(k.vertices)
     if with_face_evidence is None:
         with_face_evidence = n <= 8
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
     @functools.cache
     def face(i: int, j: int) -> Face:
         return generated_face(k, k.vertices[i], k.vertices[j])
 
-    decision = is_simplex(k)
-    evidence = None
-    if with_face_evidence:
-        evidence = [{"pair": [i, j], "face_vertices": list(face(i, j).vertex_indices),
-                     "ball": ball_descriptor(face(i, j)).to_json_dict()}
-                    for i, j in pairs]
     nonsimplex_note = ("a non-simplex JB state space needs continuum many "
                        f"extreme points, but this polytope has {n}")
-
-    if not decision.pairwise_simplex:
-        cert = decision.certificate
+    cert = find_ambiguous_mixture(k)
+    radon = None if cert is not None else radon_partition(k)
+    if cert is not None:
         failed, certificate = FINITE_NONSIMPLEX, {
             "kind": "ambiguous_mixture",
             "indices": list(cert.indices),
@@ -184,43 +184,40 @@ def check_polytope(k: VPolytope, with_face_evidence: bool | None = None) -> JBVe
             "mixture_point": cert.mixture_point(),
             "note": "a point interior to two different vertex segments; " + nonsimplex_note,
         }
-    elif not decision.affinely_independent:
-        # Pairwise-simplex but affinely dependent: hunt for a generated face
-        # that is not a segment.
-        big = next(((i, j) for i, j in pairs if len(face(i, j).vertex_indices) > 2), None)
-        if big is not None:
-            f = face(*big)
-            failed, certificate = FACE_NOT_BALL, {
-                "kind": "non_ball_face",
-                "pair": list(big),
-                "face_vertices": list(f.vertex_indices),
-                "ball": ball_descriptor(f).to_json_dict(),
-                "note": (
-                    "the face generated by this extreme pair has "
-                    f"{len(f.vertex_indices)} extreme points; no "
-                    "Euclidean ball B^n has finitely many extreme "
-                    "points beyond a segment's two"
-                ),
-            }
-        else:
-            # Every generated face is a segment (a neighbourly polytope),
-            # but affinely dependent vertices still make a non-simplex.
-            first, second, point = radon_partition(k)
-            failed, certificate = FINITE_NONSIMPLEX, {
-                "kind": "affine_dependence",
-                "first": {"indices": list(first), "weights": list(first.values())},
-                "second": {"indices": list(second), "weights": list(second.values())},
-                "point": point,
-                "note": ("two convex combinations of disjoint vertex sets give "
-                         "the same point; " + nonsimplex_note),
-            }
+    elif radon is None:
+        failed, certificate = None, {"kind": "survey", "note": "all checked conditions hold"}
+    elif pair := next((sorted(side) for side in radon[:2] if len(side) == 2), None):
+        f = face(*pair)
+        failed, certificate = FACE_NOT_BALL, {
+            "kind": "non_ball_face",
+            "pair": pair,
+            "face_vertices": list(f.vertex_indices),
+            "ball": ball_descriptor(f).to_json_dict(),
+            "note": (
+                "the face generated by this extreme pair has "
+                f"{len(f.vertex_indices)} extreme points; no "
+                "Euclidean ball B^n has finitely many extreme "
+                "points beyond a segment's two"
+            ),
+        }
     else:
-        survey = None if evidence is None else {
-            "kind": "survey", "face_evidence": evidence, "note": "all checked conditions hold"}
-        return JBVerdict(NOT_REFUTED, None, survey)
-    if evidence is not None:
-        certificate["face_evidence"] = evidence
-    return JBVerdict(REFUTED, failed, certificate)
+        first, second, point = radon
+        failed, certificate = FINITE_NONSIMPLEX, {
+            "kind": "affine_dependence",
+            "first": {"indices": list(first), "weights": list(first.values())},
+            "second": {"indices": list(second), "weights": list(second.values())},
+            "point": point,
+            "note": ("two convex combinations of disjoint vertex sets give "
+                     "the same point; " + nonsimplex_note),
+        }
+    if with_face_evidence:
+        certificate["face_evidence"] = [
+            {"pair": [i, j], "face_vertices": list(face(i, j).vertex_indices),
+             "ball": ball_descriptor(face(i, j)).to_json_dict()}
+            for i in range(n) for j in range(i + 1, n)]
+    elif failed is None:
+        certificate = None
+    return JBVerdict(NOT_REFUTED if failed is None else REFUTED, failed, certificate)
 
 
 def check_separable_pair(x, y, path_steps: int = 64) -> JBVerdict:

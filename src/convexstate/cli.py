@@ -116,6 +116,19 @@ def _load_state_file(path: str):
     )
 
 
+def _polytope_point(k: VPolytope, coords: list, source: str):
+    try:
+        point = parse_point(coords)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise PreconditionError(f"bad coordinates {source!r}: {exc}") from exc
+    if len(point) != k.ambient_dim:
+        raise PreconditionError(
+            f"point {source} has {len(point)} coordinates, theory is "
+            f"{k.ambient_dim}-dimensional"
+        )
+    return point
+
+
 def parse_polytope_state(k: VPolytope, token: str):
     labels = vertex_labels(k)
     if token in labels:
@@ -128,21 +141,14 @@ def parse_polytope_state(k: VPolytope, token: str):
             f"vertex index {i} out of range; theory has {len(k.vertices)} vertices"
         )
     if _TUPLE_RE.match(token):
-        try:
-            point = parse_point(_parse_tuple(token))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise PreconditionError(f"bad coordinates {token!r}: {exc}") from exc
-        if len(point) != k.ambient_dim:
-            raise PreconditionError(
-                f"point {token} has {len(point)} coordinates, theory is "
-                f"{k.ambient_dim}-dimensional"
-            )
-        return point
+        return _polytope_point(k, _parse_tuple(token), token)
     if os.path.exists(token):
         kind, payload = _load_state_file(token)
         if kind != "point":
             raise PreconditionError(f"state file {token} does not hold a 'point'")
-        return parse_point(payload)
+        if not isinstance(payload, list):
+            raise PreconditionError(f"state file {token}: 'point' must be a list of coordinates")
+        return _polytope_point(k, payload, token)
     raise PreconditionError(
         f"cannot resolve state {token!r}; use a vertex name ({', '.join(labels[:6])}"
         f"{', ...' if len(labels) > 6 else ''}), a vertex index, or coordinates (a,b,...)"

@@ -7,18 +7,12 @@ exact certificates rather than approximations.  ``minimal_face`` harvests
 the face from the supports of successive optimal representations of the
 point, at most min(|F| + 1, n) LPs for a face of |F| of the n vertices.
 
-Simplex testing exposes two notions side by side:
-
-* the standard one: the vertex set is affinely independent;
-* a pairwise one: no point lies in the open interior of two segments
-  between different vertex pairs ("ambiguous mixtures").
-
-Affine independence implies the pairwise property (barycentric coordinates
-are unique), so segment enumeration only runs on affinely dependent input;
-when it finds a crossing it returns the four vertices and weights as a
-machine-checkable certificate.  Any affinely dependent vertex set also
-has an exact Radon partition (``radon_partition``), read off a rational
-kernel vector of the homogenised vertices without any LP.
+A polytope is a simplex iff its vertices are affinely independent.
+``radon_partition`` decides that without an LP: the first affine
+dependence among the vertices, read off a rational kernel vector of the
+homogenised vertices, is a circuit whose two sides give the same point.
+When both sides are vertex pairs, ``find_ambiguous_mixture`` turns it into
+a machine-checkable crossing of two segments.
 """
 
 from __future__ import annotations
@@ -296,105 +290,33 @@ def radon_partition(k: VPolytope):
     return first, second, point
 
 
-@dataclass(frozen=True)
-class SimplexDecision:
-    affinely_independent: bool
-    pairwise_simplex: bool
-    pairwise_checked: str  # "implied" | "enumerated"
-    certificate: AmbiguousMixtureCertificate | None
-
-    @property
-    def simplex(self) -> bool:
-        return self.affinely_independent
-
-
-def _segment_crossing(w: Point, x: Point, y: Point, z: Point):
-    """Interior crossing of segments [w,x] and [y,z], found by maximizing
-    the margin t = min(lam, 1-lam, mu, 1-mu) with an exact LP.
-
-    Returns (lam, mu) with both in (0,1), or None.  A cheap exact
-    consistency pre-check (Gaussian elimination on the 2-variable linear
-    system) skips segments whose affine hulls cannot meet.
-    """
-    d = len(w)
-    cols = [[w[i] - x[i] for i in range(d)], [-(y[i] - z[i]) for i in range(d)]]
-    rhs = [z[i] - x[i] for i in range(d)]
-    if not _consistent_2var(cols, rhs):
-        return None
-    a_eq = [[cols[0][i], cols[1][i], Fraction(0)] for i in range(d)]
-    b_eq = rhs
-    # t <= lam, t <= 1-lam, t <= mu, t <= 1-mu
-    a_ub = [[-1, 0, 1], [1, 0, 1], [0, -1, 1], [0, 1, 1]]
-    b_ub = [0, 1, 0, 1]
-    prob = LPProblem.make([0, 0, -1], a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
-                          bounds=[(0, 1), (0, 1), (0, Fraction(1, 2))])
-    sol = lp_solve(prob)
-    if sol.status != OPTIMAL:
-        return None
-    lam, mu, t = sol.point
-    if t <= 0:
-        return None
-    return lam, mu
-
-
-def _consistent_2var(cols: list[list[Fraction]], rhs: list[Fraction]) -> bool:
-    """Whether the d x 2 system [cols] (lam, mu)^T = rhs has any solution."""
-    a = [[cols[0][i], cols[1][i], rhs[i]] for i in range(len(rhs))]
-    return _exact_rank([row[:2] for row in a]) == _exact_rank(a)
-
-
 def find_ambiguous_mixture(k: VPolytope) -> AmbiguousMixtureCertificate | None:
-    """First interior segment crossing in index order, if any."""
-    n = len(k.vertices)
-    segs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for si in range(len(segs)):
-        for sj in range(si + 1, len(segs)):
-            i, j = segs[si]
-            kk, ll = segs[sj]
-            if {i, j} == {kk, ll}:
-                continue
-            hit = _segment_crossing(
-                k.vertices[i], k.vertices[j], k.vertices[kk], k.vertices[ll]
-            )
-            if hit is None:
-                continue
-            lam, mu = hit
-            # Orient so the distinguished vertex w avoids {y, z}.
-            if i not in (kk, ll):
-                w_i, x_i, lam_w = i, j, lam
-            elif j not in (kk, ll):
-                w_i, x_i, lam_w = j, i, 1 - lam
-            else:
-                continue  # both endpoints shared: same segment, not ambiguous
-            cert = AmbiguousMixtureCertificate(
-                indices=(w_i, x_i, kk, ll),
-                w=k.vertices[w_i], x=k.vertices[x_i],
-                y=k.vertices[kk], z=k.vertices[ll],
-                lam=lam_w, mu=mu,
-            )
-            if not cert.validate():
-                raise AssertionError("constructed certificate failed validation")
-            return cert
-    return None
+    """The first affine circuit, when it is two vertices against two.
 
-
-def is_simplex(k: VPolytope, force_enumeration: bool = False) -> SimplexDecision:
-    """Decide simplexhood, reporting both notions.
-
-    When the vertices are affinely independent the pairwise property is
-    implied (unique barycentric coordinates), so enumeration is skipped
-    unless ``force_enumeration`` asks for the exhaustive check anyway.
+    Such a circuit says that two segments between disjoint vertex pairs
+    cross at an interior point.  The pair holding the lower index comes
+    first (w < x, y < z), with lam and mu the weights on w and y.  Any other
+    circuit, or affinely independent vertices, give None.
     """
-    independent = affine_dimension(k) == len(k.vertices) - 1
-    if independent and not force_enumeration:
-        return SimplexDecision(True, True, "implied", None)
-    cert = find_ambiguous_mixture(k)
-    return SimplexDecision(
-        affinely_independent=independent,
-        pairwise_simplex=cert is None,
-        pairwise_checked="enumerated",
-        certificate=cert,
+    radon = radon_partition(k)
+    if radon is None or len(radon[0]) != 2 or len(radon[1]) != 2:
+        return None
+    low, high = sorted(sorted(side.items()) for side in radon[:2])
+    (w, lam), (x, _) = low
+    (y, mu), (z, _) = high
+    cert = AmbiguousMixtureCertificate(
+        indices=(w, x, y, z),
+        w=k.vertices[w], x=k.vertices[x], y=k.vertices[y], z=k.vertices[z],
+        lam=lam, mu=mu,
     )
+    if not cert.validate():
+        raise AssertionError("constructed certificate failed validation")
+    return cert
+
+
+def is_simplex(k: VPolytope) -> bool:
+    """Whether the vertices are affinely independent."""
+    return radon_partition(k) is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Admissibility verdicts, certificate re-validation, and the Jordan
 axiom suites."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +19,7 @@ from convexstate.admissibility import (CONNECTED_BUT_UNSUPERPOSABLE,
                                        jordan_identity_residual,
                                        jordan_identity_scale)
 from convexstate.errors import PreconditionError
+from convexstate.lp import lp_solve
 from convexstate.models import (make_classical_simplex, make_spekkens_hull,
                                 make_square)
 from convexstate.polytope import (AmbiguousMixtureCertificate, VPolytope,
@@ -86,10 +89,25 @@ def test_bipyramid_refuted_by_face():
     assert not cert["ball"]["is_ball"]
 
 
+def _check_radon_json(cert, vertices):
+    """Exact re-check from the JSON alone: two convex combinations of
+    disjoint vertex sets that land on the reported point."""
+    point = [Fraction(c) for c in cert["point"]]
+    first, second = cert["first"], cert["second"]
+    assert not set(first["indices"]) & set(second["indices"])
+    for side in (first, second):
+        weights = [Fraction(w) for w in side["weights"]]
+        assert all(w > 0 for w in weights) and sum(weights) == 1
+        mix = [sum(w * Fraction(vertices[i][k]) for i, w in zip(side["indices"], weights))
+               for k in range(len(point))]
+        assert mix == point
+
+
 @pytest.mark.parametrize("ts", [(-3, -1, 0, 1, 2, 4), (0, 1, 2, 3, 4, 5, 6)])
 def test_neighbourly_polytope_refuted_by_affine_dependence(ts):
     # Cyclic polytopes C(n, 4) on the moment curve: every vertex pair spans
-    # an edge, so neither the ambiguous-mixture nor the face test fires.
+    # an edge, and the first affine circuit is three vertices against three,
+    # so the Radon partition itself is the certificate.
     points = [(t, t ** 2, t ** 3, t ** 4) for t in ts]
     verdict = check_polytope(VPolytope(points))
     assert verdict.verdict == REFUTED
@@ -97,18 +115,119 @@ def test_neighbourly_polytope_refuted_by_affine_dependence(ts):
     cert = verdict.to_json_dict()["certificate"]
     assert cert["kind"] == "affine_dependence"
     assert all(e["ball"]["is_ball"] for e in cert["face_evidence"])
+    _check_radon_json(cert, points)
 
-    # Exact re-check from the JSON alone: two convex combinations of
-    # disjoint vertex sets that land on the reported point.
-    point = [Fraction(c) for c in cert["point"]]
-    first, second = cert["first"], cert["second"]
-    assert not set(first["indices"]) & set(second["indices"])
-    for side in (first, second):
-        weights = [Fraction(w) for w in side["weights"]]
-        assert all(w > 0 for w in weights) and sum(weights) == 1
-        mix = [sum(w * Fraction(points[i][k]) for i, w in zip(side["indices"], weights))
-               for k in range(4)]
-        assert mix == point
+
+def _cube(d):
+    return list(itertools.product((0, 1), repeat=d))
+
+
+def _cross(d):
+    return [tuple(s if j == i else 0 for j in range(d)) for i in range(d) for s in (1, -1)]
+
+
+def _cyclic(n, d):
+    return [tuple(t ** e for e in range(1, d + 1)) for t in range(n)]
+
+
+# The scrambled 3- and 4-cubes of the report pins in test_lp_pivot_path.py.
+_CUBE3 = [(v[2], 1 - v[0], -v[1]) for v in _cube(3)]
+random.Random(3).shuffle(_CUBE3)
+_CUBE4 = [(1 - v[2], v[0], v[3] - 1, -v[1]) for v in _cube(4)]
+random.Random(4).shuffle(_CUBE4)
+
+
+@pytest.fixture
+def counted_lps(monkeypatch):
+    import convexstate.admissibility as adm
+    import convexstate.polytope as poly
+
+    counts = {"lp": 0, "generated_face": 0}
+
+    def counting_lp(problem):
+        counts["lp"] += 1
+        return lp_solve(problem)
+
+    def counting_face(k, x, y):
+        counts["generated_face"] += 1
+        return generated_face(k, x, y)
+
+    monkeypatch.setattr(poly, "lp_solve", counting_lp)
+    monkeypatch.setattr(adm, "generated_face", counting_face)
+    return counts
+
+
+# name -> vertices: the first affine circuit certifies the verdict alone
+CIRCUIT_VERDICTS = {
+    "spekkens": make_spekkens_hull().vertices, "cube3": _CUBE3, "cube4": _CUBE4,
+    "cube5": _cube(5), "cross5": _cross(5), "cyclic6_4": _cyclic(6, 4), "cyclic7_4": _cyclic(7, 4),
+}
+# name -> vertices: the first circuit is a vertex pair against three or more
+PAIR_CIRCUIT_VERDICTS = {
+    "bipyramid": BIPYRAMID.vertices, "cyclic5_3": _cyclic(5, 3), "cyclic9_3": _cyclic(9, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CIRCUIT_VERDICTS))
+def test_circuit_verdict_solves_no_lp(counted_lps, name):
+    k = VPolytope(CIRCUIT_VERDICTS[name])
+    counted_lps.update(lp=0, generated_face=0)
+    verdict = check_polytope(k, with_face_evidence=False)
+    assert verdict.failed_condition == FINITE_NONSIMPLEX
+    assert counted_lps == {"lp": 0, "generated_face": 0}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_CIRCUIT_VERDICTS))
+def test_pair_circuit_verdict_computes_one_face(counted_lps, name):
+    k = VPolytope(PAIR_CIRCUIT_VERDICTS[name])
+    counted_lps.update(lp=0, generated_face=0)
+    verdict = check_polytope(k, with_face_evidence=False)
+    assert verdict.failed_condition == FACE_NOT_BALL
+    assert counted_lps["generated_face"] == 1
+    assert 0 < counted_lps["lp"] <= len(k.vertices)
+
+
+def _rational_image(data, verts):
+    """A rational affine image of full rank, into d or d + 1 dimensions."""
+    d = len(verts[0])
+    e = data.draw(st.integers(d, d + 1))
+    entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    m = data.draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=e, max_size=e))
+    assume(affine_dimension_of([tuple(col) for col in zip(*m)] + [(0,) * e]) == d)
+    shift = data.draw(st.lists(entry, min_size=e, max_size=e))
+    return VPolytope(verts).affine_image(m, shift)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("family", ["cube", "cross", "cyclic"])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_verdict_refutes_exactly_the_dependent_images(family, d, data):
+    if family == "cyclic":
+        verts = _cyclic(data.draw(st.integers(2, d + 3)), d)
+    else:
+        verts = _cube(d) if family == "cube" else _cross(d)
+    k = _rational_image(data, verts)
+    n = len(k.vertices)
+    verdict = check_polytope(k, with_face_evidence=False).to_json_dict()
+    assert (verdict["verdict"] == REFUTED) == (n > affine_dimension_of(k.vertices) + 1)
+    cert = verdict["certificate"]
+    if cert is None:
+        assert verdict["verdict"] == NOT_REFUTED
+    elif cert["kind"] == "ambiguous_mixture":
+        fields = {key: parse_point(cert[key]) for key in "wxyz"}
+        assert [fields[key] for key in "wxyz"] == [k.vertices[i] for i in cert["indices"]]
+        assert AmbiguousMixtureCertificate(
+            indices=tuple(cert["indices"]), **fields,
+            lam=Fraction(cert["lam"]), mu=Fraction(cert["mu"]),
+        ).validate()
+    elif cert["kind"] == "non_ball_face":
+        assert set(cert["pair"]) <= set(cert["face_vertices"])
+        assert len(cert["face_vertices"]) >= 3
+        assert verify_face(k, cert["face_vertices"])
+    else:
+        assert cert["kind"] == "affine_dependence"
+        _check_radon_json(cert, k.vertices)
 
 
 def test_check_polytope_computes_each_generated_face_once(monkeypatch):

@@ -132,6 +132,26 @@ def test_face_subcommand(capsys):
     assert report["ball"]["is_ball"]
 
 
+def test_face_state_file(capsys, tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"point": ["1", 0, 0.0]}))
+    code, out, _ = run(capsys, "face", "spekkens", str(path))
+    assert code == 0
+    assert json.loads(out)["face_vertex_labels"] == ["e1"]
+
+
+@pytest.mark.parametrize("point", ['["nope", 0, 0]', "[Infinity, 0, 0]", "[true, 0, 0]",
+                                   "[[1], 0, 0]", "[0, 0]", "5", '"100"'])
+def test_bad_state_file_point_is_domain_error(capsys, tmp_path, point):
+    # The file's point takes the same checks as an (a,b,...) token: a list
+    # of finite rationals with one coordinate per ambient dimension.
+    path = tmp_path / "state.json"
+    path.write_text('{"point": %s}' % point)
+    code, _, err = run(capsys, "face", "spekkens", str(path))
+    assert code == 3
+    assert str(path) in err
+
+
 def test_face_rejects_quantum_theory(capsys):
     assert run(capsys, "face", "bloch", "(0,0,1)")[0] == 3
 

@@ -18,7 +18,8 @@ import pytest
 from convexstate import cli, lp
 from convexstate.errors import InternalCheckError
 from convexstate.lp import OPTIMAL, UNBOUNDED, LPProblem, lp_solve
-from convexstate.polytope import VPolytope, verify_face
+from convexstate.polytope import (AmbiguousMixtureCertificate, VPolytope, parse_point,
+                                  verify_face)
 
 PINNED_REPORTS = Path(__file__).parent / "data" / "pinned_reports"
 
@@ -202,14 +203,17 @@ def test_pivot_keeps_the_denominator_positive():
 
 # Theories for the report pins: a scrambled 3-cube and 4-cube (a signed
 # coordinate permutation plus a shift, vertices shuffled), a bipyramid
-# with rational apexes and the cyclic polytope C(9,3).
+# with rational apexes and the cyclic polytopes C(9,3), C(5,3) and C(6,4).
 _CUBE3 = [(v[2], 1 - v[0], -v[1]) for v in itertools.product((0, 1), repeat=3)]
 random.Random(3).shuffle(_CUBE3)
 _CUBE4 = [(1 - v[2], v[0], v[3] - 1, -v[1]) for v in itertools.product((0, 1), repeat=4)]
 random.Random(4).shuffle(_CUBE4)
 _BIPYRAMID = [(0, 0, 0), (4, 0, 0), (0, 4, 0), ("1/2", "3/2", 2), ("1/2", "3/2", "-1/3")]
 _CYCLIC9 = [(t, t * t, t ** 3) for t in range(9)]
-THEORIES = {"cube3": _CUBE3, "cube4": _CUBE4, "bipyramid": _BIPYRAMID, "cyclic9": _CYCLIC9}
+_CYCLIC5_3 = [(t, t * t, t ** 3) for t in range(5)]
+_CYCLIC6_4 = [(t, t * t, t ** 3, t ** 4) for t in range(6)]
+THEORIES = {"cube3": _CUBE3, "cube4": _CUBE4, "bipyramid": _BIPYRAMID, "cyclic9": _CYCLIC9,
+            "cyclic5_3": _CYCLIC5_3, "cyclic6_4": _CYCLIC6_4}
 
 # The face pins were recorded from a minimal_face that solved one LP per
 # vertex.  A minimal face is unique, so every way of computing it must
@@ -224,6 +228,8 @@ REPORTS = {
     "analyze_bipyramid": ("bipyramid", ["analyze"]),
     "ratio_bipyramid": ("bipyramid", ["ratio", "3", "1"]),
     "face_bipyramid": ("bipyramid", ["face", "3", "4"]),
+    "analyze_cyclic5_3": ("cyclic5_3", ["analyze"]),
+    "analyze_cyclic6_4": ("cyclic6_4", ["analyze"]),
 }
 
 
@@ -239,6 +245,16 @@ def test_report_pinned(name, tmp_path):
     out = tmp_path / "report.json"
     assert cli.main([command, str(theory_file), *args, "--out", str(out)]) == 0
     assert out.read_text() == (PINNED_REPORTS / f"{name}.json").read_text()
+    report = json.loads(out.read_text())
     if command == "face":
-        indices = json.loads(out.read_text())["face_vertex_indices"]
-        assert verify_face(VPolytope(verts), indices)
+        assert verify_face(VPolytope(verts), report["face_vertex_indices"])
+    elif command == "analyze" and report["verdict"]["certificate"]["kind"] == "ambiguous_mixture":
+        # Re-check the pinned crossing exactly, from the JSON and the theory.
+        cert = report["verdict"]["certificate"]
+        fields = {key: parse_point(cert[key]) for key in "wxyz"}
+        assert [fields[key] for key in "wxyz"] == [parse_point(verts[i]) for i in cert["indices"]]
+        mixture = AmbiguousMixtureCertificate(indices=tuple(cert["indices"]), **fields,
+                                              lam=Fraction(cert["lam"]), mu=Fraction(cert["mu"]))
+        assert mixture.validate()
+        assert mixture.mixture_point() == parse_point(cert["mixture_point"])
+

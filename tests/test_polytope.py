@@ -217,45 +217,32 @@ def test_affine_dimensions():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_classical_simplexes_are_simplexes(n):
-    dec = is_simplex(make_classical_simplex(n))
-    assert dec.simplex
-    assert dec.affinely_independent
-    assert dec.pairwise_simplex
-    assert dec.pairwise_checked == "implied"
-    assert dec.certificate is None
-
-
-def test_forced_enumeration_agrees_on_simplex():
-    dec = is_simplex(make_classical_simplex(3), force_enumeration=True)
-    assert dec.simplex
-    assert dec.pairwise_checked == "enumerated"
-    assert dec.certificate is None
+    k = make_classical_simplex(n)
+    assert is_simplex(k)
+    assert polytope.radon_partition(k) is None
+    assert find_ambiguous_mixture(k) is None
 
 
 def test_octahedron_is_not_simplex():
-    dec = is_simplex(make_spekkens_hull())
-    assert not dec.simplex
-    assert not dec.affinely_independent
-    assert not dec.pairwise_simplex
-    cert = dec.certificate
+    k = make_spekkens_hull()
+    assert not is_simplex(k)
+    cert = find_ambiguous_mixture(k)
     assert cert is not None and cert.validate()
 
 
 def test_square_is_not_simplex():
-    dec = is_simplex(make_square())
-    assert not dec.simplex
-    assert dec.certificate.validate()
+    k = make_square()
+    assert not is_simplex(k)
+    assert find_ambiguous_mixture(k).validate()
 
 
 def test_bipyramid_pairwise_but_dependent():
-    # Affinely dependent (5 points in a 3-space) yet no point admits two
-    # convex decompositions with different supports crossing segment-wise.
-    dec = is_simplex(BIPYRAMID)
-    assert not dec.simplex
-    assert not dec.affinely_independent
-    assert dec.pairwise_simplex
-    assert dec.pairwise_checked == "enumerated"
-    assert dec.certificate is None
+    # Affinely dependent (5 points in a 3-space), but its only circuit is
+    # the apex pair against the base triangle: no two vertex segments cross.
+    assert not is_simplex(BIPYRAMID)
+    assert find_ambiguous_mixture(BIPYRAMID) is None
+    first, second, _ = polytope.radon_partition(BIPYRAMID)
+    assert sorted(map(len, (first, second))) == [2, 3]
 
 
 def test_octahedron_certificate_values():
@@ -302,13 +289,13 @@ def test_affine_image_exact_and_structure_preserving():
     img = k.affine_image(m, shift)
     assert len(img.vertices) == 6
     assert img.vertices[0] == (Fraction(3, 2), Fraction(2), Fraction(-3))
-    assert not is_simplex(img).simplex
+    assert not is_simplex(img)
 
 
 def test_affine_image_of_simplex_stays_simplex():
     k = make_classical_simplex(2)
     img = k.affine_image([["2/3", 1], [0, "1/5"]], (7, -1))
-    assert is_simplex(img).simplex
+    assert is_simplex(img)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +361,4 @@ def test_random_independent_points_are_simplexes(dim, data):
         min_size=count, max_size=count, unique=True,
     ))
     assume(affine_dimension_of([parse_point(p) for p in pts]) == count - 1)
-    k = VPolytope(pts)
-    dec = is_simplex(k)
-    assert dec.simplex
-    assert dec.pairwise_checked == "implied"
+    assert is_simplex(VPolytope(pts))
