@@ -28,8 +28,7 @@ import numpy as np
 from . import linalg, transition
 from .config import DEFAULT_TOL
 from .errors import PreconditionError
-from .polytope import (Face, VPolytope, find_ambiguous_mixture, generated_face,
-                       radon_partition)
+from .polytope import Face, VPolytope, circuit_mixture, generated_face, radon_partition
 
 REFUTED = "refuted"
 NOT_REFUTED = "not_refuted"
@@ -173,8 +172,8 @@ def check_polytope(k: VPolytope, with_face_evidence: bool | None = None) -> JBVe
 
     nonsimplex_note = ("a non-simplex JB state space needs continuum many "
                        f"extreme points, but this polytope has {n}")
-    cert = find_ambiguous_mixture(k)
-    radon = None if cert is not None else radon_partition(k)
+    radon = radon_partition(k)
+    cert = circuit_mixture(k, radon)
     if cert is not None:
         failed, certificate = FINITE_NONSIMPLEX, {
             "kind": "ambiguous_mixture",

@@ -36,6 +36,7 @@ import numpy as np
 from . import admissibility, claims, linalg, models, protocols, transition
 from .config import ENV_TOL, Tolerances
 from .errors import InternalCheckError, PreconditionError, TheoryFormatError
+from .lp import rat
 from .polytope import (VPolytope, generated_face, load_theory, minimal_face,
                        parse_point, theory_to_dict)
 from .serialize import canonical_json, jsonable
@@ -155,18 +156,25 @@ def parse_polytope_state(k: VPolytope, token: str):
     )
 
 
+def _bloch_vector(coords: list, source: str) -> np.ndarray:
+    try:
+        return np.array([float(rat(c)) for c in coords])
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise PreconditionError(f"bad Bloch vector {source!r}: {exc}") from exc
+
+
 def parse_bloch_state(token: str) -> np.ndarray:
     if _KET_RE.match(token) and len(token) == 1:
         return linalg.bloch_vector(linalg.projector(linalg.ket(token)))
     if _TUPLE_RE.match(token):
-        try:
-            return np.array([float(Fraction(p)) for p in _parse_tuple(token)])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise PreconditionError(f"bad Bloch vector {token!r}: {exc}") from exc
+        return _bloch_vector(_parse_tuple(token), token)
     if os.path.exists(token):
         kind, payload = _load_state_file(token)
         if kind == "bloch":
-            return np.asarray(payload, dtype=float)
+            if not isinstance(payload, list):
+                raise PreconditionError(
+                    f"state file {token}: 'bloch' must be a list of coordinates")
+            return _bloch_vector(payload, token)
         if kind == "matrix":
             return linalg.bloch_vector(payload)
         raise PreconditionError(f"state file {token} does not hold a Bloch state")

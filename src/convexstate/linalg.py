@@ -68,11 +68,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def is_hermitian(a, atol: float = HERMITIAN_ATOL) -> bool:
-    m = as_matrix(a)
-    return bool(np.max(np.abs(m - m.conj().T)) <= atol)
-
-
 def require_hermitian(a, atol: float = HERMITIAN_ATOL, what: str = "matrix") -> np.ndarray:
     m = as_matrix(a)
     dev = float(np.max(np.abs(m - m.conj().T)))
@@ -187,10 +182,6 @@ def top_eigenvector(a) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # State validation
 # ---------------------------------------------------------------------------
-
-def is_psd(a, slack: float = 1e-10) -> bool:
-    return min_eigenvalue(a) >= -slack
-
 
 def is_density(rho, tol: float = 1e-10) -> bool:
     try:

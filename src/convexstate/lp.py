@@ -3,17 +3,12 @@
 The tableau is integer-preserving (Edmonds/Bareiss pivoting): its entries
 are Python ints that share one positive common denominator ``den``.
 
-- *Start.* Each variable becomes one or two nonnegative kernel variables,
-  and each kernel variable copies its coefficients from exactly one of the
-  original variables, so rows are filled by assignment.  Only nonzero
-  shifts (finite lower bounds, or upper bounds of variables bounded only
-  above) move the right-hand sides.  Every entry is written as
-  ``numerator * (scale // denominator)`` with ``scale`` the LCM of the
-  denominators in the rows and right-hand sides, so no ``Fraction`` is
-  added or multiplied per entry.  The slack and artificial columns keep the
-  coefficient 1, so the start is an integer tableau with ``den = 1`` and
-  the artificials as its basis: the tableau that scaling the
-  ``Fraction`` rows would give.
+- *Start.* Every entry is written as ``numerator * (scale // denominator)``
+  with ``scale`` the LCM of the denominators in the rows and right-hand
+  sides, so no ``Fraction`` is added or multiplied per entry.  The slack
+  and artificial columns keep the coefficient 1, so the start is an
+  integer tableau with ``den = 1`` and the artificials as its basis: the
+  tableau that scaling the ``Fraction`` rows would give.
 - *Pivot.* On the entry p = tab[r][c], row r stays as it is, every other
   row x becomes (x*p - x[c]*tab[r]) / den, and p becomes the new ``den``.
   Each quotient is an integer minor of the start tableau, so the division
@@ -25,8 +20,8 @@ are Python ints that share one positive common denominator ``den``.
   entries are read.
 - *Phase 2.* Drive-out pivots and phase 2 never read an artificial
   column, so those columns are dropped once phase 1 ends.
-- *Answer.* Each coordinate is read as one ``Fraction``, its integer
-  numerator over ``den``, plus its shift.
+- *Answer.* Each basic coordinate is read as one ``Fraction``, its
+  integer numerator over ``den``; the others are 0.
 
 Against the tableau of ``Fraction``s that the same rules would pivot, the
 integer start scales all rows by one positive number and the slack and
@@ -36,11 +31,11 @@ Bland's rule takes the same pivots and returns the same point.  Optimal
 points satisfy every constraint with zero error, can serve as
 certificates, and are re-checked in ``Fraction``s before they are returned.
 
-Problems are stated as
+Problems take one form,
 
-    minimize c.x   s.t.   a_eq x == b_eq,  a_ub x <= b_ub,  lo <= x <= hi
+    minimize c.x   s.t.   a_eq x == b_eq,  a_ub x <= b_ub,  x >= 0;
 
-with per-variable bounds; ``None`` means unbounded on that side.
+a caller with free variables splits each into two nonnegative columns.
 """
 
 from __future__ import annotations
@@ -82,12 +77,10 @@ class LPProblem:
     b_eq: tuple[Fraction, ...]
     a_ub: tuple[tuple[Fraction, ...], ...]
     b_ub: tuple[Fraction, ...]
-    bounds: tuple[tuple[Fraction | None, Fraction | None], ...]
 
     @staticmethod
     def make(objective: Sequence, a_eq: Sequence | None = (), b_eq: Sequence | None = (),
-             a_ub: Sequence | None = (), b_ub: Sequence | None = (),
-             bounds: Sequence | None = None) -> "LPProblem":
+             a_ub: Sequence | None = (), b_ub: Sequence | None = ()) -> "LPProblem":
         c = tuple(rat(x) for x in objective)
         n = len(c)
         a_eq = () if a_eq is None else a_eq
@@ -112,16 +105,7 @@ class LPProblem:
 
         aeq, beq = _rows(a_eq, b_eq, "a_eq")
         aub, bub = _rows(a_ub, b_ub, "a_ub")
-        if bounds is None:
-            bnds = tuple((_ZERO, None) for _ in range(n))
-        else:
-            if len(bounds) != n:
-                raise ValueError("bounds length must match variable count")
-            bnds = tuple(
-                (None if lo is None else rat(lo), None if hi is None else rat(hi))
-                for lo, hi in bounds
-            )
-        return LPProblem(c, aeq, beq, aub, bub, bnds)
+        return LPProblem(c, aeq, beq, aub, bub)
 
 
 @dataclass(frozen=True)
@@ -150,11 +134,8 @@ def _verify(problem: LPProblem, point: Sequence[Fraction]) -> None:
     for row, b in zip(problem.a_ub, problem.b_ub):
         if sum((row[j] * x for j, x in support), _ZERO) > b:
             raise InternalCheckError("simplex returned an infeasible point (ub)")
-    for x, (lo, hi) in zip(point, problem.bounds):
-        if lo is not None and x < lo:
-            raise InternalCheckError("simplex returned an infeasible point (lo)")
-        if hi is not None and x > hi:
-            raise InternalCheckError("simplex returned an infeasible point (hi)")
+    if any(x < 0 for _, x in support):
+        raise InternalCheckError("simplex returned an infeasible point (nonneg)")
 
 
 # ---------------------------------------------------------------------------
@@ -163,62 +144,27 @@ def _verify(problem: LPProblem, point: Sequence[Fraction]) -> None:
 
 def _solve_exact(problem: LPProblem) -> tuple[str, list[Fraction] | None]:
     n = len(problem.objective)
-
-    # Substitute each variable by nonnegative kernel ones:
-    # x_j = shift_j + sum(sign * y_k).  Each y_k belongs to exactly one x_j,
-    # recorded in ymap[k] = (j, sign), so kernel rows are assigned, not summed.
-    ymap: list[tuple[int, int]] = []
-    shifted: list[tuple[int, Fraction]] = []  # (j, shift) with shift != 0
-    boxed: list[tuple[int, Fraction]] = []    # (y index, hi - lo)
-    for j, (lo, hi) in enumerate(problem.bounds):
-        if lo is None and hi is None:
-            ymap += [(j, 1), (j, -1)]
-            continue
-        if lo is None:
-            shift, sign = hi, -1
-        else:
-            if hi is not None:
-                if hi < lo:
-                    return INFEASIBLE, None
-                boxed.append((len(ymap), hi - lo))
-            shift, sign = lo, 1
-        if shift:
-            shifted.append((j, shift))
-        ymap.append((j, sign))
-    ny = len(ymap)
-
-    # Constraint rows as (numerator, denominator) pairs; the right-hand sides
-    # move by the nonzero shifts only.  Bound rows y_k <= hi - lo come last.
     rows = [*zip(problem.a_eq, problem.b_eq), *zip(problem.a_ub, problem.b_ub)]
     ratios = [[a.as_integer_ratio() for a in row] for row, _ in rows]
     rhs = [b for _, b in rows]
-    if shifted:
-        rhs = [b - sum((row[j] * s for j, s in shifted if row[j]), _ZERO)
-               for row, b in rows]
-    rhs += [gap for _, gap in boxed]
     n_eq = len(problem.a_eq)
     m = len(rhs)
     n_slack = m - n_eq
-    art_start = ny + n_slack
-    ncols = art_start + m  # y vars, slacks, artificials
+    art_start = n + n_slack
+    ncols = art_start + m  # x vars, slacks, artificials
 
     # Integer tableau rows: [coeffs | rhs] times one LCM of the denominators,
     # with rhs normalized nonnegative and an artificial basis.  Slack and
     # artificial coefficients stay 1; slack signs flip with the row when
     # rhs was negative.
     scale = lcm(*{q for r in ratios for _, q in r}, *{b.denominator for b in rhs})
-    heads = []
-    for r in ratios:
-        vals = [p * (scale // q) for p, q in r]
-        heads.append([sign * vals[j] for j, sign in ymap])
-    for k, _ in boxed:
-        heads.append([scale if i == k else 0 for i in range(ny)])
     tab: list[list[int]] = []
     basis: list[int] = []
-    for i, (head, b) in enumerate(zip(heads, rhs)):
-        row = head + [0] * (n_slack + m) + [b.numerator * (scale // b.denominator)]
+    for i, (r, b) in enumerate(zip(ratios, rhs)):
+        row = ([p * (scale // q) for p, q in r] + [0] * (n_slack + m)
+               + [b.numerator * (scale // b.denominator)])
         if i >= n_eq:
-            row[ny + i - n_eq] = 1
+            row[n + i - n_eq] = 1
         if row[-1] < 0:
             row = [-x for x in row]
         row[art_start + i] = 1
@@ -254,31 +200,25 @@ def _solve_exact(problem: LPProblem) -> tuple[str, list[Fraction] | None]:
     tab = [tab[i] for i in keep]
     basis = [basis[i] for i in keep]
 
-    # Phase 2 cost row from the original objective (restated in y vars and
-    # made integral), reduced against the basis: den * cy - sum cb * row.
+    # Phase 2 cost row from the objective made integral, reduced against the
+    # basis: den * cx - sum cb * row.
     obj = [c.as_integer_ratio() for c in problem.objective]
     obj_scale = lcm(*{q for _, q in obj})
-    vals = [p * (obj_scale // q) for p, q in obj]
-    cy = [sign * vals[j] for j, sign in ymap] + [0] * (n_slack + 1)
-    cost = [den * x for x in cy]
+    cx = [p * (obj_scale // q) for p, q in obj] + [0] * (n_slack + 1)
+    cost = [den * x for x in cx]
     for b, row in zip(basis, tab):
-        cb = cy[b]
+        cb = cx[b]
         if cb != 0:
             cost = [x - cb * t for x, t in zip(cost, row)]
     status, den = _iterate(tab, basis, cost, den, allowed_max=art_start)
     if status == UNBOUNDED:
         return UNBOUNDED, None
 
-    # x_j = shift_j + (sum of sign * basic y numerators) / den.
-    ynum = [0] * art_start
+    # x_j = (basic numerator of x_j) / den, or 0 when x_j is nonbasic.
+    point = [_ZERO] * n
     for b, row in zip(basis, tab):
-        ynum[b] = row[-1]
-    xnum = [0] * n
-    for (j, sign), v in zip(ymap, ynum):
-        xnum[j] += sign * v
-    point = [Fraction(v, den) if v else _ZERO for v in xnum]
-    for j, s in shifted:
-        point[j] += s
+        if b < n and row[-1]:
+            point[b] = Fraction(row[-1], den)
     return OPTIMAL, point
 
 

@@ -11,8 +11,8 @@ A polytope is a simplex iff its vertices are affinely independent.
 ``radon_partition`` decides that without an LP: the first affine
 dependence among the vertices, read off a rational kernel vector of the
 homogenised vertices, is a circuit whose two sides give the same point.
-When both sides are vertex pairs, ``find_ambiguous_mixture`` turns it into
-a machine-checkable crossing of two segments.
+When both sides are vertex pairs, ``circuit_mixture`` turns it into a
+machine-checkable crossing of two segments.
 """
 
 from __future__ import annotations
@@ -291,14 +291,18 @@ def radon_partition(k: VPolytope):
 
 
 def find_ambiguous_mixture(k: VPolytope) -> AmbiguousMixtureCertificate | None:
-    """The first affine circuit, when it is two vertices against two.
+    """The first affine circuit, when it is two vertices against two."""
+    return circuit_mixture(k, radon_partition(k))
 
-    Such a circuit says that two segments between disjoint vertex pairs
-    cross at an interior point.  The pair holding the lower index comes
-    first (w < x, y < z), with lam and mu the weights on w and y.  Any other
-    circuit, or affinely independent vertices, give None.
+
+def circuit_mixture(k: VPolytope, radon) -> AmbiguousMixtureCertificate | None:
+    """The ambiguous mixture a ``radon_partition`` result gives, if any.
+
+    A circuit of two vertices against two says that two segments between
+    disjoint vertex pairs cross at an interior point.  The pair holding the
+    lower index comes first (w < x, y < z), with lam and mu the weights on
+    w and y.  Any other circuit, or None, gives None.
     """
-    radon = radon_partition(k)
     if radon is None or len(radon[0]) != 2 or len(radon[1]) != 2:
         return None
     low, high = sorted(sorted(side.items()) for side in radon[:2])

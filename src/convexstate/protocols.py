@@ -51,9 +51,6 @@ class CloningCheckReport:
     r_squared: float
     contradiction: bool      # r > r_clone_bound, so the chain r <= ... <= r^2 breaks
 
-    def chain_values(self) -> tuple[float, float, float, float]:
-        return (self.r, self.r_embed, self.r_clone_bound, self.r_squared)
-
 
 def cloning_contradiction(bloch_x, bloch_y,
                           tol: float = DEFAULT_TOL.equality) -> CloningCheckReport:

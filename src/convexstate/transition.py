@@ -122,23 +122,23 @@ def affine_ratio_polytope(k: VPolytope, x, y) -> RatioResult:
             "affine_ratio_polytope needs vertices of the polytope; "
             f"got x in vertices: {ix is not None}, y in vertices: {iy is not None}"
         )
-    d = k.ambient_dim
-    # Variables: functional normal (d, free) and offset (free).
+    # The functional u = (normal, offset) is free: each u_j is the difference
+    # of two nonnegative columns, ordered (+u_0, -u_0, +u_1, -u_1, ...).
+    def split(u):
+        return [c for a in u for c in (a, -a)]
+
     a_ub, b_ub = [], []
     for v in k.vertices:
-        a_ub.append([-c for c in v] + [-1])
-        b_ub.append(0)
-        a_ub.append(list(v) + [1])
-        b_ub.append(1)
-    a_eq = [list(px) + [1]]
-    b_eq = [1]
-    objective = list(py) + [1]
-    prob = LPProblem.make(objective, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
-                          bounds=[(None, None)] * (d + 1))
+        row = split([*v, 1])
+        a_ub += [[-c for c in row], row]  # 0 <= f(v) <= 1
+        b_ub += [0, 1]
+    prob = LPProblem.make(split([*py, 1]), a_eq=[split([*px, 1])], b_eq=[1],
+                          a_ub=a_ub, b_ub=b_ub)
     sol = lp_solve(prob)
     if sol.status != OPTIMAL:  # functional f == const 1 is always feasible
         raise PreconditionError(f"ratio LP unexpectedly {sol.status}")
-    witness = AffineFunctional(tuple(sol.point[:d]), sol.point[d])
+    *normal, offset = (sol.point[i] - sol.point[i + 1] for i in range(0, len(sol.point), 2))
+    witness = AffineFunctional(tuple(normal), offset)
     return RatioResult(lo=sol.value, hi=sol.value, witness=witness,
                        detail={"x_index": ix, "y_index": iy})
 
@@ -191,6 +191,15 @@ def _require_pure_product(rho, tol: float, what: str) -> np.ndarray:
     return m
 
 
+def _separable_upper_bound(x, y, tol: float = DEFAULT_TOL.equality
+                           ) -> tuple[np.ndarray, np.ndarray, float]:
+    """The validated pure product states x, y and Tr(xy) clipped to [0, 1],
+    the upper bound on their separable affine ratio."""
+    mx = _require_pure_product(x, tol=max(tol, 1e-10), what="x")
+    my = _require_pure_product(y, tol=max(tol, 1e-10), what="y")
+    return mx, my, min(1.0, max(0.0, float(np.real(np.trace(mx @ my)))))
+
+
 def _decomposable_witness_candidates(x: np.ndarray, y: np.ndarray) -> list[tuple[str, np.ndarray]]:
     """Finite deterministic family of decomposable operators P + Q^T_B
     built from the input states; each is automatically nonnegative on
@@ -216,10 +225,7 @@ def affine_ratio_separable(x, y, tol: float = DEFAULT_TOL.equality,
     [0,1] over product states, checked by see-saw maximization) and each
     feasible one's value at y is reported as a further upper bound.
     """
-    mx = _require_pure_product(x, tol=max(tol, 1e-10), what="x")
-    my = _require_pure_product(y, tol=max(tol, 1e-10), what="y")
-    hi = float(np.real(np.trace(mx @ my)))
-    hi = min(1.0, max(0.0, hi))
+    mx, my, hi = _separable_upper_bound(x, y, tol)
     same = float(np.max(np.abs(mx - my))) <= tol
     lo = 1.0 if same else 0.0
     candidates = []
@@ -267,6 +273,8 @@ def affine_ratio(h: StateSpaceHandle, x, y) -> RatioResult:
 def is_orthogonal(h: StateSpaceHandle, x, y, tol: float | None = None) -> bool:
     """Transition probability zero (exactly, where the engine is exact)."""
     t = DEFAULT_TOL.equality if tol is None else tol
+    if h.kind == KIND_SEPARABLE:  # the upper bound Tr(xy) decides; no witness screen
+        return _separable_upper_bound(x, y)[2] <= t
     r = affine_ratio(h, x, y)
     if isinstance(r.hi, Fraction):
         return r.hi == 0

@@ -230,6 +230,27 @@ def test_verdict_refutes_exactly_the_dependent_images(family, d, data):
         _check_radon_json(cert, k.vertices)
 
 
+@pytest.mark.parametrize("name", sorted({**CIRCUIT_VERDICTS, **PAIR_CIRCUIT_VERDICTS}))
+def test_check_polytope_row_reduces_once(monkeypatch, name):
+    # The verdict and its ambiguous mixture read one circuit: the vertices
+    # are row-reduced once, whatever the circuit's shape.
+    import convexstate.admissibility as adm
+    import convexstate.polytope as poly
+
+    calls = []
+    original = poly.radon_partition
+
+    def counting(k):
+        calls.append(k)
+        return original(k)
+
+    monkeypatch.setattr(poly, "radon_partition", counting)
+    monkeypatch.setattr(adm, "radon_partition", counting)
+    verts = {**CIRCUIT_VERDICTS, **PAIR_CIRCUIT_VERDICTS}[name]
+    assert check_polytope(VPolytope(verts), with_face_evidence=False).verdict == REFUTED
+    assert len(calls) == 1
+
+
 def test_check_polytope_computes_each_generated_face_once(monkeypatch):
     import convexstate.admissibility as adm
 
@@ -320,6 +341,25 @@ def test_separable_pair_refuted():
     search = cert["search"]
     assert search["found"] is False
     assert search["corners_only"]
+
+
+def test_separable_pair_runs_no_seesaw(monkeypatch):
+    # Orthogonality needs only the upper bound Tr(xy) of the separable
+    # ratio, not the see-saw screen of its witness candidates.
+    import convexstate.models as models
+
+    calls = []
+    original = models.maximize_linear_over_separable
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(models, "maximize_linear_over_separable", counting)
+    x = linalg.projector(linalg.ket("01"))
+    y = linalg.projector(linalg.ket("10"))
+    assert check_separable_pair(x, y, path_steps=8).verdict == REFUTED
+    assert calls == []
 
 
 def test_separable_pair_rejects_entangled_input():

@@ -124,6 +124,18 @@ def test_ratio_state_file(capsys, tmp_path):
     assert json.loads(out)["value"] == 1.0
 
 
+@pytest.mark.parametrize("bloch", ['["x", 0, 0]', '"abc"', "[true, 0, 0]", "[[0], 0, 1]",
+                                   "[Infinity, 0, 0]", '["1e400", 0, 0]', '{"z": 1}', "null"])
+def test_bad_state_file_bloch_is_domain_error(capsys, tmp_path, bloch):
+    # The file's Bloch vector takes the same checks as an (x,y,z) token: a
+    # list of finite, non-boolean numbers.
+    path = tmp_path / "state.json"
+    path.write_text('{"bloch": %s}' % bloch)
+    code, _, err = run(capsys, "ratio", "bloch", str(path), "(0,0,1)")
+    assert code == 3
+    assert str(path) in err
+
+
 def test_face_subcommand(capsys):
     code, out, _ = run(capsys, "face", "spekkens", "e1", "e2")
     assert code == 0

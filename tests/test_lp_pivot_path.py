@@ -4,7 +4,10 @@ Bland's rule fixes which optimal vertex the kernel returns when an LP has
 several, and the kernel's points are the witnesses and certificates in the
 reports.  The expected values below were recorded from the kernel that
 pivoted a tableau of ``Fraction``s; the integer-preserving kernel must take
-the same path, so every point and every report must match exactly.
+the same path, so every point and every report must match exactly.  The
+kernel now takes x >= 0 only; problems with other bounds are restated by
+``lp_forms.bounded_lp`` into the start tableau the kernel used to build
+for them, so their pins still hold.
 """
 
 import itertools
@@ -17,16 +20,16 @@ import pytest
 
 from convexstate import cli, lp
 from convexstate.errors import InternalCheckError
-from convexstate.lp import OPTIMAL, UNBOUNDED, LPProblem, lp_solve
-from convexstate.polytope import (AmbiguousMixtureCertificate, VPolytope, parse_point,
-                                  verify_face)
+from convexstate.lp import OPTIMAL, UNBOUNDED
+from convexstate.polytope import AmbiguousMixtureCertificate, parse_point, verify_face
+from lp_forms import BoundedLP, bounded_lp
 
 PINNED_REPORTS = Path(__file__).parent / "data" / "pinned_reports"
 
 _BOUNDS = ((-1, 1), (0, 1), (-1, 0), (0, None), (None, 1), (None, None))
 
 
-def _degenerate_lp(seed: int) -> LPProblem:
+def _degenerate_lp(seed: int) -> BoundedLP:
     """Coefficients in {-1, 0, 1}, tight at a point x0 of the box: feasible,
     highly degenerate, and full of ratio-test and reduced-cost ties.  The
     objective is mostly zeros, so that optimal faces are large and the
@@ -46,10 +49,10 @@ def _degenerate_lp(seed: int) -> LPProblem:
 
     a_eq = [row() for _ in range(rng.randint(0, 2))]
     a_ub = [row() for _ in range(rng.randint(2, 6))]
-    return LPProblem.make(row((-1, 0, 0, 0, 0, 1)),
-                          a_eq=a_eq, b_eq=[at_x0(r) for r in a_eq],
-                          a_ub=a_ub, b_ub=[at_x0(r) + rng.choice((0, 1, 2)) for r in a_ub],
-                          bounds=bounds)
+    return bounded_lp(row((-1, 0, 0, 0, 0, 1)),
+                      a_eq=a_eq, b_eq=[at_x0(r) for r in a_eq],
+                      a_ub=a_ub, b_ub=[at_x0(r) + rng.choice((0, 1, 2)) for r in a_ub],
+                      bounds=bounds)
 
 
 # seed -> optimal point, or None where the LP is unbounded
@@ -109,7 +112,7 @@ DEGENERATE_POINTS = {
 
 @pytest.mark.parametrize("seed", sorted(DEGENERATE_POINTS))
 def test_degenerate_lp_point_pinned(seed):
-    sol = lp_solve(_degenerate_lp(seed))
+    sol = _degenerate_lp(seed).solve()
     expected = DEGENERATE_POINTS[seed]
     if expected is None:
         assert sol.status == UNBOUNDED
@@ -125,31 +128,31 @@ CONSTRUCTED = {
     # Denominators 3, 7 and 6 across the rows and right-hand sides: the
     # integer start scales every row by their LCM, 42.
     "mixed_denominators": (
-        LPProblem.make([-1, -2, 0],
-                       a_ub=[[F(1, 3), F(5, 6), 0], [F(1, 7), F(-1, 3), 1]],
-                       b_ub=[1, F(5, 6)],
-                       a_eq=[[F(1, 3), F(1, 7), F(-5, 6)]], b_eq=[F(1, 7)]),
+        bounded_lp([-1, -2, 0],
+                   a_ub=[[F(1, 3), F(5, 6), 0], [F(1, 7), F(-1, 3), 1]],
+                   b_ub=[1, F(5, 6)],
+                   a_eq=[[F(1, 3), F(1, 7), F(-5, 6)]], b_eq=[F(1, 7)]),
         ("1259/638", "131/319", "53/77"),
     ),
     # Negative right-hand sides: those rows start negated, slack included.
     "negative_rhs": (
-        LPProblem.make([1, 1, 1], a_ub=[[-1, -2, 0], [0, -1, -1]], b_ub=[-3, -2],
-                       a_eq=[[1, 0, -1]], b_eq=[-1]),
+        bounded_lp([1, 1, 1], a_ub=[[-1, -2, 0], [0, -1, -1]], b_ub=[-3, -2],
+                   a_eq=[[1, 0, -1]], b_eq=[-1]),
         ("0", "3/2", "1"),
     ),
     # The equality rows have rank 2, so an artificial stays basic in a row
     # that is zero outside the artificials, and that row is dropped.
     "redundant_equality": (
-        LPProblem.make([-1, -1, 1], a_eq=[[1, 1, 1], [2, 2, 2], [1, -1, 0]],
-                       b_eq=[1, 2, 0]),
+        bounded_lp([-1, -1, 1], a_eq=[[1, 1, 1], [2, 2, 2], [1, -1, 0]],
+                   b_eq=[1, 2, 0]),
         ("1/2", "1/2", "0"),
     ),
     # Phase 1 ends with an artificial basic at level 0, and the entry that
     # drives it out is negative (see the next test).
     "negative_drive_out_pivot": (
-        LPProblem.make([0, 1, 0], a_eq=[[-1, 0, 0]], b_eq=[1],
-                       a_ub=[[-1, -1, 0]], b_ub=[1],
-                       bounds=[(-1, 0), (None, None), (None, None)]),
+        bounded_lp([0, 1, 0], a_eq=[[-1, 0, 0]], b_eq=[1],
+                   a_ub=[[-1, -1, 0]], b_ub=[1],
+                   bounds=[(-1, 0), (None, None), (None, None)]),
         ("-1", "0", "0"),
     ),
 }
@@ -158,7 +161,7 @@ CONSTRUCTED = {
 @pytest.mark.parametrize("name", sorted(CONSTRUCTED))
 def test_constructed_lp_point_pinned(name):
     problem, expected = CONSTRUCTED[name]
-    sol = lp_solve(problem)
+    sol = problem.solve()
     assert sol.status == OPTIMAL
     assert sol.point == tuple(Fraction(x) for x in expected)
 
@@ -174,7 +177,7 @@ def test_drive_out_pivot_is_negative(monkeypatch):
 
     monkeypatch.setattr(lp, "_pivot", spy)
     problem, _ = CONSTRUCTED["negative_drive_out_pivot"]
-    lp_solve(problem)
+    problem.solve()
     assert drive_out_pivots and min(drive_out_pivots) < 0
 
 
@@ -230,29 +233,42 @@ REPORTS = {
     "face_bipyramid": ("bipyramid", ["face", "3", "4"]),
     "analyze_cyclic5_3": ("cyclic5_3", ["analyze"]),
     "analyze_cyclic6_4": ("cyclic6_4", ["analyze"]),
+    # The exact-arithmetic reports of ``scripts/run_all_analyses.py``, on
+    # zoo theories; "trace" takes no theory.
+    "analyze_spekkens": ("spekkens", ["analyze"]),
+    "analyze_simplex3": ("simplex:3", ["analyze"]),
+    "ratio_octahedron_e1_e2": ("spekkens", ["ratio", "e1", "e2"]),
+    "face_octahedron_edge": ("spekkens", ["face", "e1", "e2"]),
+    "face_octahedron_facet": ("spekkens", ["face", "e1", "e2", "e3"]),
+    "trace": (None, ["trace"]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_report_pinned(name, tmp_path):
     theory, (command, *args) = REPORTS[name]
-    verts = THEORIES[theory]
-    theory_file = tmp_path / f"{theory}.json"
-    theory_file.write_text(json.dumps({
-        "name": theory, "ambient_dim": len(verts[0]),
-        "vertices": [[str(c) for c in v] for v in verts],
-    }))
+    if theory in THEORIES:
+        verts = THEORIES[theory]
+        theory_file = tmp_path / f"{theory}.json"
+        theory_file.write_text(json.dumps({
+            "name": theory, "ambient_dim": len(verts[0]),
+            "vertices": [[str(c) for c in v] for v in verts],
+        }))
+        theory = str(theory_file)
     out = tmp_path / "report.json"
-    assert cli.main([command, str(theory_file), *args, "--out", str(out)]) == 0
+    theory_args = [] if theory is None else [theory]
+    assert cli.main([command, *theory_args, *args, "--out", str(out)]) == 0
     assert out.read_text() == (PINNED_REPORTS / f"{name}.json").read_text()
     report = json.loads(out.read_text())
     if command == "face":
-        assert verify_face(VPolytope(verts), report["face_vertex_indices"])
+        k = cli.resolve_theory(theory).payload
+        assert verify_face(k, report["face_vertex_indices"])
     elif command == "analyze" and report["verdict"]["certificate"]["kind"] == "ambiguous_mixture":
         # Re-check the pinned crossing exactly, from the JSON and the theory.
         cert = report["verdict"]["certificate"]
         fields = {key: parse_point(cert[key]) for key in "wxyz"}
-        assert [fields[key] for key in "wxyz"] == [parse_point(verts[i]) for i in cert["indices"]]
+        verts = cli.resolve_theory(theory).payload.vertices
+        assert [fields[key] for key in "wxyz"] == [verts[i] for i in cert["indices"]]
         mixture = AmbiguousMixtureCertificate(indices=tuple(cert["indices"]), **fields,
                                               lam=Fraction(cert["lam"]), mu=Fraction(cert["mu"]))
         assert mixture.validate()
