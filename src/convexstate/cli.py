@@ -38,7 +38,7 @@ from .config import ENV_TOL, Tolerances
 from .errors import InternalCheckError, PreconditionError, TheoryFormatError
 from .lp import rat
 from .polytope import (VPolytope, generated_face, load_theory, minimal_face,
-                       parse_point, theory_to_dict)
+                       theory_to_dict)
 from .serialize import canonical_json, jsonable
 from .transition import (KIND_BLOCH, KIND_FULL_QUANTUM, KIND_SEPARABLE,
                          KIND_VPOLYTOPE, StateSpaceHandle)
@@ -90,6 +90,23 @@ def _parse_tuple(token: str) -> list[str]:
     return parts
 
 
+def _numbers(values, source: str, read=rat) -> list:
+    """``read`` of each entry of a JSON list, every number going through
+    ``rat``; anything else is a domain error."""
+    try:
+        if not isinstance(values, list):
+            raise TypeError(f"expected a list, got {type(values).__name__}")
+        return [read(v) for v in values]
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise PreconditionError(f"bad {source}: {exc}") from exc
+
+
+def _complex_entry(c) -> complex:
+    """A matrix entry: a number, or an [re, im] pair of exactly two."""
+    re_part, im_part = c if isinstance(c, list) else (c, 0)
+    return complex(float(rat(re_part)), float(rat(im_part)))
+
+
 def _load_state_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -103,25 +120,19 @@ def _load_state_file(path: str):
     if "bloch" in data:
         return ("bloch", data["bloch"])
     if "matrix" in data:
-        rows = data["matrix"]
-        try:
-            mat = np.array(
-                [[complex(c[0], c[1]) if isinstance(c, list) else complex(c)
-                  for c in row] for row in rows]
-            )
-        except (TypeError, ValueError, IndexError) as exc:
-            raise PreconditionError(f"state file {path}: bad matrix: {exc}") from exc
-        return ("matrix", mat)
+        source = f"matrix in state file {path}"
+        rows = [_numbers(row, source, _complex_entry)
+                for row in _numbers(data["matrix"], source, lambda row: row)]
+        if len({len(row) for row in rows}) > 1:
+            raise PreconditionError(f"{source}: rows of different lengths")
+        return ("matrix", np.array(rows))
     raise PreconditionError(
         f"state file {path}: expected one of the keys 'point', 'bloch', 'matrix'"
     )
 
 
 def _polytope_point(k: VPolytope, coords: list, source: str):
-    try:
-        point = parse_point(coords)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise PreconditionError(f"bad coordinates {source!r}: {exc}") from exc
+    point = tuple(_numbers(coords, f"coordinates {source!r}"))
     if len(point) != k.ambient_dim:
         raise PreconditionError(
             f"point {source} has {len(point)} coordinates, theory is "
@@ -147,8 +158,6 @@ def parse_polytope_state(k: VPolytope, token: str):
         kind, payload = _load_state_file(token)
         if kind != "point":
             raise PreconditionError(f"state file {token} does not hold a 'point'")
-        if not isinstance(payload, list):
-            raise PreconditionError(f"state file {token}: 'point' must be a list of coordinates")
         return _polytope_point(k, payload, token)
     raise PreconditionError(
         f"cannot resolve state {token!r}; use a vertex name ({', '.join(labels[:6])}"
@@ -157,10 +166,7 @@ def parse_polytope_state(k: VPolytope, token: str):
 
 
 def _bloch_vector(coords: list, source: str) -> np.ndarray:
-    try:
-        return np.array([float(rat(c)) for c in coords])
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise PreconditionError(f"bad Bloch vector {source!r}: {exc}") from exc
+    return np.array(_numbers(coords, f"Bloch vector {source!r}", lambda c: float(rat(c))))
 
 
 def parse_bloch_state(token: str) -> np.ndarray:
@@ -171,9 +177,6 @@ def parse_bloch_state(token: str) -> np.ndarray:
     if os.path.exists(token):
         kind, payload = _load_state_file(token)
         if kind == "bloch":
-            if not isinstance(payload, list):
-                raise PreconditionError(
-                    f"state file {token}: 'bloch' must be a list of coordinates")
             return _bloch_vector(payload, token)
         if kind == "matrix":
             return linalg.bloch_vector(payload)

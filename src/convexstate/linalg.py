@@ -71,7 +71,7 @@ def as_matrix(a) -> np.ndarray:
 def require_hermitian(a, atol: float = HERMITIAN_ATOL, what: str = "matrix") -> np.ndarray:
     m = as_matrix(a)
     dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > atol:
+    if not dev <= atol:  # NaN too
         raise PreconditionError(
             f"{what} is not Hermitian: max |a - a^dagger| = {dev:.3e} > {atol:.1e}"
         )
@@ -235,7 +235,7 @@ def bloch_projector(a) -> np.ndarray:
     if v.shape != (3,):
         raise PreconditionError(f"Bloch vector must have 3 components, got {v.shape}")
     nrm = float(np.sqrt(v @ v))
-    if abs(nrm - 1.0) > 1e-10:
+    if not abs(nrm - 1.0) <= 1e-10:
         raise PreconditionError(f"Bloch vector must be unit length, |a| = {nrm!r}")
     return 0.5 * (IDENT2 + v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z)
 

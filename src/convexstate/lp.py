@@ -1,14 +1,21 @@
 """Two-phase dense simplex with Bland's anti-cycling rule, over exact rationals.
 
+Problems take one form,
+
+    minimize c.x   s.t.   a_eq x == b_eq,  x >= 0;
+
+a caller with free variables splits each into two nonnegative columns,
+and one with an inequality row adds its own slack column.
+
 The tableau is integer-preserving (Edmonds/Bareiss pivoting): its entries
 are Python ints that share one positive common denominator ``den``.
 
 - *Start.* Every entry is written as ``numerator * (scale // denominator)``
   with ``scale`` the LCM of the denominators in the rows and right-hand
-  sides, so no ``Fraction`` is added or multiplied per entry.  The slack
-  and artificial columns keep the coefficient 1, so the start is an
-  integer tableau with ``den = 1`` and the artificials as its basis: the
-  tableau that scaling the ``Fraction`` rows would give.
+  sides, so no ``Fraction`` is added or multiplied per entry.  The
+  artificial columns keep the coefficient 1, so the start is an integer
+  tableau with ``den = 1`` and the artificials as its basis: the tableau
+  that scaling the ``Fraction`` rows would give.
 - *Pivot.* On the entry p = tab[r][c], row r stays as it is, every other
   row x becomes (x*p - x[c]*tab[r]) / den, and p becomes the new ``den``.
   Each quotient is an integer minor of the start tableau, so the division
@@ -21,21 +28,17 @@ are Python ints that share one positive common denominator ``den``.
 - *Phase 2.* Drive-out pivots and phase 2 never read an artificial
   column, so those columns are dropped once phase 1 ends.
 - *Answer.* Each basic coordinate is read as one ``Fraction``, its
-  integer numerator over ``den``; the others are 0.
+  integer numerator over ``den``; the others are 0.  The final basis
+  comes with it, as (kept row, basic column) pairs: rows that phase 1
+  found redundant are dropped.  ``multipliers`` solves y.A_B = c_B on it.
 
 Against the tableau of ``Fraction``s that the same rules would pivot, the
-integer start scales all rows by one positive number and the slack and
-artificial columns by another.  That multiplies every reduced cost and
-every ratio-test ratio of one entering column by a positive factor, so
-Bland's rule takes the same pivots and returns the same point.  Optimal
-points satisfy every constraint with zero error, can serve as
-certificates, and are re-checked in ``Fraction``s before they are returned.
-
-Problems take one form,
-
-    minimize c.x   s.t.   a_eq x == b_eq,  a_ub x <= b_ub,  x >= 0;
-
-a caller with free variables splits each into two nonnegative columns.
+integer start scales all rows by one positive number and the artificial
+columns by another.  That multiplies every reduced cost and every
+ratio-test ratio of one entering column by a positive factor, so Bland's
+rule takes the same pivots and returns the same point.  Optimal points
+satisfy every constraint with zero error, can serve as certificates, and
+are re-checked in ``Fraction``s before they are returned.
 """
 
 from __future__ import annotations
@@ -75,37 +78,19 @@ class LPProblem:
     objective: tuple[Fraction, ...]
     a_eq: tuple[tuple[Fraction, ...], ...]
     b_eq: tuple[Fraction, ...]
-    a_ub: tuple[tuple[Fraction, ...], ...]
-    b_ub: tuple[Fraction, ...]
 
     @staticmethod
-    def make(objective: Sequence, a_eq: Sequence | None = (), b_eq: Sequence | None = (),
-             a_ub: Sequence | None = (), b_ub: Sequence | None = ()) -> "LPProblem":
+    def make(objective: Sequence, a_eq: Sequence | None = (),
+             b_eq: Sequence | None = ()) -> "LPProblem":
         c = tuple(rat(x) for x in objective)
-        n = len(c)
-        a_eq = () if a_eq is None else a_eq
-        b_eq = () if b_eq is None else b_eq
-        a_ub = () if a_ub is None else a_ub
-        b_ub = () if b_ub is None else b_ub
-
-        def _rows(rows, rhs, label):
-            out_rows, out_rhs = [], []
-            for i, row in enumerate(rows):
-                r = tuple(rat(x) for x in row)
-                if len(r) != n:
-                    raise ValueError(
-                        f"{label} row {i} has {len(r)} entries, expected {n}"
-                    )
-                out_rows.append(r)
-            for x in rhs:
-                out_rhs.append(rat(x))
-            if len(out_rows) != len(out_rhs):
-                raise ValueError(f"{label}: row/rhs count mismatch")
-            return tuple(out_rows), tuple(out_rhs)
-
-        aeq, beq = _rows(a_eq, b_eq, "a_eq")
-        aub, bub = _rows(a_ub, b_ub, "a_ub")
-        return LPProblem(c, aeq, beq, aub, bub)
+        rows = tuple(tuple(rat(x) for x in row) for row in a_eq or ())
+        rhs = tuple(rat(x) for x in b_eq or ())
+        for i, r in enumerate(rows):
+            if len(r) != len(c):
+                raise ValueError(f"a_eq row {i} has {len(r)} entries, expected {len(c)}")
+        if len(rows) != len(rhs):
+            raise ValueError("a_eq: row/rhs count mismatch")
+        return LPProblem(c, rows, rhs)
 
 
 @dataclass(frozen=True)
@@ -113,15 +98,51 @@ class LPSolution:
     status: str
     value: Fraction | None
     point: tuple[Fraction, ...] | None
+    basis: tuple[tuple[int, int], ...] | None = None  # (kept row, basic column)
 
 
 def lp_solve(problem: LPProblem) -> LPSolution:
-    status, point = _solve_exact(problem)
+    status, point, basis = _solve_exact(problem)
     if status != OPTIMAL:
         return LPSolution(status, None, None)
     value = sum((c * x for c, x in zip(problem.objective, point) if x), _ZERO)
     _verify(problem, point)
-    return LPSolution(OPTIMAL, value, tuple(point))
+    return LPSolution(OPTIMAL, value, tuple(point), tuple(basis))
+
+
+def multipliers(problem: LPProblem, basis: Sequence[tuple[int, int]]) -> tuple[Fraction, ...]:
+    """Simplex multipliers y of a final basis, one per row of ``a_eq``:
+    y.A_B = c_B on the kept rows, solved exactly, and 0 on dropped rows.
+    At an optimum of a minimization, c - y.A >= 0 column by column."""
+    rows = [r for r, _ in basis]
+    rref, pivots = row_reduce([[problem.a_eq[r][j] for r in rows] + [problem.objective[j]]
+                               for _, j in basis])
+    if pivots != tuple(range(len(rows))):
+        raise InternalCheckError("simplex returned a singular basis")
+    y = [_ZERO] * len(problem.a_eq)
+    for r, row in zip(rows, rref):
+        y[r] = row[-1]
+    return tuple(y)
+
+
+def row_reduce(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], tuple[int, ...]]:
+    """Reduced row echelon form by exact Gauss-Jordan elimination: the
+    nonzero rows, each with a leading 1 alone in its column, and the
+    pivot columns.  The form is unique, so the pivot order does not matter."""
+    rows = [[rat(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        p = rows[r][col]
+        prow = rows[r] = [a / p for a in rows[r]]
+        rows = [row if i == r or row[col] == 0 else [a - row[col] * b for a, b in zip(row, prow)]
+                for i, row in enumerate(rows)]
+        pivots.append(col)
+    return rows[:len(pivots)], tuple(pivots)
 
 
 def _verify(problem: LPProblem, point: Sequence[Fraction]) -> None:
@@ -131,9 +152,6 @@ def _verify(problem: LPProblem, point: Sequence[Fraction]) -> None:
     for row, b in zip(problem.a_eq, problem.b_eq):
         if sum((row[j] * x for j, x in support), _ZERO) != b:
             raise InternalCheckError("simplex returned an infeasible point (eq)")
-    for row, b in zip(problem.a_ub, problem.b_ub):
-        if sum((row[j] * x for j, x in support), _ZERO) > b:
-            raise InternalCheckError("simplex returned an infeasible point (ub)")
     if any(x < 0 for _, x in support):
         raise InternalCheckError("simplex returned an infeasible point (nonneg)")
 
@@ -142,34 +160,27 @@ def _verify(problem: LPProblem, point: Sequence[Fraction]) -> None:
 # Exact kernel
 # ---------------------------------------------------------------------------
 
-def _solve_exact(problem: LPProblem) -> tuple[str, list[Fraction] | None]:
+def _solve_exact(problem: LPProblem):
+    """(status, point, final basis as (kept row, basic column) pairs)."""
     n = len(problem.objective)
-    rows = [*zip(problem.a_eq, problem.b_eq), *zip(problem.a_ub, problem.b_ub)]
-    ratios = [[a.as_integer_ratio() for a in row] for row, _ in rows]
-    rhs = [b for _, b in rows]
-    n_eq = len(problem.a_eq)
+    ratios = [[a.as_integer_ratio() for a in row] for row in problem.a_eq]
+    rhs = problem.b_eq
     m = len(rhs)
-    n_slack = m - n_eq
-    art_start = n + n_slack
-    ncols = art_start + m  # x vars, slacks, artificials
+    ncols = n + m  # x vars, artificials
 
     # Integer tableau rows: [coeffs | rhs] times one LCM of the denominators,
-    # with rhs normalized nonnegative and an artificial basis.  Slack and
-    # artificial coefficients stay 1; slack signs flip with the row when
-    # rhs was negative.
+    # with rhs normalized nonnegative and an artificial basis whose
+    # coefficients stay 1.
     scale = lcm(*{q for r in ratios for _, q in r}, *{b.denominator for b in rhs})
     tab: list[list[int]] = []
     basis: list[int] = []
     for i, (r, b) in enumerate(zip(ratios, rhs)):
-        row = ([p * (scale // q) for p, q in r] + [0] * (n_slack + m)
-               + [b.numerator * (scale // b.denominator)])
-        if i >= n_eq:
-            row[n + i - n_eq] = 1
+        row = [p * (scale // q) for p, q in r] + [0] * m + [b.numerator * (scale // b.denominator)]
         if row[-1] < 0:
             row = [-x for x in row]
-        row[art_start + i] = 1
+        row[n + i] = 1
         tab.append(row)
-        basis.append(art_start + i)
+        basis.append(n + i)
     den = 1
 
     # Phase 1: minimize the sum of artificials.
@@ -177,22 +188,18 @@ def _solve_exact(problem: LPProblem) -> tuple[str, list[Fraction] | None]:
     for b in basis:
         cost[b] = 0
     status, den = _iterate(tab, basis, cost, den, allowed_max=ncols)
-    if status == UNBOUNDED:  # impossible in phase 1; defensive
-        return INFEASIBLE, None
-    if cost[-1] != 0:
-        return INFEASIBLE, None
+    if status == UNBOUNDED or cost[-1] != 0:  # the former is impossible; defensive
+        return INFEASIBLE, None, None
 
     # Nothing below reads an artificial column again: drive-out pivots on
-    # columns below art_start and phase 2 never enters an artificial.
-    tab = [row[:art_start] + row[-1:] for row in tab]
+    # columns below n and phase 2 never enters an artificial.
+    tab = [row[:n] + row[-1:] for row in tab]
 
     # Drive leftover artificials out of the basis or drop redundant rows.
     keep = []
     for i in range(m):
-        if basis[i] >= art_start:
-            piv = next(
-                (j for j in range(art_start) if tab[i][j] != 0), None
-            )
+        if basis[i] >= n:
+            piv = next((j for j in range(n) if tab[i][j] != 0), None)
             if piv is None:
                 continue  # redundant row
             den = _pivot(tab, basis, None, i, piv, den)
@@ -204,22 +211,22 @@ def _solve_exact(problem: LPProblem) -> tuple[str, list[Fraction] | None]:
     # basis: den * cx - sum cb * row.
     obj = [c.as_integer_ratio() for c in problem.objective]
     obj_scale = lcm(*{q for _, q in obj})
-    cx = [p * (obj_scale // q) for p, q in obj] + [0] * (n_slack + 1)
+    cx = [p * (obj_scale // q) for p, q in obj] + [0]
     cost = [den * x for x in cx]
     for b, row in zip(basis, tab):
         cb = cx[b]
         if cb != 0:
             cost = [x - cb * t for x, t in zip(cost, row)]
-    status, den = _iterate(tab, basis, cost, den, allowed_max=art_start)
+    status, den = _iterate(tab, basis, cost, den, allowed_max=n)
     if status == UNBOUNDED:
-        return UNBOUNDED, None
+        return UNBOUNDED, None, None
 
     # x_j = (basic numerator of x_j) / den, or 0 when x_j is nonbasic.
     point = [_ZERO] * n
     for b, row in zip(basis, tab):
-        if b < n and row[-1]:
+        if row[-1]:
             point[b] = Fraction(row[-1], den)
-    return OPTIMAL, point
+    return OPTIMAL, point, list(zip(keep, basis))
 
 
 def _iterate(tab, basis, cost, den, allowed_max) -> tuple[str, int]:

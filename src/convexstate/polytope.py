@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import TheoryFormatError
-from .lp import LPProblem, OPTIMAL, lp_solve, rat
+from .lp import LPProblem, OPTIMAL, lp_solve, rat, row_reduce
 
 Point = tuple[Fraction, ...]
 
@@ -191,40 +191,14 @@ def verify_face(k: VPolytope, vertex_indices: Sequence[int]) -> bool:
 
 
 def affine_dimension_of(points: Sequence[Point]) -> int:
-    """Dimension of the affine hull, by exact Gaussian elimination."""
-    if len(points) <= 1:
-        return 0
+    """Dimension of the affine hull: the rank of the differences from the
+    first point, by exact row reduction."""
     base = points[0]
-    rows = [[c - b for c, b in zip(p, base)] for p in points[1:]]
-    return _exact_rank(rows)
+    return len(row_reduce([[c - b for c, b in zip(p, base)] for p in points[1:]])[1])
 
 
 def affine_dimension(k: VPolytope) -> int:
     return affine_dimension_of(k.vertices)
-
-
-def _exact_rank(rows: list[list[Fraction]]) -> int:
-    rows = [list(r) for r in rows if any(x != 0 for x in r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        inv = Fraction(1) / prow[col]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col]
-            if f != 0:
-                rows[i] = [a - f * inv * b for a, b in zip(rows[i], prow)]
-        rank += 1
-        col += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -269,20 +243,12 @@ def radon_partition(k: VPolytope):
     1, and the point both convex combinations give; None if independent.
     """
     verts = k.vertices
-    rows = [list(coords) for coords in zip(*verts)] + [[Fraction(1)] * len(verts)]
-    for col in range(len(verts)):
-        piv = next((i for i in range(col, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            # Columns 0..col-1 are unit pivots: column col = sum_i rows[i][col] * column i.
-            lam = [-rows[i][col] for i in range(col)] + [Fraction(1)]
-            break
-        rows[col], rows[piv] = rows[piv], rows[col]
-        p = rows[col][col]
-        rows[col] = [a / p for a in rows[col]]
-        rows = [r if i == col else [a - r[col] * b for a, b in zip(r, rows[col])]
-                for i, r in enumerate(rows)]
-    else:
+    rref, pivots = row_reduce([*zip(*verts), [1] * len(verts)])
+    col = next((j for j, p in enumerate(pivots) if p != j), len(pivots))
+    if col == len(verts):
         return None
+    # Columns 0..col-1 are unit pivots: column col = sum_i rref[i][col] * column i.
+    lam = [-rref[i][col] for i in range(col)] + [Fraction(1)]
     total = sum(c for c in lam if c > 0)
     first = {i: c / total for i, c in enumerate(lam) if c > 0}
     second = {i: -c / total for i, c in enumerate(lam) if c < 0}

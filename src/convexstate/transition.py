@@ -7,7 +7,10 @@ For a state space K and extreme points x, y the affine ratio is
 Engines by state-space kind:
 
 * polytopes: the infimum is a linear program over functionals, solved
-  exactly in rational arithmetic;
+  exactly as its LP dual, the mixture LP over the homogenised vertices;
+  the optimal functional is read off the final basis as the negated
+  simplex multipliers and re-checked, so the value is certified from
+  both sides;
 * the Bloch ball: closed form (1 + x.y)/2;
 * the full quantum state space of a matrix algebra: Tr(xy) for rank-1
   projections (the minimizing functional is rho -> Tr(x rho), and every
@@ -39,8 +42,8 @@ import numpy as np
 
 from . import linalg
 from .config import DEFAULT_TOL, Tolerances
-from .errors import PreconditionError
-from .lp import LPProblem, OPTIMAL, lp_solve
+from .errors import InternalCheckError, PreconditionError
+from .lp import LPProblem, OPTIMAL, lp_solve, multipliers
 from .models import SeparableTwoQubits
 from .polytope import VPolytope, parse_point
 
@@ -114,7 +117,19 @@ class RatioResult:
 # ---------------------------------------------------------------------------
 
 def affine_ratio_polytope(k: VPolytope, x, y) -> RatioResult:
-    """Exact LP evaluation of the affine ratio between two vertices."""
+    """Exact affine ratio between two vertices, certified from both sides.
+
+    With p^ = (p, 1), the mixture LP
+
+        maximize t - sum(beta)  s.t.  t x^ + sum(alpha_i v_i^) - sum(beta_i v_i^) = y^,
+                                      t, alpha, beta >= 0,
+
+    is the LP dual of the functional LP that defines the ratio.  Any
+    feasible f has f(y) = t f(x) + sum(alpha_i f(v_i)) - sum(beta_i f(v_i))
+    >= t - sum(beta), so the verified mixture bounds the ratio from below.
+    The witness f is the negated simplex multipliers of the final basis;
+    it is re-checked exactly to be feasible with f(y) equal to that bound.
+    """
     px, py = parse_point(x), parse_point(y)
     ix, iy = k.vertex_index(px), k.vertex_index(py)
     if ix is None or iy is None:
@@ -122,24 +137,20 @@ def affine_ratio_polytope(k: VPolytope, x, y) -> RatioResult:
             "affine_ratio_polytope needs vertices of the polytope; "
             f"got x in vertices: {ix is not None}, y in vertices: {iy is not None}"
         )
-    # The functional u = (normal, offset) is free: each u_j is the difference
-    # of two nonnegative columns, ordered (+u_0, -u_0, +u_1, -u_1, ...).
-    def split(u):
-        return [c for a in u for c in (a, -a)]
-
-    a_ub, b_ub = [], []
-    for v in k.vertices:
-        row = split([*v, 1])
-        a_ub += [[-c for c in row], row]  # 0 <= f(v) <= 1
-        b_ub += [0, 1]
-    prob = LPProblem.make(split([*py, 1]), a_eq=[split([*px, 1])], b_eq=[1],
-                          a_ub=a_ub, b_ub=b_ub)
+    n = len(k.vertices)
+    columns = [(*px, 1), *((*v, 1) for v in k.vertices)]  # t, alpha
+    columns += [tuple(-c for c in col) for col in columns[1:]]  # beta
+    prob = LPProblem.make([-1] + [0] * n + [1] * n, a_eq=list(zip(*columns)), b_eq=[*py, 1])
     sol = lp_solve(prob)
-    if sol.status != OPTIMAL:  # functional f == const 1 is always feasible
+    if sol.status != OPTIMAL:  # t = 0, alpha = e_y is always feasible
         raise PreconditionError(f"ratio LP unexpectedly {sol.status}")
-    *normal, offset = (sol.point[i] - sol.point[i + 1] for i in range(0, len(sol.point), 2))
+    value = -sol.value
+    *normal, offset = (-u for u in multipliers(prob, sol.basis))
     witness = AffineFunctional(tuple(normal), offset)
-    return RatioResult(lo=sol.value, hi=sol.value, witness=witness,
+    if witness(px) != 1 or witness(py) != value or any(
+            not 0 <= witness(v) <= 1 for v in k.vertices):
+        raise InternalCheckError("ratio witness failed its exact check")
+    return RatioResult(lo=value, hi=value, witness=witness,
                        detail={"x_index": ix, "y_index": iy})
 
 
@@ -148,7 +159,7 @@ def _unit3(v) -> np.ndarray:
     if a.shape != (3,):
         raise PreconditionError(f"Bloch state must have 3 components, got {a.shape}")
     n = float(np.sqrt(a @ a))
-    if abs(n - 1.0) > DEFAULT_TOL.equality:
+    if not abs(n - 1.0) <= DEFAULT_TOL.equality:
         raise PreconditionError(f"Bloch state must be a unit vector, |x| = {n!r}")
     return a / n
 

@@ -1,19 +1,22 @@
-"""Bounded LPs restated in the exact kernel's one problem form.
+"""Bounded LPs with inequality rows, restated in the exact kernel's one form.
 
-``convexstate.lp`` solves min c.y s.t. a_eq y == b_eq, a_ub y <= b_ub,
-y >= 0.  Some LP tests state their problems with per-variable bounds
-lo <= x_j <= hi (None for no bound on that side).  ``bounded_lp`` restates
-such a problem column by column, in the order of the variables:
+``convexstate.lp`` solves min c.y s.t. a_eq y == b_eq, y >= 0.  Some LP
+tests state their problems with rows a_ub x <= b_ub and with per-variable
+bounds lo <= x_j <= hi (None for no bound on that side).  ``bounded_lp``
+restates such a problem column by column, in the order of the variables:
 
 - a free x_j becomes two columns, x_j = y+ - y-;
 - x_j <= hi with no lower bound becomes x_j = hi - y;
 - any other x_j becomes x_j = lo + y, and if it also has an upper bound
   the row y <= hi - lo is appended after the a_ub rows;
-- each right-hand side b becomes b - a.s for the vector s of shifts.
+- each right-hand side b becomes b - a.s for the vector s of shifts;
+- each <= row becomes an equality row with its own slack column, the
+  slack columns appended after the variable columns in row order, and
+  the equality rows come first.
 
-That is the start tableau the kernel built for itself when it took bounds,
-so the Bland path and the points pinned from it are unchanged.
-``BoundedLP.solve`` maps the optimum back to x.
+That is the start tableau the kernel built for itself when it took bounds
+and <= rows, so the Bland path and the points pinned from it are
+unchanged.  ``BoundedLP.solve`` maps the optimum back to x.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from convexstate.lp import OPTIMAL, LPProblem, LPSolution, lp_solve, rat
 class BoundedLP:
     problem: LPProblem                    # the kernel form, in y >= 0
     objective: tuple[Fraction, ...]       # c, in x
-    columns: tuple[tuple[int, int], ...]  # column k of y -> (j, sign)
+    columns: tuple[tuple[int, int], ...]  # column k of y -> (j, sign); slacks follow
     shifts: tuple[Fraction, ...]          # x_j = shifts[j] + sum of sign * y_k
 
     def to_x(self, y) -> tuple[Fraction, ...]:
@@ -78,6 +81,9 @@ def bounded_lp(objective, a_eq=None, b_eq=None, a_ub=None, b_ub=None,
     for k, gap in boxed:
         ub_rows.append([1 if i == k else 0 for i in range(len(columns))])
         ub_rhs.append(gap)
-    problem = LPProblem.make([sign * c[j] for j, sign in columns],
-                             a_eq=eq_rows, b_eq=eq_rhs, a_ub=ub_rows, b_ub=ub_rhs)
+    slacks = [[int(i == k) for k in range(len(ub_rows))] for i in range(len(ub_rows))]
+    problem = LPProblem.make([sign * c[j] for j, sign in columns] + [0] * len(ub_rows),
+                             a_eq=[r + [0] * len(ub_rows) for r in eq_rows]
+                             + [r + s for r, s in zip(ub_rows, slacks)],
+                             b_eq=eq_rhs + ub_rhs)
     return BoundedLP(problem, tuple(c), tuple(columns), tuple(shifts))

@@ -136,6 +136,19 @@ def test_bad_state_file_bloch_is_domain_error(capsys, tmp_path, bloch):
     assert str(path) in err
 
 
+@pytest.mark.parametrize("entry", ["true", "[1, 0, 5]", "NaN"])
+@pytest.mark.parametrize("theory", ["full2x2", "separable2x2"])
+def test_bad_state_file_matrix_is_domain_error(capsys, tmp_path, entry, theory):
+    # Each matrix entry, or each [re, im] pair of exactly two, takes the
+    # checks of a coordinate: a finite, non-boolean number.
+    path = tmp_path / "state.json"
+    path.write_text('{"matrix": [[%s, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}'
+                    % entry)
+    code, _, err = run(capsys, "ratio", theory, str(path), "00")
+    assert code == 3
+    assert str(path) in err
+
+
 def test_face_subcommand(capsys):
     code, out, _ = run(capsys, "face", "spekkens", "e1", "e2")
     assert code == 0

@@ -240,6 +240,28 @@ def test_density_validation():
         linalg.require_density(np.diag([2.0, -1.0]))
 
 
+_NONFINITE = (np.nan, np.inf, -np.inf)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", _NONFINITE)
+def test_validators_reject_nonfinite_matrices(bad):
+    # A comparison with NaN is False, so each check must fail unless it holds.
+    for at in ((0, 0), (0, 1)):
+        m = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+        m[at] = bad
+        for check in (linalg.require_hermitian, linalg.require_density,
+                      linalg.require_rank1_projection):
+            with pytest.raises(PreconditionError):
+                check(m)
+
+
+@pytest.mark.parametrize("bad", _NONFINITE)
+def test_bloch_projector_rejects_nonfinite_vectors(bad):
+    with pytest.raises(PreconditionError):
+        linalg.bloch_projector(np.array([bad, 0.0, 0.0]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(2, 5))
 def test_eigvalsh_sum_is_trace(seed, n):

@@ -1,6 +1,6 @@
 """Exact rational LP solver: hand-checked optima, statuses, and a scipy
-cross-check on random instances.  Problems with bounds other than x >= 0
-go through ``lp_forms.bounded_lp``."""
+cross-check on random instances.  Problems with <= rows or with bounds
+other than x >= 0 go through ``lp_forms.bounded_lp``."""
 
 from fractions import Fraction
 
@@ -29,16 +29,14 @@ def test_rat_exact_conversions():
 
 def test_minimize_simple_cover():
     # min x + y subject to x + y >= 1, x, y >= 0
-    prob = LPProblem.make([1, 1], a_ub=[[-1, -1]], b_ub=[-1])
-    sol = lp_solve(prob)
+    sol = bounded_lp([1, 1], a_ub=[[-1, -1]], b_ub=[-1]).solve()
     assert sol.status == OPTIMAL
     assert sol.value == Fraction(1)
 
 
 def test_minimize_two_constraints():
     # min 2x + 3y subject to x + 2y >= 3 and 2x + y >= 3; optimum at (1, 1)
-    prob = LPProblem.make([2, 3], a_ub=[[-1, -2], [-2, -1]], b_ub=[-3, -3])
-    sol = lp_solve(prob)
+    sol = bounded_lp([2, 3], a_ub=[[-1, -2], [-2, -1]], b_ub=[-3, -3]).solve()
     assert sol.status == OPTIMAL
     assert sol.value == Fraction(5)
     assert sol.point == (Fraction(1), Fraction(1))
@@ -46,22 +44,19 @@ def test_minimize_two_constraints():
 
 def test_fractional_coefficients_stay_exact():
     # min x subject to (1/3) x >= 1/7  ->  x = 3/7
-    prob = LPProblem.make([1], a_ub=[[Fraction(-1, 3)]], b_ub=[Fraction(-1, 7)])
-    sol = lp_solve(prob)
+    sol = bounded_lp([1], a_ub=[[Fraction(-1, 3)]], b_ub=[Fraction(-1, 7)]).solve()
     assert sol.status == OPTIMAL
     assert sol.value == Fraction(3, 7)
 
 
 def test_unbounded():
-    prob = LPProblem.make([-1], a_ub=[[0]], b_ub=[1])
-    sol = lp_solve(prob)
+    sol = bounded_lp([-1], a_ub=[[0]], b_ub=[1]).solve()
     assert sol.status == UNBOUNDED
 
 
 def test_infeasible():
     # x >= 0 and x <= -1
-    prob = LPProblem.make([1], a_ub=[[1]], b_ub=[-1])
-    sol = lp_solve(prob)
+    sol = bounded_lp([1], a_ub=[[1]], b_ub=[-1]).solve()
     assert sol.status == INFEASIBLE
 
 
@@ -109,7 +104,7 @@ def test_degenerate_multiple_optima_value_unique():
 
 def test_make_validates_shapes():
     with pytest.raises(ValueError):
-        LPProblem.make([1, 2], a_ub=[[1]], b_ub=[0])
+        LPProblem.make([1, 2], a_eq=[[1]], b_eq=[0])
     with pytest.raises(ValueError):
         LPProblem.make([1], a_eq=[[1]], b_eq=[0, 1])
 
@@ -239,23 +234,18 @@ def test_rational_data_against_scipy_linprog(n_var, n_ub, n_eq):
 
 # Every coordinate of the feasible claim is nonzero and enters the equality,
 # so a row sum that drops any term rejects it.  Each bad claim breaks one
-# constraint and meets the others.
-_VERIFY_PROBLEM = LPProblem.make(
-    [0, 0, 0],
-    a_eq=[[1, 1, 1]], b_eq=[2],                     # x + y + z == 2
-    a_ub=[[1, -1, -1]], b_ub=[Fraction(1, 2)],      # x - y - z <= 1/2
-)
+# constraint and meets the other.
+_VERIFY_PROBLEM = LPProblem.make([0, 0, 0], a_eq=[[1, 1, 1]], b_eq=[2])  # x + y + z == 2
 _FEASIBLE_CLAIM = ("1/4", "1/4", "3/2")
 _BAD_CLAIMS = {
     "eq": ("1/2", "1/4", "1"),
-    "ub": ("3/2", "1/4", "1/4"),
     "nonneg": ("-1/4", "5/4", "1"),
 }
 
 
 def _claim(monkeypatch, point):
     monkeypatch.setattr(lp, "_solve_exact",
-                        lambda problem: (OPTIMAL, [Fraction(x) for x in point]))
+                        lambda problem: (OPTIMAL, [Fraction(x) for x in point], [(0, 2)]))
 
 
 def test_verify_accepts_a_feasible_claim(monkeypatch):

@@ -5,9 +5,9 @@ several, and the kernel's points are the witnesses and certificates in the
 reports.  The expected values below were recorded from the kernel that
 pivoted a tableau of ``Fraction``s; the integer-preserving kernel must take
 the same path, so every point and every report must match exactly.  The
-kernel now takes x >= 0 only; problems with other bounds are restated by
-``lp_forms.bounded_lp`` into the start tableau the kernel used to build
-for them, so their pins still hold.
+kernel now takes equality rows over x >= 0 only; problems with <= rows or
+other bounds are restated by ``lp_forms.bounded_lp`` into the start
+tableau the kernel used to build for them, so their pins still hold.
 """
 
 import itertools
@@ -205,17 +205,20 @@ def test_pivot_keeps_the_denominator_positive():
 
 
 # Theories for the report pins: a scrambled 3-cube and 4-cube (a signed
-# coordinate permutation plus a shift, vertices shuffled), a bipyramid
-# with rational apexes and the cyclic polytopes C(9,3), C(5,3) and C(6,4).
+# coordinate permutation plus a shift, vertices shuffled), a shuffled
+# 5-cross-polytope, a bipyramid with rational apexes and the cyclic
+# polytopes C(9,3), C(5,3) and C(6,4).
 _CUBE3 = [(v[2], 1 - v[0], -v[1]) for v in itertools.product((0, 1), repeat=3)]
 random.Random(3).shuffle(_CUBE3)
 _CUBE4 = [(1 - v[2], v[0], v[3] - 1, -v[1]) for v in itertools.product((0, 1), repeat=4)]
 random.Random(4).shuffle(_CUBE4)
+_CROSS5 = [tuple(s if j == i else 0 for j in range(5)) for i in range(5) for s in (1, -1)]
+random.Random(5).shuffle(_CROSS5)
 _BIPYRAMID = [(0, 0, 0), (4, 0, 0), (0, 4, 0), ("1/2", "3/2", 2), ("1/2", "3/2", "-1/3")]
 _CYCLIC9 = [(t, t * t, t ** 3) for t in range(9)]
 _CYCLIC5_3 = [(t, t * t, t ** 3) for t in range(5)]
 _CYCLIC6_4 = [(t, t * t, t ** 3, t ** 4) for t in range(6)]
-THEORIES = {"cube3": _CUBE3, "cube4": _CUBE4, "bipyramid": _BIPYRAMID, "cyclic9": _CYCLIC9,
+THEORIES = {"cube3": _CUBE3, "cube4": _CUBE4, "cross5": _CROSS5, "bipyramid": _BIPYRAMID, "cyclic9": _CYCLIC9,
             "cyclic5_3": _CYCLIC5_3, "cyclic6_4": _CYCLIC6_4}
 
 # The face pins were recorded from a minimal_face that solved one LP per
@@ -223,6 +226,8 @@ THEORIES = {"cube3": _CUBE3, "cube4": _CUBE4, "bipyramid": _BIPYRAMID, "cyclic9"
 # give the same report.
 REPORTS = {
     "analyze_cube3": ("cube3", ["analyze"]),
+    "analyze_cube4": ("cube4", ["analyze"]),
+    "analyze_cross5": ("cross5", ["analyze"]),
     "ratio_cube4": ("cube4", ["ratio", "0", "13"]),
     "face_cube4": ("cube4", ["face", "0", "13"]),
     "face_cube4_triple": ("cube4", ["face", "1", "2", "3"]),

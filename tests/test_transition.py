@@ -1,5 +1,7 @@
 """Transition ratios and superposability across all four state-space kinds."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexstate import linalg
-from convexstate.errors import PreconditionError
+from convexstate import linalg, lp, transition
+from convexstate.errors import InternalCheckError, PreconditionError
+from convexstate.lp import OPTIMAL
 from convexstate.models import ProductStateParam, make_spekkens_hull
+from convexstate.polytope import VPolytope
 from convexstate.transition import (StateSpaceHandle, affine_ratio,
                                     affine_ratio_bloch, affine_ratio_polytope,
                                     affine_ratio_quantum,
@@ -17,6 +21,7 @@ from convexstate.transition import (StateSpaceHandle, affine_ratio,
                                     overlap_square_surface,
                                     path_connect_product_states, path_report,
                                     qubit_great_circle, superposability_search)
+from lp_forms import bounded_lp
 
 
 def random_unit(rng):
@@ -53,6 +58,79 @@ def test_polytope_ratio_requires_vertices():
     k = make_spekkens_hull()
     with pytest.raises(PreconditionError):
         affine_ratio_polytope(k, (0, 0, 0), (1, 0, 0))
+
+
+def functional_ratio(k, x, y):
+    """The affine ratio from its defining LP: minimize f(y) over free
+    u = (normal, offset) with f(x) = 1 and 0 <= f(v) <= 1 on every vertex,
+    each free u_j split into a nonnegative pair.  The reference the package
+    solved before it took the mixture LP (its LP dual) instead."""
+    rows = [[*v, 1] for v in k.vertices]
+    sol = bounded_lp([*y, 1], a_eq=[[*x, 1]], b_eq=[1],
+                     a_ub=[r for row in rows for r in ([-c for c in row], row)],
+                     b_ub=[0, 1] * len(rows), bounds=[(None, None)] * len(rows[0])).solve()
+    assert sol.status == OPTIMAL
+    return sol.value
+
+
+def _scrambled(points, seed):
+    """A seeded signed coordinate permutation plus an integer shift, with
+    the vertices shuffled."""
+    rng = random.Random(seed)
+    d = len(points[0])
+    perm = rng.sample(range(d), d)
+    signs = [rng.choice((-1, 1)) for _ in range(d)]
+    shift = [rng.randint(-2, 2) for _ in range(d)]
+    verts = [tuple(signs[i] * p[perm[i]] + shift[i] for i in range(d)) for p in points]
+    rng.shuffle(verts)
+    return VPolytope(verts)
+
+
+def _cross(d):
+    return [tuple(s if j == i else 0 for j in range(d)) for i in range(d) for s in (1, -1)]
+
+
+ORACLE_THEORIES = {
+    "cube3": lambda: _scrambled(list(itertools.product((0, 1), repeat=3)), 3),
+    "cube4": lambda: _scrambled(list(itertools.product((0, 1), repeat=4)), 4),
+    "cross3": lambda: _scrambled(_cross(3), 3),
+    "cross5": lambda: _scrambled(_cross(5), 5),
+    "cyclic9_3": lambda: VPolytope([(t, t * t, t ** 3) for t in range(9)]),
+    "bipyramid": lambda: VPolytope([(0, 0, 0), (4, 0, 0), (0, 4, 0),
+                                    ("1/2", "3/2", 2), ("1/2", "3/2", "-1/3")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_THEORIES))
+def test_mixture_ratio_matches_functional_lp(name):
+    k = ORACLE_THEORIES[name]()
+    for x, y in itertools.product(k.vertices, repeat=2):
+        r = affine_ratio_polytope(k, x, y)
+        assert r.exact and r.value == functional_ratio(k, x, y)
+        f = r.witness
+        assert f(x) == 1 and f(y) == r.value
+        assert all(0 <= f(v) <= 1 for v in k.vertices)
+
+
+@pytest.mark.parametrize("entry", [0, -1])
+def test_corrupted_multiplier_fails_the_witness_check(monkeypatch, entry):
+    # Raising one multiplier by 1 lowers f by one coordinate (entry 0) or
+    # by the constant 1 (entry -1, the offset): f(e1) = 1 breaks either way.
+    def corrupted(problem, basis):
+        y = list(lp.multipliers(problem, basis))
+        y[entry] += 1
+        return tuple(y)
+
+    monkeypatch.setattr(transition, "multipliers", corrupted)
+    k = make_spekkens_hull()
+    with pytest.raises(InternalCheckError, match="witness"):
+        affine_ratio_polytope(k, k.vertices[0], k.vertices[2])
+
+
+def test_nan_bloch_vector_rejected():
+    for bad in ([np.nan, 0, 0], [np.inf, 0, 0], [0, -np.inf, 0]):
+        with pytest.raises(PreconditionError):
+            affine_ratio_bloch(bad, [0, 0, 1])
 
 
 # ---------------------------------------------------------------------------
