@@ -13,7 +13,7 @@ from .admissibility import (FACE_NOT_BALL, FINITE_NONSIMPLEX,
                             REFUTED, JBVerdict, check_polytope,
                             check_separable_pair, jb_norm_inequalities,
                             jordan_identity_residual)
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
 from .errors import InternalCheckError, PreconditionError, TheoryFormatError
 from .models import (SeparableTwoQubits, make_classical_simplex,
                      make_spekkens_hull, separable_membership)
@@ -46,7 +46,6 @@ __all__ = [
     "SeparableTwoQubits",
     "StateSpaceHandle",
     "TheoryFormatError",
-    "Tolerances",
     "VPolytope",
     "affine_ratio",
     "affine_ratio_bloch",

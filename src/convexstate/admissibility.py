@@ -73,8 +73,9 @@ class NormInequalityReport:
         return self.submultiplicative and self.square_identity and self.square_dominance
 
 
-def jb_norm_inequalities(a, b, slack: float = DEFAULT_TOL.equality) -> NormInequalityReport:
-    """The three JB norm conditions in the operator norm, with additive slack."""
+def jb_norm_inequalities(a, b) -> NormInequalityReport:
+    """The three JB norm conditions in the operator norm, with additive
+    slack ``DEFAULT_TOL``."""
     ma = linalg.require_hermitian(a, what="a")
     mb = linalg.require_hermitian(b, what="b")
     na, nb = linalg.operator_norm(ma), linalg.operator_norm(mb)
@@ -86,9 +87,9 @@ def jb_norm_inequalities(a, b, slack: float = DEFAULT_TOL.equality) -> NormInequ
     n_sum = linalg.operator_norm(aa + bb)
     scale = max(1.0, na, nb) ** 2
     return NormInequalityReport(
-        submultiplicative=n_ab <= na * nb + slack * scale,
-        square_identity=abs(n_aa - na * na) <= slack * scale,
-        square_dominance=n_aa <= n_sum + slack * scale,
+        submultiplicative=n_ab <= na * nb + DEFAULT_TOL * scale,
+        square_identity=abs(n_aa - na * na) <= DEFAULT_TOL * scale,
+        square_dominance=n_aa <= n_sum + DEFAULT_TOL * scale,
         norms={"|a|": na, "|b|": nb, "|a.b|": n_ab, "|a.a|": n_aa,
                "|a.a + b.b|": n_sum},
     )

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -34,11 +35,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import admissibility, claims, linalg, models, protocols, transition
-from .config import ENV_TOL, Tolerances
+from .config import ENV_TOL, resolve_tol
 from .errors import InternalCheckError, PreconditionError, TheoryFormatError
 from .lp import rat
-from .polytope import (VPolytope, generated_face, load_theory, minimal_face,
-                       theory_to_dict)
+from .polytope import VPolytope, load_theory, minimal_face
 from .serialize import canonical_json, jsonable
 from .transition import (KIND_BLOCH, KIND_FULL_QUANTUM, KIND_SEPARABLE,
                          KIND_VPOLYTOPE, StateSpaceHandle)
@@ -65,7 +65,7 @@ def resolve_theory(token: str) -> StateSpaceHandle:
     if token == "bloch":
         return StateSpaceHandle.bloch_ball()
     if token == "full2x2":
-        return StateSpaceHandle.full_quantum(4)
+        return StateSpaceHandle.full_quantum()
     if token == "separable2x2":
         return StateSpaceHandle.separable_2x2()
     if token.endswith(".json") or os.path.exists(token):
@@ -229,7 +229,7 @@ def theory_name(h: StateSpaceHandle) -> str:
 # Subcommand implementations (each returns a JSON-ready report dict)
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(args, tol: Tolerances) -> dict:
+def cmd_analyze(args, tol: float) -> dict:
     h = resolve_theory(args.theory)
     report = {"command": "analyze", "theory": theory_name(h), "kind": h.kind}
     if h.kind == KIND_VPOLYTOPE:
@@ -288,12 +288,12 @@ def cmd_analyze(args, tol: Tolerances) -> dict:
     return report
 
 
-def cmd_ratio(args, tol: Tolerances) -> dict:
+def cmd_ratio(args, tol: float) -> dict:
     h = resolve_theory(args.theory)
     x = parse_state(h, args.x)
     y = parse_state(h, args.y)
     if h.kind == KIND_SEPARABLE:
-        res = transition.affine_ratio_separable(x, y, tol=tol.equality,
+        res = transition.affine_ratio_separable(x, y, tol=tol,
                                                 seed=args.seed)
     else:
         res = transition.affine_ratio(h, x, y)
@@ -311,11 +311,11 @@ def cmd_ratio(args, tol: Tolerances) -> dict:
     }
 
 
-def cmd_superposable(args, tol: Tolerances) -> dict:
+def cmd_superposable(args, tol: float) -> dict:
     h = resolve_theory(args.theory)
     x = parse_state(h, args.x)
     y = parse_state(h, args.y)
-    cert = transition.superposability_search(h, x, y, tol=tol.equality)
+    cert = transition.superposability_search(h, x, y, tol=tol)
     return {
         "command": "superposable",
         "theory": theory_name(h),
@@ -330,7 +330,7 @@ def cmd_superposable(args, tol: Tolerances) -> dict:
     }
 
 
-def cmd_face(args, tol: Tolerances) -> dict:
+def cmd_face(args, tol: float) -> dict:
     h = resolve_theory(args.theory)
     if h.kind != KIND_VPOLYTOPE:
         raise PreconditionError(
@@ -342,13 +342,9 @@ def cmd_face(args, tol: Tolerances) -> dict:
     for t, p in zip(args.points, points):
         if not k.contains(p):
             raise PreconditionError(f"point {t} is not in the polytope")
-    if len(points) == 1:
-        face = minimal_face(k, points[0])
-    elif len(points) == 2 and points[0] != points[1]:
-        face = generated_face(k, points[0], points[1])
-    else:
-        mean = tuple(sum(col, Fraction(0)) / len(points) for col in zip(*points))
-        face = minimal_face(k, mean)
+    # The face the points generate is the minimal face of their mean.
+    mean = tuple(sum(col, Fraction(0)) / len(points) for col in zip(*points))
+    face = minimal_face(k, mean)
     labels = vertex_labels(k)
     return {
         "command": "face",
@@ -361,7 +357,7 @@ def cmd_face(args, tol: Tolerances) -> dict:
     }
 
 
-def cmd_protocol(args, tol: Tolerances) -> dict:
+def cmd_protocol(args, tol: float) -> dict:
     if args.task == "clone":
         if args.bloch_angle is not None:
             theta = float(np.radians(args.bloch_angle))
@@ -370,7 +366,7 @@ def cmd_protocol(args, tol: Tolerances) -> dict:
         else:
             x = tuple(parse_bloch_state(args.x if args.x else "(0,0,1)"))
             y = tuple(parse_bloch_state(args.y if args.y else "(1,0,0)"))
-        rep = protocols.cloning_contradiction(x, y, tol=tol.equality)
+        rep = protocols.cloning_contradiction(x, y, tol=tol)
         return {"command": "protocol", "task": "clone", **jsonable(rep)}
     rep = protocols.run_bit_commitment_analysis(
         support=args.support, starts=args.starts, seed=args.seed,
@@ -378,7 +374,7 @@ def cmd_protocol(args, tol: Tolerances) -> dict:
     return {"command": "protocol", "task": "bc", **rep.to_json_dict()}
 
 
-def cmd_trace(args, tol: Tolerances) -> dict:
+def cmd_trace(args, tol: float) -> dict:
     table = claims.claims_table()
     if args.claim is not None:
         table = [c for c in table if c["id"] == args.claim]
@@ -472,6 +468,7 @@ def _flatten(value, prefix: str = ""):
 # Argument parsing and entry points
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None,
@@ -559,7 +556,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"convexstate: error: --{flag} must be positive",
                       file=sys.stderr)
                 return 2
-    tol = Tolerances.resolve(args.tol)
+    tol = resolve_tol(args.tol)
     try:
         report = _DISPATCH[args.command](args, tol)
     except TheoryFormatError as exc:

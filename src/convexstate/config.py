@@ -1,43 +1,21 @@
-"""Centralized numeric configuration.
+"""Numeric configuration: the one float tolerance for equality comparisons.
 
-Every tolerance the package uses lives in one frozen record so that a CLI
-flag (or the CONVEXSTATE_TOL environment variable) can tighten or loosen
-float comparisons in one place.  Rational-mode computations ignore these:
-they are exact.
+The CLI resolves it from the ``--tol`` flag, else the CONVEXSTATE_TOL
+environment variable, else ``DEFAULT_TOL``.  Rational computations ignore
+it: they are exact.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 ENV_TOL = "CONVEXSTATE_TOL"
+DEFAULT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Shared tolerances.
-
-    equality        general float comparisons
-    psd_slack       how far below zero an eigenvalue may dip and still
-                    count as positive semidefinite
-    iteration_stop  stopping threshold for iterative solvers
-    """
-
-    equality: float = 1e-10
-    psd_slack: float = 1e-10
-    iteration_stop: float = 1e-12
-
-    @staticmethod
-    def resolve(override: float | None = None) -> "Tolerances":
-        """Tolerances with ``equality`` taken from `override` if given,
-        else from CONVEXSTATE_TOL, else the default."""
-        if override is not None:
-            return Tolerances(equality=float(override))
-        env = os.environ.get(ENV_TOL)
-        if env is not None:
-            return Tolerances(equality=float(env))
-        return Tolerances()
-
-
-DEFAULT_TOL = Tolerances()
+def resolve_tol(override: float | None = None) -> float:
+    """``override`` if given, else CONVEXSTATE_TOL, else ``DEFAULT_TOL``."""
+    if override is not None:
+        return float(override)
+    env = os.environ.get(ENV_TOL)
+    return DEFAULT_TOL if env is None else float(env)

@@ -10,9 +10,8 @@ and one with an inequality row adds its own slack column.
 The tableau is integer-preserving (Edmonds/Bareiss pivoting): its entries
 are Python ints that share one positive common denominator ``den``.
 
-- *Start.* Every entry is written as ``numerator * (scale // denominator)``
-  with ``scale`` the LCM of the denominators in the rows and right-hand
-  sides, so no ``Fraction`` is added or multiplied per entry.  The
+- *Start.* ``_integer_rows`` scales [a_eq | b_eq] by the one LCM of its
+  denominators, so no ``Fraction`` is added or multiplied per entry.  The
   artificial columns keep the coefficient 1, so the start is an integer
   tableau with ``den = 1`` and the artificials as its basis: the tableau
   that scaling the ``Fraction`` rows would give.
@@ -21,16 +20,18 @@ are Python ints that share one positive common denominator ``den``.
   Each quotient is an integer minor of the start tableau, so the division
   is exact; it is checked all the same.  A negative pivot, which only
   occurs while leftover artificials are driven out, has its row negated
-  first, so ``den`` stays positive.
-- *Cost row.* It is pivoted the same way, with the phase-2 objective
-  multiplied by the LCM of its denominators.  Only the signs of its
-  entries are read.
+  first, so ``den`` stays positive.  ``_pivot`` is the one exact
+  elimination step; both phases, drive-out and ``row_reduce`` use it.
+- *Cost row.* The tableau's last row, pivoted with the others and skipped
+  by the ratio test.  Phase 2 starts it from [objective | 0] scaled by
+  ``_integer_rows``.  Only the signs of its entries are read.
 - *Phase 2.* Drive-out pivots and phase 2 never read an artificial
   column, so those columns are dropped once phase 1 ends.
-- *Answer.* Each basic coordinate is read as one ``Fraction``, its
-  integer numerator over ``den``; the others are 0.  The final basis
-  comes with it, as (kept row, basic column) pairs: rows that phase 1
-  found redundant are dropped.  ``multipliers`` solves y.A_B = c_B on it.
+- *Answer.* Each basic coordinate is its integer numerator over ``den``,
+  read as one ``Fraction``; the others are 0.  With it comes the basis
+  that ``_iterate`` and the drive-out loop record, as (kept row, basic
+  column) pairs; rows that phase 1 found redundant are dropped.
+  ``multipliers`` solves y.A_B = c_B on it by ``row_reduce``.
 
 Against the tableau of ``Fraction``s that the same rules would pivot, the
 integer start scales all rows by one positive number and the artificial
@@ -126,23 +127,23 @@ def multipliers(problem: LPProblem, basis: Sequence[tuple[int, int]]) -> tuple[F
 
 
 def row_reduce(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], tuple[int, ...]]:
-    """Reduced row echelon form by exact Gauss-Jordan elimination: the
-    nonzero rows, each with a leading 1 alone in its column, and the
-    pivot columns.  The form is unique, so the pivot order does not matter."""
-    rows = [[rat(x) for x in row] for row in rows]
-    pivots = []
-    for col in range(len(rows[0]) if rows else 0):
+    """Reduced row echelon form: the nonzero rows, each with a leading 1
+    alone in its column, and the pivot columns.  The rows are scaled to
+    integers and eliminated by ``_pivot``, after which every pivot column
+    is ``den`` times a unit column.  The form is unique, so the pivot order
+    does not matter."""
+    tab = _integer_rows([[rat(x) for x in row] for row in rows])
+    pivots, den = [], 1
+    for col in range(len(tab[0]) if tab else 0):
         r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        piv = next((i for i in range(r, len(tab)) if tab[i][col] != 0), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][col]
-        prow = rows[r] = [a / p for a in rows[r]]
-        rows = [row if i == r or row[col] == 0 else [a - row[col] * b for a, b in zip(row, prow)]
-                for i, row in enumerate(rows)]
+        tab[r], tab[piv] = tab[piv], tab[r]
+        den = _pivot(tab, r, col, den)
         pivots.append(col)
-    return rows[:len(pivots)], tuple(pivots)
+    return ([[Fraction(x, den) if x else _ZERO for x in row] for row in tab[:len(pivots)]],
+            tuple(pivots))
 
 
 def _verify(problem: LPProblem, point: Sequence[Fraction]) -> None:
@@ -160,35 +161,39 @@ def _verify(problem: LPProblem, point: Sequence[Fraction]) -> None:
 # Exact kernel
 # ---------------------------------------------------------------------------
 
+def _integer_rows(rows) -> list[list[int]]:
+    """Rows of rationals times the one LCM of all their denominators."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    scale = lcm(*{q for row in ratios for _, q in row})
+    return [[p * (scale // q) for p, q in row] for row in ratios]
+
+
 def _solve_exact(problem: LPProblem):
     """(status, point, final basis as (kept row, basic column) pairs)."""
     n = len(problem.objective)
-    ratios = [[a.as_integer_ratio() for a in row] for row in problem.a_eq]
-    rhs = problem.b_eq
-    m = len(rhs)
+    m = len(problem.b_eq)
     ncols = n + m  # x vars, artificials
 
-    # Integer tableau rows: [coeffs | rhs] times one LCM of the denominators,
-    # with rhs normalized nonnegative and an artificial basis whose
-    # coefficients stay 1.
-    scale = lcm(*{q for r in ratios for _, q in r}, *{b.denominator for b in rhs})
+    # Integer tableau rows [coeffs | rhs], with rhs normalized nonnegative
+    # and an artificial basis whose coefficients stay 1.
     tab: list[list[int]] = []
     basis: list[int] = []
-    for i, (r, b) in enumerate(zip(ratios, rhs)):
-        row = [p * (scale // q) for p, q in r] + [0] * m + [b.numerator * (scale // b.denominator)]
+    for i, row in enumerate(_integer_rows(r + (b,) for r, b in zip(problem.a_eq, problem.b_eq))):
         if row[-1] < 0:
             row = [-x for x in row]
+        row = row[:n] + [0] * m + row[-1:]
         row[n + i] = 1
         tab.append(row)
         basis.append(n + i)
     den = 1
 
-    # Phase 1: minimize the sum of artificials.
+    # Phase 1: minimize the sum of artificials; the cost row is the last row.
     cost = [-sum(col) for col in zip(*tab)] if tab else [0] * (ncols + 1)
     for b in basis:
         cost[b] = 0
-    status, den = _iterate(tab, basis, cost, den, allowed_max=ncols)
-    if status == UNBOUNDED or cost[-1] != 0:  # the former is impossible; defensive
+    tab.append(cost)
+    status, den = _iterate(tab, basis, den, allowed_max=ncols)
+    if status == UNBOUNDED or tab.pop()[-1] != 0:  # the former is impossible; defensive
         return INFEASIBLE, None, None
 
     # Nothing below reads an artificial column again: drive-out pivots on
@@ -202,22 +207,22 @@ def _solve_exact(problem: LPProblem):
             piv = next((j for j in range(n) if tab[i][j] != 0), None)
             if piv is None:
                 continue  # redundant row
-            den = _pivot(tab, basis, None, i, piv, den)
+            den = _pivot(tab, i, piv, den)
+            basis[i] = piv
         keep.append(i)
     tab = [tab[i] for i in keep]
     basis = [basis[i] for i in keep]
 
     # Phase 2 cost row from the objective made integral, reduced against the
     # basis: den * cx - sum cb * row.
-    obj = [c.as_integer_ratio() for c in problem.objective]
-    obj_scale = lcm(*{q for _, q in obj})
-    cx = [p * (obj_scale // q) for p, q in obj] + [0]
+    cx = _integer_rows([(*problem.objective, 0)])[0]
     cost = [den * x for x in cx]
     for b, row in zip(basis, tab):
         cb = cx[b]
         if cb != 0:
             cost = [x - cb * t for x, t in zip(cost, row)]
-    status, den = _iterate(tab, basis, cost, den, allowed_max=n)
+    tab.append(cost)
+    status, den = _iterate(tab, basis, den, allowed_max=n)
     if status == UNBOUNDED:
         return UNBOUNDED, None, None
 
@@ -229,9 +234,10 @@ def _solve_exact(problem: LPProblem):
     return OPTIMAL, point, list(zip(keep, basis))
 
 
-def _iterate(tab, basis, cost, den, allowed_max) -> tuple[str, int]:
-    """Bland-rule simplex iterations on an existing feasible tableau;
-    returns the status and the common denominator it ends with.
+def _iterate(tab, basis, den, allowed_max) -> tuple[str, int]:
+    """Bland-rule simplex iterations on an existing feasible tableau whose
+    last row is the cost row; returns the status and the common
+    denominator it ends with.
 
     Entering: lowest-index column with negative reduced cost (restricted to
     columns below ``allowed_max`` so phase 2 never re-enters artificials).
@@ -239,13 +245,15 @@ def _iterate(tab, basis, cost, den, allowed_max) -> tuple[str, int]:
     Ratios rhs/a with a > 0 are compared by cross-multiplying.
     """
     while True:
+        cost = tab[-1]
         enter = next(
             (j for j in range(allowed_max) if cost[j] < 0), None
         )
         if enter is None:
             return OPTIMAL, den
         leave, best_b, best_a = None, 0, 1
-        for i, row in enumerate(tab):
+        for i in range(len(tab) - 1):
+            row = tab[i]
             a = row[enter]
             if a > 0:
                 if leave is not None:
@@ -255,14 +263,15 @@ def _iterate(tab, basis, cost, den, allowed_max) -> tuple[str, int]:
                 leave, best_b, best_a = i, row[-1], a
         if leave is None:
             return UNBOUNDED, den
-        den = _pivot(tab, basis, cost, leave, enter, den)
+        den = _pivot(tab, leave, enter, den)
+        basis[leave] = enter
 
 
-def _pivot(tab, basis, cost, r, c, den) -> int:
+def _pivot(tab, r, c, den) -> int:
     """Integer-preserving pivot on tab[r][c]; returns the new denominator.
 
     Row r stays as it is (negated first if its pivot is negative) and every
-    other row, the cost row too when given, becomes (x*p - x[c]*row_r) / den.
+    other row becomes (x*p - x[c]*row_r) / den.
     """
     prow = tab[r]
     p = prow[c]
@@ -272,9 +281,6 @@ def _pivot(tab, basis, cost, r, c, den) -> int:
     for i, row in enumerate(tab):
         if i != r:
             tab[i] = _eliminate(row, prow, c, p, den)
-    if cost is not None:
-        cost[:] = _eliminate(cost, prow, c, p, den)
-    basis[r] = c
     return p
 
 

@@ -21,11 +21,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .config import DEFAULT_TOL
 from .errors import PreconditionError
 from .polytope import VPolytope
 
 SPEKKENS_VERTEX_NAMES = ("e1", "-e1", "e2", "-e2", "e3", "-e3")
+
+# How far below zero an eigenvalue may dip and still count as positive
+# semidefinite.
+PSD_SLACK = 1e-10
 
 
 def make_spekkens_hull() -> VPolytope:
@@ -82,7 +85,7 @@ def sample_pure_product(rng: np.random.Generator) -> ProductStateParam:
     return ProductStateParam(_unit(rng.normal(size=3)), _unit(rng.normal(size=3)))
 
 
-def separable_membership(rho, tol: float = DEFAULT_TOL.psd_slack) -> bool:
+def separable_membership(rho, tol: float = PSD_SLACK) -> bool:
     """Exact separability test for two qubits: valid state + positive
     partial transpose."""
     m = linalg.as_matrix(rho)
@@ -126,9 +129,7 @@ class SeeSawResult:
     iterations: int
 
 
-def maximize_linear_over_separable(w, starts: int = 16, seed: int = 0,
-                                   stop: float = DEFAULT_TOL.iteration_stop,
-                                   max_rounds: int = 500) -> SeeSawResult:
+def maximize_linear_over_separable(w, starts: int = 16, seed: int = 0) -> SeeSawResult:
     """Maximize Tr(W rho) over pure product states by see-saw ascent.
 
     With one Bloch vector fixed the objective is affine in the other, so
@@ -153,7 +154,7 @@ def maximize_linear_over_separable(w, starts: int = 16, seed: int = 0,
         b = np.array(p.bloch_b)
         val = float(np.array([1.0, *a]) @ c @ np.array([1.0, *b]))
         iters = 0
-        for _ in range(max_rounds):
+        for _ in range(500):
             iters += 1
             va = c @ np.array([1.0, *b])
             if float(va[1:] @ va[1:]) > 0.0:
@@ -162,7 +163,7 @@ def maximize_linear_over_separable(w, starts: int = 16, seed: int = 0,
             if float(vb[1:] @ vb[1:]) > 0.0:
                 b = vb[1:] / float(np.sqrt(vb[1:] @ vb[1:]))
             new_val = float(np.array([1.0, *a]) @ c @ np.array([1.0, *b]))
-            if abs(new_val - val) < stop:
+            if abs(new_val - val) < 1e-12:
                 val = new_val
                 break
             val = new_val
@@ -239,7 +240,7 @@ class SeparableTwoQubits:
 
     dims = (2, 2)
 
-    def contains(self, rho, tol: float = DEFAULT_TOL.psd_slack) -> bool:
+    def contains(self, rho, tol: float = PSD_SLACK) -> bool:
         return separable_membership(rho, tol=tol)
 
     def maximize_linear(self, w, starts: int = 16, seed: int = 0) -> SeeSawResult:

@@ -53,7 +53,7 @@ class CloningCheckReport:
 
 
 def cloning_contradiction(bloch_x, bloch_y,
-                          tol: float = DEFAULT_TOL.equality) -> CloningCheckReport:
+                          tol: float = DEFAULT_TOL) -> CloningCheckReport:
     """Evaluate the no-cloning chain for a qubit pair given by Bloch vectors.
 
     Preconditions: distinct, non-orthogonal pure states, so r in (0, 1).
@@ -91,12 +91,12 @@ def build_bb84_states() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return d0, d1, epr
 
 
-def concealment_check(d0, d1, tol: float = 1e-12) -> tuple[bool, float]:
+def concealment_check(d0, d1) -> tuple[bool, float]:
     """Bob cannot tell the commitments apart: equal B-side reductions."""
     ra = linalg.partial_trace(d0, "A")
     rb = linalg.partial_trace(d1, "A")
     dev = linalg.hs_distance(ra, rb)
-    return dev <= tol, dev
+    return dev <= 1e-12, dev
 
 
 def apply_channel_a(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -129,7 +129,7 @@ class ChannelTranscript:
     deviation: float
 
 
-def qm_unbinding_demo(epr=None, tol: float = 1e-12) -> tuple[ChannelTranscript, ChannelTranscript]:
+def qm_unbinding_demo(epr=None) -> tuple[ChannelTranscript, ChannelTranscript]:
     """The quantum attack: local measurement channels steer E to D0 or D1.
 
     Raises InternalCheckError if the outputs miss their targets; that
@@ -143,7 +143,7 @@ def qm_unbinding_demo(epr=None, tol: float = 1e-12) -> tuple[ChannelTranscript, 
     out1 = apply_channel_a(ch1, e)
     dev0 = float(np.max(np.abs(out0 - d0)))
     dev1 = float(np.max(np.abs(out1 - d1)))
-    if dev0 > tol or dev1 > tol:
+    if dev0 > 1e-12 or dev1 > 1e-12:
         raise InternalCheckError(
             f"unbinding channels missed their targets: dev0={dev0:.2e}, dev1={dev1:.2e}"
         )

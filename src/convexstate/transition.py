@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
 from .errors import InternalCheckError, PreconditionError
 from .lp import LPProblem, OPTIMAL, lp_solve, multipliers
 from .models import SeparableTwoQubits
@@ -69,8 +69,8 @@ class StateSpaceHandle:
         return StateSpaceHandle(KIND_BLOCH, None)
 
     @staticmethod
-    def full_quantum(dim: int = 4) -> "StateSpaceHandle":
-        return StateSpaceHandle(KIND_FULL_QUANTUM, int(dim))
+    def full_quantum() -> "StateSpaceHandle":
+        return StateSpaceHandle(KIND_FULL_QUANTUM, None)
 
     @staticmethod
     def separable_2x2() -> "StateSpaceHandle":
@@ -159,7 +159,7 @@ def _unit3(v) -> np.ndarray:
     if a.shape != (3,):
         raise PreconditionError(f"Bloch state must have 3 components, got {a.shape}")
     n = float(np.sqrt(a @ a))
-    if not abs(n - 1.0) <= DEFAULT_TOL.equality:
+    if not abs(n - 1.0) <= DEFAULT_TOL:
         raise PreconditionError(f"Bloch state must be a unit vector, |x| = {n!r}")
     return a / n
 
@@ -172,7 +172,7 @@ def affine_ratio_bloch(x, y) -> RatioResult:
                        detail={"formula": "(1 + x.y)/2"})
 
 
-def affine_ratio_quantum(x, y, tol: float = DEFAULT_TOL.equality) -> RatioResult:
+def affine_ratio_quantum(x, y, tol: float = DEFAULT_TOL) -> RatioResult:
     """Tr(xy) for rank-1 projections on the full state space.
 
     The functional rho -> Tr(x rho) is feasible and every feasible
@@ -202,7 +202,7 @@ def _require_pure_product(rho, tol: float, what: str) -> np.ndarray:
     return m
 
 
-def _separable_upper_bound(x, y, tol: float = DEFAULT_TOL.equality
+def _separable_upper_bound(x, y, tol: float = DEFAULT_TOL
                            ) -> tuple[np.ndarray, np.ndarray, float]:
     """The validated pure product states x, y and Tr(xy) clipped to [0, 1],
     the upper bound on their separable affine ratio."""
@@ -225,7 +225,7 @@ def _decomposable_witness_candidates(x: np.ndarray, y: np.ndarray) -> list[tuple
     ]
 
 
-def affine_ratio_separable(x, y, tol: float = DEFAULT_TOL.equality,
+def affine_ratio_separable(x, y, tol: float = DEFAULT_TOL,
                            starts: int = 8, seed: int = 0) -> RatioResult:
     """Certified interval for the affine ratio on the separable set.
 
@@ -283,7 +283,7 @@ def affine_ratio(h: StateSpaceHandle, x, y) -> RatioResult:
 
 def is_orthogonal(h: StateSpaceHandle, x, y, tol: float | None = None) -> bool:
     """Transition probability zero (exactly, where the engine is exact)."""
-    t = DEFAULT_TOL.equality if tol is None else tol
+    t = DEFAULT_TOL if tol is None else tol
     if h.kind == KIND_SEPARABLE:  # the upper bound Tr(xy) decides; no witness screen
         return _separable_upper_bound(x, y)[2] <= t
     r = affine_ratio(h, x, y)
@@ -315,7 +315,7 @@ def superposability_search(h: StateSpaceHandle, x, y, *,
     exactly.  The separable engine certifies absence via the overlap-square
     identity described in the module docstring.
     """
-    t = DEFAULT_TOL.equality if tol is None else tol
+    t = DEFAULT_TOL if tol is None else tol
     if not is_orthogonal(h, x, y, tol=t):
         raise PreconditionError("superposability search needs orthogonal inputs")
     if h.kind == KIND_VPOLYTOPE:
@@ -518,7 +518,7 @@ def path_connect_product_states(x, y, steps: int = 64) -> list[np.ndarray]:
     return path
 
 
-def path_report(path: list[np.ndarray], tol: Tolerances = DEFAULT_TOL) -> dict:
+def path_report(path: list[np.ndarray]) -> dict:
     """Summary of a product-state path: consecutive distances and the
     factor-distance identity (checked from the states themselves)."""
     dists = [linalg.hs_distance(path[i], path[i + 1]) for i in range(len(path) - 1)]

@@ -157,6 +157,14 @@ def test_face_subcommand(capsys):
     assert report["ball"]["is_ball"]
 
 
+def test_face_of_a_repeated_point_is_its_minimal_face(capsys):
+    # Every point list goes to the minimal face of its mean.
+    twice = json.loads(run(capsys, "face", "spekkens", "e1", "e1")[1])
+    once = json.loads(run(capsys, "face", "spekkens", "e1")[1])
+    assert twice.pop("points") == ["e1", "e1"] and once.pop("points") == ["e1"]
+    assert twice == once and twice["face_vertex_labels"] == ["e1"]
+
+
 def test_face_state_file(capsys, tmp_path):
     path = tmp_path / "state.json"
     path.write_text(json.dumps({"point": ["1", 0, 0.0]}))

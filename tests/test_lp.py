@@ -2,6 +2,7 @@
 cross-check on random instances.  Problems with <= rows or with bounds
 other than x >= 0 go through ``lp_forms.bounded_lp``."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from scipy.optimize import linprog
 from convexstate import lp
 from convexstate.errors import InternalCheckError
 from convexstate.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LPProblem,
-                            lp_solve, rat)
+                            lp_solve, rat, row_reduce)
 from lp_forms import bounded_lp
 
 
@@ -259,3 +260,73 @@ def test_verify_rejects_an_infeasible_claim(monkeypatch, branch):
     _claim(monkeypatch, _BAD_CLAIMS[branch])
     with pytest.raises(InternalCheckError, match=rf"infeasible point \({branch}\)"):
         lp_solve(_VERIFY_PROBLEM)
+
+
+def gauss_jordan(rows):
+    """Oracle: reduced row echelon form by Gauss-Jordan elimination over
+    ``Fraction``s, with the same pivot rows as ``row_reduce``."""
+    rows = [[rat(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        p = rows[r][col]
+        prow = rows[r] = [a / p for a in rows[r]]
+        rows = [row if i == r or row[col] == 0 else [a - row[col] * b for a, b in zip(row, prow)]
+                for i, row in enumerate(rows)]
+        pivots.append(col)
+    return rows[:len(pivots)], tuple(pivots)
+
+
+def _random_matrix(rnd):
+    """1-7 rows by 1-9 columns, about 30 % zeros, denominators 1, 2, 3 and
+    5, entries given as ints, Fractions or "p/q" strings; two rows in five
+    replace one row by a combination of two others (rank-deficient)."""
+    def entry():
+        if rnd.random() < 0.3:
+            return 0
+        x = Fraction(rnd.choice((-1, 1)) * rnd.randint(1, 9), rnd.choice((1, 2, 3, 5)))
+        form = rnd.randrange(3)
+        if x.denominator == 1 and form == 0:
+            return int(x)
+        return x if form == 1 else f"{x.numerator}/{x.denominator}"
+
+    rows = [[entry() for _ in range(rnd.randint(1, 9))]]
+    rows += [[entry() for _ in rows[0]] for _ in range(rnd.randint(0, 6))]
+    if len(rows) > 2 and rnd.random() < 0.4:
+        i, j, k = rnd.sample(range(len(rows)), 3)
+        a, b = rnd.randint(-3, 3), Fraction(rnd.randint(-3, 3), rnd.choice((1, 2, 3, 5)))
+        rows[k] = [a * rat(x) + b * rat(y) for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_reduce_matches_gauss_jordan(seed):
+    rnd = random.Random(seed)
+    deficient = negative_lead = 0
+    for _ in range(500):
+        rows = _random_matrix(rnd)
+        expected = gauss_jordan(rows)
+        assert row_reduce(rows) == expected
+        deficient += len(expected[1]) < min(len(rows), len(rows[0]))
+        negative_lead += any(rat(x) < 0 for x in next(
+            (row for row in rows if any(row)), [0])[:1])
+    assert deficient >= 50 and negative_lead >= 50
+
+
+def test_row_reduce_pivots_through_the_simplex_pivot(monkeypatch):
+    pivots = []
+    pivot = lp._pivot
+
+    def spy(tab, r, c, den):
+        pivots.append((r, c))
+        return pivot(tab, r, c, den)
+
+    monkeypatch.setattr(lp, "_pivot", spy)
+    # The third row is the sum of the first two.
+    rref, cols = row_reduce([[0, 2, "1/3", 1], [0, -4, 5, 0], [0, -2, Fraction(16, 3), 1]])
+    assert pivots == [(0, 1), (1, 2)] and cols == (1, 2)
+    assert rref == [[0, 1, 0, Fraction(15, 34)], [0, 0, 1, Fraction(6, 17)]]

@@ -167,15 +167,24 @@ def test_constructed_lp_point_pinned(name):
 
 
 def test_drive_out_pivot_is_negative(monkeypatch):
-    drive_out_pivots = []
-    pivot = lp._pivot
+    # Pivots made outside ``_iterate`` are the drive-out pivots.
+    drive_out_pivots, iterating = [], [False]
+    pivot, iterate = lp._pivot, lp._iterate
 
-    def spy(tab, basis, cost, r, c, den):
-        if cost is None:
+    def iterate_spy(*args, **kwargs):
+        iterating[0] = True
+        try:
+            return iterate(*args, **kwargs)
+        finally:
+            iterating[0] = False
+
+    def pivot_spy(tab, r, c, den):
+        if not iterating[0]:
             drive_out_pivots.append(tab[r][c])
-        return pivot(tab, basis, cost, r, c, den)
+        return pivot(tab, r, c, den)
 
-    monkeypatch.setattr(lp, "_pivot", spy)
+    monkeypatch.setattr(lp, "_iterate", iterate_spy)
+    monkeypatch.setattr(lp, "_pivot", pivot_spy)
     problem, _ = CONSTRUCTED["negative_drive_out_pivot"]
     problem.solve()
     assert drive_out_pivots and min(drive_out_pivots) < 0
@@ -186,22 +195,21 @@ def test_pivot_division_is_checked():
     # sum -2 is divisible by 2 but no nonzero entry is.
     tab = [[2, 1, 1], [1, 0, 0]]
     with pytest.raises(InternalCheckError, match="inexact"):
-        lp._pivot(tab, [0, 1], None, 0, 0, 2)
-    # Here row 1 divides, (0, 2, 2) / 2, and the cost row (0, -1, 2) does not.
-    tab = [[3, 1, 1], [1, 1, 1]]
-    cost = [1, 0, 1]
+        lp._pivot(tab, 0, 0, 2)
+    # Here row 1 divides, (0, 2, 2) / 2, and the last row, the cost row,
+    # (0, -1, 2) does not.
+    tab = [[3, 1, 1], [1, 1, 1], [1, 0, 1]]
     with pytest.raises(InternalCheckError, match="inexact"):
-        lp._pivot(tab, [0, 1], cost, 0, 0, 2)
+        lp._pivot(tab, 0, 0, 2)
 
 
 def test_pivot_keeps_the_denominator_positive():
     # Pivot -2 on row 0: that row is negated and 2 becomes the denominator.
-    tab = [[-2, 1, 3], [1, 1, 1]]
-    basis = [2, 1]
-    den = lp._pivot(tab, basis, None, 0, 0, 1)
+    # The last row is the cost row.
+    tab = [[-2, 1, 3], [1, 1, 1], [1, 0, -1]]
+    den = lp._pivot(tab, 0, 0, 1)
     assert den == 2
-    assert tab == [[2, -1, -3], [0, 3, 5]]
-    assert basis == [0, 1]
+    assert tab == [[2, -1, -3], [0, 3, 5], [0, 1, 1]]
 
 
 # Theories for the report pins: a scrambled 3-cube and 4-cube (a signed
