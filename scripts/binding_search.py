@@ -39,7 +39,8 @@ def main(argv=None) -> int:
     residuals = np.array(report.start_residuals)
     print(f"budget: support={args.support} starts={args.starts} "
           f"sweeps={args.sweeps} seed={args.seed}")
-    print(f"objective evaluations: {report.evaluations}, {elapsed:.1f}s")
+    print(f"objective evaluations: {report.evaluations}, {elapsed:.2f}s, "
+          f"{1e6 * elapsed / report.evaluations:.1f} us each")
     print(f"best residual: {report.residual:.6f} (start {report.best_start})")
     print(f"start spread:  min {residuals.min():.6f}  "
           f"median {np.median(residuals):.6f}  max {residuals.max():.6f}")

@@ -468,13 +468,21 @@ def _flatten(value, prefix: str = ""):
 # Argument parsing and entry points
 # ---------------------------------------------------------------------------
 
+def seed(token: str) -> int:
+    """The ``--seed`` type: a non-negative int (argparse names it in errors)."""
+    value = int(token)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None,
                         help="equality tolerance override (also via "
                              f"{ENV_TOL}; the flag wins)")
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--seed", type=seed, default=0,
                         help="seed for randomized searches")
     common.add_argument("--out", default=None, help="write the report here "
                         "instead of stdout")

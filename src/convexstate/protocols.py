@@ -19,7 +19,10 @@ entanglement E is unavailable, and ``binding_attack_search`` looks for a
 separable substitute (best mixture of pure product states plus two
 A-side channels).  Its multi-started coordinate descent runs every start
 in lockstep as one row of a numpy batch, and scores a row through each
-channel's 4x4 superoperator acting on the realigned state.  The best
+channel's 4x4 superoperator acting on the realigned state.  At each
+coordinate both signs of the step are scored in one batch; each row
+still takes +step first and -step only if +step fails, and the
+evaluation count follows that serial rule, not the rows computed.  The best
 residual found is attained, so it bounds the ansatz's minimum from above;
 finding no attack within budget is evidence of binding, not a proof, and
 is reported as such.
@@ -218,21 +221,32 @@ def _bloch_vectors(seeds: np.ndarray) -> np.ndarray:
     return 0.5 * np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=-1)
 
 
+def _weights(seeds: np.ndarray) -> np.ndarray:
+    """Mixture weights from rows of weight seeds: squared and renormalized,
+    uniform when all are zero."""
+    w = seeds ** 2
+    total = np.sum(w, axis=1, keepdims=True)
+    return np.where(total > 0.0, w / np.where(total > 0.0, total, 1.0), 1.0 / seeds.shape[1])
+
+
+def _mixture_parts(p: np.ndarray, support: int):
+    """Weights (m, support) and flattened A-side and B-side projectors
+    (m, support, 4) of mixtures of pure product states, from rows of support
+    groups of 7 raw reals: (Bloch seed of A, Bloch seed of B, weight seed)."""
+    q = p.reshape(p.shape[0], support, _STATE_PARAMS)
+    return [_weights(q[:, :, 6]), _bloch_vectors(q[:, :, 0:3]), _bloch_vectors(q[:, :, 3:6])]
+
+
+def _mix(w: np.ndarray, vec_a: np.ndarray, vec_b: np.ndarray) -> np.ndarray:
+    """Realigned mixtures from their parts: realigned, sum_n w_n a_n (x) b_n
+    is the sum of outer products w_n vec(a_n) vec(b_n)^T."""
+    return np.einsum("mn,mnx,mny->mxy", w, vec_a, vec_b)
+
+
 def _sigmas_from_params(p: np.ndarray, support: int) -> np.ndarray:
     """Realigned mixtures of pure product states from rows of support * 7
-    raw reals.
-
-    Each group of 7 is (Bloch seed of A factor, Bloch seed of B factor,
-    weight seed); weights are squared and renormalized, uniform when all
-    are zero.  Realigned, the mixture sum_n w_n a_n (x) b_n is the sum of
-    outer products w_n vec(a_n) vec(b_n)^T.
-    """
-    q = p.reshape(p.shape[0], support, _STATE_PARAMS)
-    w = q[:, :, 6] ** 2
-    total = np.sum(w, axis=1, keepdims=True)
-    w = np.where(total > 0.0, w / np.where(total > 0.0, total, 1.0), 1.0 / support)
-    return np.einsum("mn,mnx,mny->mxy", w, _bloch_vectors(q[:, :, 0:3]),
-                     _bloch_vectors(q[:, :, 3:6]))
+    raw reals (see `_mixture_parts`)."""
+    return _mix(*_mixture_parts(p, support))
 
 
 def _residuals(sigmas: np.ndarray, superops: np.ndarray, ok: np.ndarray,
@@ -240,9 +254,11 @@ def _residuals(sigmas: np.ndarray, superops: np.ndarray, ok: np.ndarray,
     """|Lambda0(sigma) - D0|^2 + |Lambda1(sigma) - D1|^2 per row, from
     realigned sigmas (m, 4, 4), superoperator pairs (m, 2, 4, 4) and
     realigned targets (2, 4, 4); inf where either channel was rejected."""
-    err = superops @ sigmas[:, None] - targets
-    val = np.sum(err.real ** 2 + err.imag ** 2, axis=(1, 2, 3))
-    return np.where(ok.all(axis=1), val, math.inf)
+    err = superops @ sigmas[:, None]
+    err -= targets      # in place, like the square below: this is the search's peak memory
+    sq = err.real ** 2
+    sq += np.square(err.imag, out=err.imag)
+    return np.where(ok.all(axis=1), np.sum(sq, axis=(1, 2, 3)), math.inf)
 
 
 @dataclass(frozen=True)
@@ -273,12 +289,14 @@ def binding_attack_search(d0=None, d1=None, support: int = 8, starts: int = 32,
 
     The starts run in lockstep as rows of one numpy batch.  Every row
     keeps its own first-improvement control flow: at the shared coordinate
-    it tries +step, then -step only if that failed; its step halves after
-    a sweep without improvement, and the row stops once the step falls
-    below 1e-4.  Each probe rebuilds the one component (sigma, Lambda0 or
-    Lambda1) the coordinate feeds, for the rows still probing, and scores
-    them with one batched product of superoperators and realigned states.
-    `evaluations` counts one per row probed.
+    it takes +step if that improves, else -step if that does; its step
+    halves after a sweep without improvement, and the row stops once the
+    step falls below 1e-4.  Both signs of every active row are scored in
+    one batch.  A probe rebuilds only the part its coordinate feeds: one
+    Bloch vector or the weights of sigma (the other parts are kept per
+    start), or one channel.  `evaluations` counts the probes of the serial
+    rule: one per active row, plus one per row whose +step failed, not the
+    rows computed.
 
     The reported residual is attained by the returned (sigma, Lambda0,
     Lambda1), so it is an upper bound on the ansatz's minimum.  It is not
@@ -288,6 +306,8 @@ def binding_attack_search(d0=None, d1=None, support: int = 8, starts: int = 32,
         raise PreconditionError(
             f"budgets must be positive: support={support}, starts={starts}, sweeps={sweeps}"
         )
+    if seed < 0:
+        raise PreconditionError(f"seed must be non-negative, got {seed}")
     if d0 is None or d1 is None:
         d0, d1, _ = build_bb84_states()
     d0 = linalg.require_density(d0, what="D0")
@@ -299,11 +319,12 @@ def binding_attack_search(d0=None, d1=None, support: int = 8, starts: int = 32,
     n_total = n_sigma + 2 * _CHANNEL_PARAMS
 
     def build(p):
-        sigmas = _sigmas_from_params(p[:, :n_sigma], support)
+        parts = _mixture_parts(p[:, :n_sigma], support)
+        sigmas = _mix(*parts)
         built = [_channels_from_params(p[:, off:off + _CHANNEL_PARAMS]) for off in offsets]
         superops = np.stack([b[1] for b in built], axis=1)
         ok = np.stack([b[2] for b in built], axis=1)
-        return sigmas, superops, ok, _residuals(sigmas, superops, ok, targets)
+        return parts, sigmas, superops, ok, _residuals(sigmas, superops, ok, targets)
 
     warm = np.zeros(n_total)
     # sigma = D0: half |0>|1>, half |1>|0>
@@ -323,42 +344,70 @@ def binding_attack_search(d0=None, d1=None, support: int = 8, starts: int = 32,
         for off in offsets:
             params[s, off + 0] += 1.0
             params[s, off + 6] += 1.0
-    sigmas, superops, ok, val = build(params)
+    # parts = [weights, A-side vectors, B-side vectors], kept per start
+    parts, sigmas, superops, ok, val = build(params)
     evals = starts
     bad = np.flatnonzero(~np.isfinite(val))
     if bad.size:
         params[bad] = warm
-        sigmas[bad], superops[bad], ok[bad], val[bad] = build(params[bad])
+        fixed, sigmas[bad], superops[bad], ok[bad], val[bad] = build(params[bad])
+        for part, new in zip(parts, fixed):
+            part[bad] = new
         evals += bad.size
 
     step = np.full(starts, 0.35)
     active = np.ones(starts, dtype=bool)
+
+    def probe(j, rows):
+        """Score +step and -step at coordinate j for `rows` in one batch and
+        move each row (+step first); return (evaluations, rows moved).  The
+        batch's arrays die on return, before the next probe builds its own."""
+        r = rows.size
+        both = np.concatenate([rows, rows])   # +step rows, then -step rows
+        here = params[rows, j]
+        moved = np.concatenate([here + step[rows], here - step[rows]])
+        if j < n_sigma:
+            group, k = divmod(j, _STATE_PARAMS)
+            cand = [x[both] for x in parts]
+            if k == 6:
+                part, seeds = 0, params[both, 6:n_sigma:_STATE_PARAMS]
+                seeds[:, group] = moved
+                cand[0] = _weights(seeds)
+            else:
+                part, first = 1 + k // 3, j - k % 3
+                seeds = params[both, first:first + 3]
+                seeds[:, k % 3] = moved
+                cand[part][:, group] = _bloch_vectors(seeds)
+            sig = _mix(*cand)
+            cand = cand[part]     # drop the unchanged parts before scoring
+            sup, flags = superops[both], ok[both]
+        else:
+            c, at = divmod(j - n_sigma, _CHANNEL_PARAMS)
+            seeds = params[both, offsets[c]:offsets[c] + _CHANNEL_PARAMS]
+            seeds[:, at] = moved
+            _, channel, flag = _channels_from_params(seeds)
+            sup, flags = superops[both], ok[both]
+            sup[:, c], flags[:, c] = channel, flag
+            sig = sigmas[both]
+        v2 = _residuals(sig, sup, flags, targets)
+        bar = val[rows] - 1e-14
+        plus = v2[:r] < bar
+        minus = ~plus & (v2[r:] < bar)
+        pick = np.flatnonzero(plus | minus)
+        src = np.where(plus[pick], pick, pick + r)
+        won = rows[pick]
+        params[won, j], val[won] = moved[src], v2[src]
+        sigmas[won], superops[won], ok[won] = sig[src], sup[src], flags[src]
+        if j < n_sigma:
+            parts[part][won] = cand[src]
+        return 2 * r - int(np.count_nonzero(plus)), won   # -step ran where +step failed
+
     for _ in range(sweeps):
         improved = np.zeros(starts, dtype=bool)
         for j in range(n_total):
-            rows = np.flatnonzero(active)
-            for sign in (1.0, -1.0):
-                q = params[rows]
-                q[:, j] += sign * step[rows]
-                sup, flags = superops[rows], ok[rows]
-                if j < n_sigma:
-                    sig = _sigmas_from_params(q[:, :n_sigma], support)
-                else:
-                    sig = sigmas[rows]
-                    c = (j - n_sigma) // _CHANNEL_PARAMS
-                    off = offsets[c]
-                    _, sup[:, c], flags[:, c] = _channels_from_params(
-                        q[:, off:off + _CHANNEL_PARAMS])
-                v2 = _residuals(sig, sup, flags, targets)
-                evals += rows.size
-                acc = v2 < val[rows] - 1e-14
-                won = rows[acc]
-                params[won], val[won] = q[acc], v2[acc]
-                sigmas[won], superops[won], ok[won] = sig[acc], sup[acc], flags[acc]
-                improved[won] = True
-                rows = rows[~acc]
-                if not rows.size:
-                    break
+            count, won = probe(j, np.flatnonzero(active))
+            evals += count
+            improved[won] = True
         step[active & ~improved] *= 0.5
         active &= step >= 1e-4
         if not active.any():

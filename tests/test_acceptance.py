@@ -285,6 +285,9 @@ def test_bit_commitment_analysis():
         assert search.residual > 0.01
         assert report.separable_binding_residual == search.residual
         assert "not a proof" in search.message
+        assert search.evaluations == 222638
+        assert search.best_start == 0
+        assert search.residual == 0.12500482608117547
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,15 @@ def test_nonpositive_budgets_are_usage_errors(capsys):
     assert run(capsys, "protocol", "bc", "--starts", "0")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [["protocol", "bc"],
+                                  ["ratio", "separable2x2", "01", "10"]])
+def test_negative_seed_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--seed: must be non-negative, got -1" in err
+
+
 def test_face_outside_point_is_domain_error(capsys):
     code, _, err = run(capsys, "face", "spekkens", "(2,0,0)")
     assert code == 3

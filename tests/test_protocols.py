@@ -1,11 +1,13 @@
 """Cloning chain and bit-commitment analyses."""
 
+import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from convexstate import linalg, protocols
+from convexstate import cli, linalg, protocols
 from convexstate.errors import InternalCheckError, PreconditionError
 from convexstate.protocols import (BindingSearchReport, apply_channel_a,
                                    binding_attack_search, binding_residual,
@@ -197,6 +199,98 @@ def test_binding_search_pinned_trajectory(budget):
     for got, want in zip(report.start_residuals, residuals):
         assert abs(got - want) <= 1e-12
     assert report.residual == report.start_residuals[best_start]
+
+
+def serial_search(support, starts, seed, sweeps):
+    """Reference search, one start at a time: at each coordinate +step,
+    then -step only if +step failed; one evaluation per probe.  Returns the
+    per-start residuals, the evaluation count and the parameter rows."""
+    targets = protocols._realign(np.stack([D0, D1]))
+    n_sigma = support * 7
+    offsets = (n_sigma, n_sigma + 32)
+    n_total = n_sigma + 64
+
+    def score(p):
+        row = p[None]
+        sigma = protocols._sigmas_from_params(row[:, :n_sigma], support)
+        built = [protocols._channels_from_params(row[:, off:off + 32]) for off in offsets]
+        superops = np.stack([b[1] for b in built], axis=1)
+        ok = np.stack([b[2] for b in built], axis=1)
+        return protocols._residuals(sigma, superops, ok, targets)[0]
+
+    warm = np.zeros(n_total)
+    warm[0:7] = [0, 0, 1, 0, 0, -1, 1.0]
+    if support >= 2:
+        warm[7:14] = [0, 0, -1, 0, 0, 1, 1.0]
+    for i in range(2, support):
+        warm[i * 7:(i + 1) * 7] = [0, 0, 1, 0, 0, 1, 0.0]
+    warm[[offsets[0], offsets[0] + 6, offsets[1], offsets[1] + 6]] = 1.0
+
+    residuals, rows, evaluations = [], [], 0
+    for s in range(starts):
+        p = warm.copy()
+        if s:
+            p = np.random.default_rng([seed, s]).normal(scale=0.8, size=n_total)
+            p[[offsets[0], offsets[0] + 6, offsets[1], offsets[1] + 6]] += 1.0
+        val = score(p)
+        evaluations += 1
+        if not math.isfinite(val):
+            p = warm.copy()
+            val = score(p)
+            evaluations += 1
+        step = 0.35
+        for _ in range(sweeps):
+            improved = False
+            for j in range(n_total):
+                for sign in (1.0, -1.0):
+                    q = p.copy()
+                    q[j] += sign * step
+                    v = score(q)
+                    evaluations += 1
+                    if v < val - 1e-14:
+                        p, val, improved = q, v, True
+                        break
+            if not improved:
+                step *= 0.5
+            if step < 1e-4:
+                break
+        residuals.append(val)
+        rows.append(p)
+    return tuple(float(v) for v in residuals), evaluations, rows
+
+
+@pytest.mark.parametrize("budget", [(1, 3, 30, 0), (2, 3, 6, 5), (3, 3, 5, 2)])
+def test_binding_search_retraces_serial_rule(budget):
+    support, starts, sweeps, seed = budget
+    residuals, evaluations, rows = serial_search(support, starts, seed, sweeps)
+    report = binding_attack_search(support=support, starts=starts, seed=seed,
+                                   sweeps=sweeps)
+    assert report.start_residuals == residuals
+    assert type(report.evaluations) is int and report.evaluations == evaluations
+    best = int(np.argmin(residuals))
+    assert report.best_start == best
+    p = rows[best][None]
+    n_sigma = support * 7
+    sigma = protocols._realign(protocols._sigmas_from_params(p[:, :n_sigma], support)[0])
+    assert np.array_equal(report.best_sigma, sigma)
+    for kraus, off in ((report.best_kraus0, n_sigma), (report.best_kraus1, n_sigma + 32)):
+        assert np.array_equal(kraus, protocols._channels_from_params(p[:, off:off + 32])[0][0])
+
+
+def test_binding_search_rejects_negative_seed():
+    with pytest.raises(PreconditionError, match="seed"):
+        binding_attack_search(support=1, starts=1, sweeps=1, seed=-1)
+
+
+def test_reduced_bit_commitment_report_pinned(tmp_path):
+    """The report `scripts/run_all_analyses.py --seed 0` writes for the
+    bit commitment, byte for byte."""
+    out = tmp_path / "report.json"
+    argv = ["protocol", "bc", "--support", "4", "--starts", "6", "--sweeps", "12",
+            "--seed", "0", "--out", str(out)]
+    assert cli.main(argv) == 0
+    pinned = Path(__file__).parent / "data" / "pinned_reports" / "protocol_bit_commitment.json"
+    assert out.read_bytes() == pinned.read_bytes()
 
 
 def test_binding_search_best_point_oracle():
