@@ -15,8 +15,8 @@ from .admissibility import (FACE_NOT_BALL, FINITE_NONSIMPLEX,
                             jordan_identity_residual)
 from .config import DEFAULT_TOL
 from .errors import InternalCheckError, PreconditionError, TheoryFormatError
-from .models import (SeparableTwoQubits, make_classical_simplex,
-                     make_spekkens_hull, separable_membership)
+from .models import (make_classical_simplex, make_spekkens_hull,
+                     separable_membership)
 from .polytope import (Face, VPolytope, find_ambiguous_mixture, generated_face,
                        is_simplex, load_theory, minimal_face, theory_from_dict,
                        theory_to_dict)
@@ -43,7 +43,6 @@ __all__ = [
     "PreconditionError",
     "RatioResult",
     "REFUTED",
-    "SeparableTwoQubits",
     "StateSpaceHandle",
     "TheoryFormatError",
     "VPolytope",

@@ -39,7 +39,8 @@ CLAIMS: tuple[Claim, ...] = (
         ),
         operations=(
             "admissibility.check_polytope",
-            "polytope.find_ambiguous_mixture",
+            "polytope.radon_partition",
+            "polytope.circuit_mixture",
             "models.make_spekkens_hull",
         ),
         tests=(
@@ -52,7 +53,7 @@ CLAIMS: tuple[Claim, ...] = (
         statement=(
             "All pairwise transition ratios between the six octahedron "
             "vertices form the exact identity pattern: 1 on the diagonal, "
-            "0 off it, in rational LP mode."
+            "0 off it."
         ),
         operations=(
             "transition.affine_ratio_polytope",

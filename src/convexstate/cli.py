@@ -3,7 +3,7 @@
 Grammar::
 
     convexstate <analyze|ratio|superposable|face|protocol|trace> [args]
-                [--tol X] [--seed N] [--out PATH] [--format json|csv|text]
+                [--tol X] [--out PATH] [--format json|csv|text]
 
 Theories are addressed by zoo name (spekkens, simplex:<n>, bloch,
 full2x2, separable2x2) or by a JSON theory file path.  States are
@@ -293,8 +293,7 @@ def cmd_ratio(args, tol: float) -> dict:
     x = parse_state(h, args.x)
     y = parse_state(h, args.y)
     if h.kind == KIND_SEPARABLE:
-        res = transition.affine_ratio_separable(x, y, tol=tol,
-                                                seed=args.seed)
+        res = transition.affine_ratio_separable(x, y, tol=tol)
     else:
         res = transition.affine_ratio(h, x, y)
     return {
@@ -482,8 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=None,
                         help="equality tolerance override (also via "
                              f"{ENV_TOL}; the flag wins)")
-    common.add_argument("--seed", type=seed, default=0,
-                        help="seed for randomized searches")
     common.add_argument("--out", default=None, help="write the report here "
                         "instead of stdout")
     common.add_argument("--format", choices=("json", "csv", "text"),
@@ -527,6 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="search restarts (bc)")
     p.add_argument("--sweeps", type=int, default=30,
                    help="descent sweeps per start (bc)")
+    p.add_argument("--seed", type=seed, default=0,
+                   help="seed for the binding search's starts (bc)")
     p.add_argument("--bloch-angle", type=float, default=None,
                    help="angle in degrees between the Bloch vectors (clone)")
     p.add_argument("--x", default=None, help="first Bloch vector (clone)")

@@ -70,14 +70,17 @@ def as_matrix(a) -> np.ndarray:
 
 def require_hermitian(a, atol: float = HERMITIAN_ATOL, what: str = "matrix") -> np.ndarray:
     m = as_matrix(a)
-    dev = float(np.max(np.abs(m - m.conj().T)))
-    if not dev <= atol:  # NaN too
+    if not np.isfinite(m).all():
+        raise PreconditionError(f"{what} has a non-finite entry")
+    mh = m.conj().T
+    dev = float(np.abs(m - mh).max())
+    if dev > atol:
         raise PreconditionError(
             f"{what} is not Hermitian: max |a - a^dagger| = {dev:.3e} > {atol:.1e}"
         )
     # Symmetrize away representation noise so downstream exact identities
     # hold to machine precision.
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + mh)
 
 
 def jordan_product(a, b) -> np.ndarray:

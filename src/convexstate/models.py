@@ -144,6 +144,8 @@ def maximize_linear_over_separable(w, starts: int = 16, seed: int = 0) -> SeeSaw
     """
     if starts < 1:
         raise PreconditionError(f"starts must be >= 1, got {starts}")
+    if seed < 0:
+        raise PreconditionError(f"seed must be non-negative, got {seed}")
     wm = linalg.require_hermitian(w, what="functional")
     c = _pauli_contraction(wm)
     best_val, best_param, best_start, best_iters = -math.inf, None, -1, 0
@@ -230,21 +232,3 @@ def grid_maximize_over_product(w, coarse: int = 50, refine_rounds: int = 20):
     )
     return value, param
 
-
-class SeparableTwoQubits:
-    """Oracle view of the separable two-qubit state space.
-
-    Extreme points are the pure product states; membership and linear
-    maximization are delegated to the module-level oracles.
-    """
-
-    dims = (2, 2)
-
-    def contains(self, rho, tol: float = PSD_SLACK) -> bool:
-        return separable_membership(rho, tol=tol)
-
-    def maximize_linear(self, w, starts: int = 16, seed: int = 0) -> SeeSawResult:
-        return maximize_linear_over_separable(w, starts=starts, seed=seed)
-
-    def sample_extreme(self, rng: np.random.Generator) -> ProductStateParam:
-        return sample_pure_product(rng)

@@ -16,12 +16,10 @@ Engines by state-space kind:
   projections (the minimizing functional is rho -> Tr(x rho), and every
   feasible functional dominates it);
 * the separable two-qubit set: the infimum ranges over block-positive
-  witnesses and is not computed in general; the engine returns a certified
-  interval instead.  Tr(xy) stays feasible on the smaller space, so it is
-  a valid upper bound; the certified lower bound is 0 (or 1 when x == y,
-  forced by f(x) = 1).  A finite family of decomposable witness candidates
-  P + Q^T_B is evaluated and reported: each feasible candidate's value is a
-  further upper bound on the infimum, useful as evidence, never asserted.
+  witnesses and is not computed in general; the engine returns the
+  certified bracket [lo, Tr(xy)] instead.  The functional rho -> Tr(x rho)
+  stays feasible on the smaller space, so Tr(xy) is an upper bound; the
+  certified lower bound is 0 (or 1 when x == y, forced by f(x) = 1).
 
 Superposability asks for an extreme z with r(x, z) = r(y, z) = 1/2.  For
 the separable set with x, y orthogonal in both factors this reduces to
@@ -44,7 +42,6 @@ from . import linalg
 from .config import DEFAULT_TOL
 from .errors import InternalCheckError, PreconditionError
 from .lp import LPProblem, OPTIMAL, lp_solve, multipliers
-from .models import SeparableTwoQubits
 from .polytope import VPolytope, parse_point
 
 KIND_VPOLYTOPE = "vpolytope"
@@ -74,7 +71,7 @@ class StateSpaceHandle:
 
     @staticmethod
     def separable_2x2() -> "StateSpaceHandle":
-        return StateSpaceHandle(KIND_SEPARABLE, SeparableTwoQubits())
+        return StateSpaceHandle(KIND_SEPARABLE, None)
 
 
 @dataclass(frozen=True)
@@ -202,71 +199,20 @@ def _require_pure_product(rho, tol: float, what: str) -> np.ndarray:
     return m
 
 
-def _separable_upper_bound(x, y, tol: float = DEFAULT_TOL
-                           ) -> tuple[np.ndarray, np.ndarray, float]:
-    """The validated pure product states x, y and Tr(xy) clipped to [0, 1],
-    the upper bound on their separable affine ratio."""
-    mx = _require_pure_product(x, tol=max(tol, 1e-10), what="x")
-    my = _require_pure_product(y, tol=max(tol, 1e-10), what="y")
-    return mx, my, min(1.0, max(0.0, float(np.real(np.trace(mx @ my)))))
-
-
-def _decomposable_witness_candidates(x: np.ndarray, y: np.ndarray) -> list[tuple[str, np.ndarray]]:
-    """Finite deterministic family of decomposable operators P + Q^T_B
-    built from the input states; each is automatically nonnegative on
-    separable states."""
-    xg = linalg.partial_transpose(x, "B")
-    yg = linalg.partial_transpose(y, "B")
-    return [
-        ("x", x.copy()),
-        ("x + PT(y)/2", x + 0.5 * yg),
-        ("x + PT(x)/2", x + 0.5 * xg),
-        ("(x + y)/1 + PT(x+y)/2", x + y + 0.5 * (xg + yg)),
-    ]
-
-
-def affine_ratio_separable(x, y, tol: float = DEFAULT_TOL,
-                           starts: int = 8, seed: int = 0) -> RatioResult:
+def affine_ratio_separable(x, y, tol: float = DEFAULT_TOL) -> RatioResult:
     """Certified interval for the affine ratio on the separable set.
 
-    hi is Tr(xy): the full-space minimizer stays feasible on the smaller
-    space, so the separable infimum can only be lower.  lo is the bound
-    actually certified: 1 when x == y (forced by f(x) = 1), else 0.
-    Decomposable witness candidates are screened for feasibility (range in
-    [0,1] over product states, checked by see-saw maximization) and each
-    feasible one's value at y is reported as a further upper bound.
+    hi is Tr(xy): the full-space minimizer rho -> Tr(x rho), the witness,
+    stays feasible on the smaller space, so the separable infimum can only
+    be lower.  lo is the bound actually certified: 1 when x == y (forced by
+    f(x) = 1), else 0.
     """
-    mx, my, hi = _separable_upper_bound(x, y, tol)
-    same = float(np.max(np.abs(mx - my))) <= tol
-    lo = 1.0 if same else 0.0
-    candidates = []
-    from .models import maximize_linear_over_separable
-
-    for label, wop in _decomposable_witness_candidates(mx, my):
-        fx = float(np.real(np.trace(wop @ mx)))
-        if fx <= tol:
-            continue
-        wop = wop / fx  # normalize f(x) = 1
-        top = maximize_linear_over_separable(wop, starts=starts, seed=seed).value
-        bottom = -maximize_linear_over_separable(-wop, starts=starts, seed=seed).value
-        feasible = top <= 1.0 + 1e-8 and bottom >= -1e-8
-        entry = {
-            "label": label,
-            "value_at_y": float(np.real(np.trace(wop @ my))),
-            "max_on_products": top,
-            "min_on_products": bottom,
-            "feasible": bool(feasible),
-        }
-        candidates.append(entry)
-    feas_vals = [c["value_at_y"] for c in candidates if c["feasible"]]
-    return RatioResult(
-        lo=lo, hi=hi, witness=mx,
-        detail={
-            "upper_bound_formula": "Tr(xy) on the full space",
-            "witness_candidates": candidates,
-            "best_candidate_upper_bound": min(feas_vals) if feas_vals else None,
-        },
-    )
+    mx = _require_pure_product(x, tol=max(tol, 1e-10), what="x")
+    my = _require_pure_product(y, tol=max(tol, 1e-10), what="y")
+    hi = min(1.0, max(0.0, float(np.real(np.trace(mx @ my)))))
+    lo = 1.0 if float(np.max(np.abs(mx - my))) <= tol else 0.0
+    return RatioResult(lo=lo, hi=hi, witness=mx,
+                       detail={"upper_bound_formula": "Tr(xy) on the full space"})
 
 
 def affine_ratio(h: StateSpaceHandle, x, y) -> RatioResult:
@@ -284,8 +230,6 @@ def affine_ratio(h: StateSpaceHandle, x, y) -> RatioResult:
 def is_orthogonal(h: StateSpaceHandle, x, y, tol: float | None = None) -> bool:
     """Transition probability zero (exactly, where the engine is exact)."""
     t = DEFAULT_TOL if tol is None else tol
-    if h.kind == KIND_SEPARABLE:  # the upper bound Tr(xy) decides; no witness screen
-        return _separable_upper_bound(x, y)[2] <= t
     r = affine_ratio(h, x, y)
     if isinstance(r.hi, Fraction):
         return r.hi == 0

@@ -343,10 +343,11 @@ def test_separable_pair_refuted():
     assert search["corners_only"]
 
 
-def test_separable_pair_runs_no_seesaw(monkeypatch):
-    # Orthogonality needs only the upper bound Tr(xy) of the separable
-    # ratio, not the see-saw screen of its witness candidates.
+def test_separable_pair_runs_no_seesaw(monkeypatch, tmp_path):
+    # Orthogonality and the separable ratio need only the bracket
+    # [lo, Tr(xy)]; neither the verdict nor the ratio runs the see-saw.
     import convexstate.models as models
+    from convexstate import cli, transition
 
     calls = []
     original = models.maximize_linear_over_separable
@@ -356,9 +357,16 @@ def test_separable_pair_runs_no_seesaw(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(models, "maximize_linear_over_separable", counting)
+    monkeypatch.setattr(transition, "maximize_linear_over_separable", counting,
+                        raising=False)
     x = linalg.projector(linalg.ket("01"))
     y = linalg.projector(linalg.ket("10"))
     assert check_separable_pair(x, y, path_steps=8).verdict == REFUTED
+    for a, b in ((x, y), (x, x), (linalg.projector(linalg.ket("0+")), y)):
+        r = transition.affine_ratio_separable(a, b)
+        assert r.lo <= r.hi
+    out = tmp_path / "ratio.json"
+    assert cli.main(["ratio", "separable2x2", "01", "10", "--out", str(out)]) == 0
     assert calls == []
 
 

@@ -243,7 +243,6 @@ def test_density_validation():
 _NONFINITE = (np.nan, np.inf, -np.inf)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("bad", _NONFINITE)
 def test_validators_reject_nonfinite_matrices(bad):
     # A comparison with NaN is False, so each check must fail unless it holds.

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from convexstate import linalg
-from convexstate.models import (ProductStateParam, SeparableTwoQubits,
-                                grid_maximize_over_product,
+from convexstate.errors import PreconditionError
+from convexstate.models import (ProductStateParam, grid_maximize_over_product,
                                 make_classical_simplex, make_spekkens_hull,
                                 make_square, maximize_linear_over_separable,
                                 product_value, sample_pure_product,
@@ -140,6 +140,11 @@ def test_seesaw_identity():
     assert abs(res.value - 1.0) <= 1e-12
 
 
+def test_seesaw_rejects_negative_seed():
+    with pytest.raises(PreconditionError, match="seed must be non-negative"):
+        maximize_linear_over_separable(EPR, starts=2, seed=-1)
+
+
 def test_seesaw_deterministic_given_seed():
     rng = np.random.default_rng(55)
     w = random_hermitian4(rng)
@@ -162,17 +167,3 @@ def test_grid_epr_value():
     val, arg = grid_maximize_over_product(EPR, coarse=30, refine_rounds=18)
     assert abs(val - 0.5) <= 1e-6
     assert abs(product_value(EPR, arg) - val) <= 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Oracle facade
-# ---------------------------------------------------------------------------
-
-def test_separable_facade():
-    space = SeparableTwoQubits()
-    assert space.contains(np.eye(4) / 4)
-    assert not space.contains(EPR)
-    rng = np.random.default_rng(57)
-    assert space.contains(space.sample_extreme(rng).density())
-    res = space.maximize_linear(EPR, starts=4, seed=0)
-    assert abs(res.value - 0.5) <= 1e-8
