@@ -11,8 +11,9 @@ algebra with the symmetrized product) is constrained:
 3. if the extreme points are norm-path-connected, some pair must admit an
    equal-superposition state z (both transition probabilities 1/2).
 
-``check_polytope`` and ``check_separable_pair`` return a JBVerdict whose
-refutations always carry machine-checkable certificates.
+``check_polytope`` and ``check_separable_pair`` return a JBVerdict that
+carries the certificate of its verdict and nothing else: for a polytope,
+one read off its first affine circuit, or the simplex (the state space of R^n).
 
 Jordan-algebra sanity checks for matrix inputs (the Jordan identity and
 the JB norm inequalities) live here too.
@@ -20,7 +21,6 @@ the JB norm inequalities) live here too.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,7 +143,7 @@ class JBVerdict:
         }
 
 
-def check_polytope(k: VPolytope, with_face_evidence: bool | None = None) -> JBVerdict:
+def check_polytope(k: VPolytope) -> JBVerdict:
     """Decide the necessary conditions for a finite-vertex state space.
 
     A polytope's extreme points are isolated, so the path-connectivity
@@ -154,6 +154,8 @@ def check_polytope(k: VPolytope, with_face_evidence: bool | None = None) -> JBVe
     the first affine circuit A | B off ``radon_partition``, exactly and
     without an LP, and certifies it by its shape:
 
+    * no circuit: a simplex, the state space of R^n; every vertex subset
+      spans a face, so each pair generates its own edge (no LP);
     * |A| = |B| = 2: two vertex segments cross, an ambiguous mixture;
     * one side is a pair: the Radon point is interior to that pair's
       segment, so the face the pair generates holds the whole circuit, at
@@ -164,13 +166,6 @@ def check_polytope(k: VPolytope, with_face_evidence: bool | None = None) -> JBVe
     extreme points.
     """
     n = len(k.vertices)
-    if with_face_evidence is None:
-        with_face_evidence = n <= 8
-
-    @functools.cache
-    def face(i: int, j: int) -> Face:
-        return generated_face(k, k.vertices[i], k.vertices[j])
-
     nonsimplex_note = ("a non-simplex JB state space needs continuum many "
                        f"extreme points, but this polytope has {n}")
     radon = radon_partition(k)
@@ -185,9 +180,15 @@ def check_polytope(k: VPolytope, with_face_evidence: bool | None = None) -> JBVe
             "note": "a point interior to two different vertex segments; " + nonsimplex_note,
         }
     elif radon is None:
-        failed, certificate = None, {"kind": "survey", "note": "all checked conditions hold"}
+        failed, certificate = None, {
+            "kind": "simplex",
+            "note": ("the vertices are affinely independent, so every vertex "
+                     "subset spans a face and each pair generates its own "
+                     "edge, a ball B^1; the simplex is the state space of the "
+                     f"commutative JB algebra R^{n}"),
+        }
     elif pair := next((sorted(side) for side in radon[:2] if len(side) == 2), None):
-        f = face(*pair)
+        f = generated_face(k, *(k.vertices[i] for i in pair))
         failed, certificate = FACE_NOT_BALL, {
             "kind": "non_ball_face",
             "pair": pair,
@@ -210,17 +211,13 @@ def check_polytope(k: VPolytope, with_face_evidence: bool | None = None) -> JBVe
             "note": ("two convex combinations of disjoint vertex sets give "
                      "the same point; " + nonsimplex_note),
         }
-    if with_face_evidence:
-        certificate["face_evidence"] = [
-            {"pair": [i, j], "face_vertices": list(face(i, j).vertex_indices),
-             "ball": ball_descriptor(face(i, j)).to_json_dict()}
-            for i in range(n) for j in range(i + 1, n)]
-    elif failed is None:
-        certificate = None
     return JBVerdict(NOT_REFUTED if failed is None else REFUTED, failed, certificate)
 
 
-def check_separable_pair(x, y, path_steps: int = 64) -> JBVerdict:
+PATH_STEPS = 64  # segments per leg of the separable pair's product-state path
+
+
+def check_separable_pair(x, y) -> JBVerdict:
     """Connectivity vs superposability for the separable two-qubit theory.
 
     The inputs must be orthogonal pure product states, orthogonal in both
@@ -229,7 +226,7 @@ def check_separable_pair(x, y, path_steps: int = 64) -> JBVerdict:
     space with path-connected extreme points cannot do that.
     """
     handle = transition.StateSpaceHandle.separable_2x2()
-    path = transition.path_connect_product_states(x, y, steps=path_steps)
+    path = transition.path_connect_product_states(x, y, steps=PATH_STEPS)
     prep = transition.path_report(path)
     search = transition.superposability_search(handle, x, y)
     if search.found:
@@ -237,18 +234,16 @@ def check_separable_pair(x, y, path_steps: int = 64) -> JBVerdict:
             "superposability search unexpectedly found an equal superposition; "
             "inputs do not refute anything"
         )
-    ok_path = (
-        prep["factor_identity_deviation"] <= 1e-12
-        and prep["max_consecutive_distance"] <= np.pi / path_steps * np.sqrt(2.0)
-    )
-    if not ok_path:
+    bound = float(np.pi / PATH_STEPS * np.sqrt(2.0))
+    if not (prep["factor_identity_deviation"] <= 1e-12
+            and prep["max_consecutive_distance"] <= bound):
         raise PreconditionError(f"path construction failed its own bounds: {prep}")
     certificate = {
         "kind": "connected_but_unsuperposable",
         "path": {
-            "steps_per_leg": path_steps,
+            "steps_per_leg": PATH_STEPS,
             **prep,
-            "distance_bound": float(np.pi / path_steps * np.sqrt(2.0)),
+            "distance_bound": bound,
         },
         "search": {
             "found": search.found,

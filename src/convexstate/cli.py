@@ -3,7 +3,9 @@
 Grammar::
 
     convexstate <analyze|ratio|superposable|face|protocol|trace> [args]
-                [--tol X] [--out PATH] [--format json|csv|text]
+                [--out PATH] [--format json|csv|text]
+
+``ratio``, ``superposable`` and ``protocol`` also take ``--tol X``.
 
 Theories are addressed by zoo name (spekkens, simplex:<n>, bloch,
 full2x2, separable2x2) or by a JSON theory file path.  States are
@@ -229,7 +231,7 @@ def theory_name(h: StateSpaceHandle) -> str:
 # Subcommand implementations (each returns a JSON-ready report dict)
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(args, tol: float) -> dict:
+def cmd_analyze(args) -> dict:
     h = resolve_theory(args.theory)
     report = {"command": "analyze", "theory": theory_name(h), "kind": h.kind}
     if h.kind == KIND_VPOLYTOPE:
@@ -288,14 +290,11 @@ def cmd_analyze(args, tol: float) -> dict:
     return report
 
 
-def cmd_ratio(args, tol: float) -> dict:
+def cmd_ratio(args) -> dict:
     h = resolve_theory(args.theory)
     x = parse_state(h, args.x)
     y = parse_state(h, args.y)
-    if h.kind == KIND_SEPARABLE:
-        res = transition.affine_ratio_separable(x, y, tol=tol)
-    else:
-        res = transition.affine_ratio(h, x, y)
+    res = transition.affine_ratio(h, x, y, resolve_tol(args.tol))
     return {
         "command": "ratio",
         "theory": theory_name(h),
@@ -310,11 +309,11 @@ def cmd_ratio(args, tol: float) -> dict:
     }
 
 
-def cmd_superposable(args, tol: float) -> dict:
+def cmd_superposable(args) -> dict:
     h = resolve_theory(args.theory)
     x = parse_state(h, args.x)
     y = parse_state(h, args.y)
-    cert = transition.superposability_search(h, x, y, tol=tol)
+    cert = transition.superposability_search(h, x, y, tol=resolve_tol(args.tol))
     return {
         "command": "superposable",
         "theory": theory_name(h),
@@ -329,7 +328,7 @@ def cmd_superposable(args, tol: float) -> dict:
     }
 
 
-def cmd_face(args, tol: float) -> dict:
+def cmd_face(args) -> dict:
     h = resolve_theory(args.theory)
     if h.kind != KIND_VPOLYTOPE:
         raise PreconditionError(
@@ -356,7 +355,7 @@ def cmd_face(args, tol: float) -> dict:
     }
 
 
-def cmd_protocol(args, tol: float) -> dict:
+def cmd_protocol(args) -> dict:
     if args.task == "clone":
         if args.bloch_angle is not None:
             theta = float(np.radians(args.bloch_angle))
@@ -365,7 +364,7 @@ def cmd_protocol(args, tol: float) -> dict:
         else:
             x = tuple(parse_bloch_state(args.x if args.x else "(0,0,1)"))
             y = tuple(parse_bloch_state(args.y if args.y else "(1,0,0)"))
-        rep = protocols.cloning_contradiction(x, y, tol=tol)
+        rep = protocols.cloning_contradiction(x, y, tol=resolve_tol(args.tol))
         return {"command": "protocol", "task": "clone", **jsonable(rep)}
     rep = protocols.run_bit_commitment_analysis(
         support=args.support, starts=args.starts, seed=args.seed,
@@ -373,7 +372,7 @@ def cmd_protocol(args, tol: float) -> dict:
     return {"command": "protocol", "task": "bc", **rep.to_json_dict()}
 
 
-def cmd_trace(args, tol: float) -> dict:
+def cmd_trace(args) -> dict:
     table = claims.claims_table()
     if args.claim is not None:
         table = [c for c in table if c["id"] == args.claim]
@@ -475,12 +474,21 @@ def seed(token: str) -> int:
     return value
 
 
+def budget(token: str) -> int:
+    """The type of the ``bc`` budgets: a positive int."""
+    value = int(token)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument("--tol", type=float, default=None,
+                           help="equality tolerance override (also via "
+                                f"{ENV_TOL}; the flag wins)")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None,
-                        help="equality tolerance override (also via "
-                             f"{ENV_TOL}; the flag wins)")
     common.add_argument("--out", default=None, help="write the report here "
                         "instead of stdout")
     common.add_argument("--format", choices=("json", "csv", "text"),
@@ -497,13 +505,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admissibility verdict for a theory")
     p.add_argument("theory", help=ZOO_HELP)
 
-    p = sub.add_parser("ratio", parents=[common],
+    p = sub.add_parser("ratio", parents=[common, tolerance],
                        help="transition ratio between two states")
     p.add_argument("theory", help=ZOO_HELP)
     p.add_argument("x")
     p.add_argument("y")
 
-    p = sub.add_parser("superposable", parents=[common],
+    p = sub.add_parser("superposable", parents=[common, tolerance],
                        help="search for an equal superposition of two "
                             "orthogonal states")
     p.add_argument("theory", help=ZOO_HELP)
@@ -515,14 +523,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("theory", help=ZOO_HELP)
     p.add_argument("points", nargs="+")
 
-    p = sub.add_parser("protocol", parents=[common],
+    p = sub.add_parser("protocol", parents=[common, tolerance],
                        help="protocol analyses: bit commitment or cloning")
     p.add_argument("task", choices=("bc", "clone"))
-    p.add_argument("--support", type=int, default=8,
+    p.add_argument("--support", type=budget, default=8,
                    help="product states in the committed mixture (bc)")
-    p.add_argument("--starts", type=int, default=32,
+    p.add_argument("--starts", type=budget, default=32,
                    help="search restarts (bc)")
-    p.add_argument("--sweeps", type=int, default=30,
+    p.add_argument("--sweeps", type=budget, default=30,
                    help="descent sweeps per start (bc)")
     p.add_argument("--seed", type=seed, default=0,
                    help="seed for the binding search's starts (bc)")
@@ -557,15 +565,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return 0 if code in (None, 0) else int(code)
-    if args.command == "protocol" and args.task == "bc":
-        for flag in ("support", "starts", "sweeps"):
-            if getattr(args, flag) <= 0:
-                print(f"convexstate: error: --{flag} must be positive",
-                      file=sys.stderr)
-                return 2
-    tol = resolve_tol(args.tol)
     try:
-        report = _DISPATCH[args.command](args, tol)
+        report = _DISPATCH[args.command](args)
     except TheoryFormatError as exc:
         print(f"convexstate: theory error: {exc}", file=sys.stderr)
         return 2

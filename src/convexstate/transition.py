@@ -215,25 +215,25 @@ def affine_ratio_separable(x, y, tol: float = DEFAULT_TOL) -> RatioResult:
                        detail={"upper_bound_formula": "Tr(xy) on the full space"})
 
 
-def affine_ratio(h: StateSpaceHandle, x, y) -> RatioResult:
+def affine_ratio(h: StateSpaceHandle, x, y, tol: float = DEFAULT_TOL) -> RatioResult:
+    """The engine for ``h``'s kind; ``tol`` reaches the matrix engines."""
     if h.kind == KIND_VPOLYTOPE:
         return affine_ratio_polytope(h.payload, x, y)
     if h.kind == KIND_BLOCH:
         return affine_ratio_bloch(x, y)
     if h.kind == KIND_FULL_QUANTUM:
-        return affine_ratio_quantum(x, y)
+        return affine_ratio_quantum(x, y, tol)
     if h.kind == KIND_SEPARABLE:
-        return affine_ratio_separable(x, y)
+        return affine_ratio_separable(x, y, tol)
     raise PreconditionError(f"unknown state-space kind {h.kind!r}")
 
 
-def is_orthogonal(h: StateSpaceHandle, x, y, tol: float | None = None) -> bool:
+def is_orthogonal(h: StateSpaceHandle, x, y, tol: float = DEFAULT_TOL) -> bool:
     """Transition probability zero (exactly, where the engine is exact)."""
-    t = DEFAULT_TOL if tol is None else tol
-    r = affine_ratio(h, x, y)
+    r = affine_ratio(h, x, y, tol)
     if isinstance(r.hi, Fraction):
         return r.hi == 0
-    return float(r.hi) <= t
+    return float(r.hi) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -251,25 +251,25 @@ class SuperposabilityCertificate:
 
 
 def superposability_search(h: StateSpaceHandle, x, y, *,
-                           tol: float | None = None) -> SuperposabilityCertificate:
+                           tol: float = DEFAULT_TOL) -> SuperposabilityCertificate:
     """Look for an extreme z with both transition probabilities 1/2.
 
     Preconditions: x, y extreme and orthogonal in h.  Closed-form engines
     accept 1/2 within 1e-8; the rational polytope engine requires 1/2
     exactly.  The separable engine certifies absence via the overlap-square
-    identity described in the module docstring.
+    identity described in the module docstring.  ``tol`` validates the
+    matrix states and the orthogonality.
     """
-    t = DEFAULT_TOL if tol is None else tol
-    if not is_orthogonal(h, x, y, tol=t):
+    if not is_orthogonal(h, x, y, tol):
         raise PreconditionError("superposability search needs orthogonal inputs")
     if h.kind == KIND_VPOLYTOPE:
         return _superposable_polytope(h.payload, x, y)
     if h.kind == KIND_BLOCH:
         return _superposable_bloch(x, y)
     if h.kind == KIND_FULL_QUANTUM:
-        return _superposable_full_quantum(x, y)
+        return _superposable_full_quantum(x, y, tol)
     if h.kind == KIND_SEPARABLE:
-        return _superposable_separable(x, y)
+        return _superposable_separable(x, y, tol)
     raise PreconditionError(f"unknown state-space kind {h.kind!r}")
 
 
@@ -312,14 +312,14 @@ def _superposable_bloch(x, y) -> SuperposabilityCertificate:
     )
 
 
-def _superposable_full_quantum(x, y) -> SuperposabilityCertificate:
-    mx = linalg.require_rank1_projection(x, what="x")
-    my = linalg.require_rank1_projection(y, what="y")
+def _superposable_full_quantum(x, y, tol: float) -> SuperposabilityCertificate:
+    mx = linalg.require_rank1_projection(x, tol=tol, what="x")
+    my = linalg.require_rank1_projection(y, tol=tol, what="y")
     vx = linalg.top_eigenvector(mx)
     vy = linalg.top_eigenvector(my)
     z = linalg.projector(vx + vy)
-    rxz = affine_ratio_quantum(mx, z).value
-    ryz = affine_ratio_quantum(my, z).value
+    rxz = affine_ratio_quantum(mx, z, tol).value
+    ryz = affine_ratio_quantum(my, z, tol).value
     found = abs(rxz - 0.5) <= 1e-8 and abs(ryz - 0.5) <= 1e-8
     return SuperposabilityCertificate(
         found=found, z=z, ratio_xz=rxz, ratio_yz=ryz,
@@ -345,7 +345,7 @@ SURFACE_IDENTITY = "1 - (a + c - 2ac) = (1 - a)(1 - c) + ac"
 SURFACE_MAXIMISERS = ((0.0, 1.0), (1.0, 0.0))
 
 
-def _superposable_separable(x, y) -> SuperposabilityCertificate:
+def _superposable_separable(x, y, tol: float) -> SuperposabilityCertificate:
     """Certify that no product state z has both ratios 1/2.
 
     Requires x, y orthogonal in BOTH factors (which covers pairs like
@@ -355,13 +355,14 @@ def _superposable_separable(x, y) -> SuperposabilityCertificate:
     identity SURFACE_IDENTITY proves max = 1, attained only at the corners
     (0,1), (1,0); at each one bound (hence one separable ratio) is 0.
     """
-    mx = _require_pure_product(x, tol=1e-10, what="x")
-    my = _require_pure_product(y, tol=1e-10, what="y")
+    tol = max(tol, 1e-10)
+    mx = _require_pure_product(x, tol=tol, what="x")
+    my = _require_pure_product(y, tol=tol, what="y")
     xa, xb = _factor_pair(mx)
     ya, yb = _factor_pair(my)
     oa = float(np.real(np.trace(xa @ ya)))
     ob = float(np.real(np.trace(xb @ yb)))
-    if oa > 1e-10 or ob > 1e-10:
+    if oa > tol or ob > tol:
         raise PreconditionError(
             "separable superposability engine needs inputs orthogonal in both "
             f"factors; factor overlaps are {oa:.3e} (A) and {ob:.3e} (B)"

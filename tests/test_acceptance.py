@@ -339,12 +339,11 @@ def test_affine_invariance():
         expected = [(REFUTED, FINITE_NONSIMPLEX), (NOT_REFUTED, None),
                     (REFUTED, FINITE_NONSIMPLEX)]
         for space, (want_verdict, want_condition) in zip(spaces, expected):
-            base = check_polytope(space, with_face_evidence=False)
+            base = check_polytope(space)
             assert (base.verdict, base.failed_condition) == (want_verdict,
                                                              want_condition)
             for _ in range(10):
                 matrix, shift = _random_affine(rng, space.ambient_dim)
-                moved = check_polytope(space.affine_image(matrix, shift),
-                                       with_face_evidence=False)
+                moved = check_polytope(space.affine_image(matrix, shift))
                 assert moved.verdict == base.verdict
                 assert moved.failed_condition == base.failed_condition

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from convexstate import linalg
 from convexstate.admissibility import (CONNECTED_BUT_UNSUPERPOSABLE,
                                        FACE_NOT_BALL, FINITE_NONSIMPLEX,
-                                       NOT_REFUTED, REFUTED, ball_descriptor,
+                                       NOT_REFUTED, PATH_STEPS, REFUTED,
+                                       ball_descriptor,
                                        check_polytope, check_separable_pair,
                                        jb_norm_inequalities,
                                        jordan_identity_residual,
@@ -109,12 +110,14 @@ def test_neighbourly_polytope_refuted_by_affine_dependence(ts):
     # an edge, and the first affine circuit is three vertices against three,
     # so the Radon partition itself is the certificate.
     points = [(t, t ** 2, t ** 3, t ** 4) for t in ts]
-    verdict = check_polytope(VPolytope(points))
+    k = VPolytope(points)
+    verdict = check_polytope(k)
     assert verdict.verdict == REFUTED
     assert verdict.failed_condition == FINITE_NONSIMPLEX
     cert = verdict.to_json_dict()["certificate"]
     assert cert["kind"] == "affine_dependence"
-    assert all(e["ball"]["is_ball"] for e in cert["face_evidence"])
+    assert all(ball_descriptor(generated_face(k, x, y)).is_ball
+               for x, y in itertools.combinations(k.vertices, 2))
     _check_radon_json(cert, points)
 
 
@@ -172,16 +175,36 @@ PAIR_CIRCUIT_VERDICTS = {
 def test_circuit_verdict_solves_no_lp(counted_lps, name):
     k = VPolytope(CIRCUIT_VERDICTS[name])
     counted_lps.update(lp=0, generated_face=0)
-    verdict = check_polytope(k, with_face_evidence=False)
+    verdict = check_polytope(k)
     assert verdict.failed_condition == FINITE_NONSIMPLEX
     assert counted_lps == {"lp": 0, "generated_face": 0}
+
+
+# 0, e1, ..., e11: any first n of them are affinely independent
+_SIMPLEX11 = make_classical_simplex(11).vertices
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_simplex_verdict_solves_no_lp(counted_lps, n):
+    # The verdict is the simplex itself, with one certificate at every size.
+    k = VPolytope(_SIMPLEX11[:n])
+    counted_lps.update(lp=0, generated_face=0)
+    verdict = check_polytope(k)
+    assert (verdict.verdict, verdict.failed_condition) == (NOT_REFUTED, None)
+    assert verdict.certificate["kind"] == "simplex"
+    assert counted_lps == {"lp": 0, "generated_face": 0}
+
+
+def test_simplex_certificate_keys_do_not_depend_on_size():
+    small, large = (check_polytope(VPolytope(_SIMPLEX11[:n])) for n in (3, 12))
+    assert small.certificate.keys() == large.certificate.keys() == {"kind", "note"}
 
 
 @pytest.mark.parametrize("name", sorted(PAIR_CIRCUIT_VERDICTS))
 def test_pair_circuit_verdict_computes_one_face(counted_lps, name):
     k = VPolytope(PAIR_CIRCUIT_VERDICTS[name])
     counted_lps.update(lp=0, generated_face=0)
-    verdict = check_polytope(k, with_face_evidence=False)
+    verdict = check_polytope(k)
     assert verdict.failed_condition == FACE_NOT_BALL
     assert counted_lps["generated_face"] == 1
     assert 0 < counted_lps["lp"] <= len(k.vertices)
@@ -209,10 +232,10 @@ def test_verdict_refutes_exactly_the_dependent_images(family, d, data):
         verts = _cube(d) if family == "cube" else _cross(d)
     k = _rational_image(data, verts)
     n = len(k.vertices)
-    verdict = check_polytope(k, with_face_evidence=False).to_json_dict()
+    verdict = check_polytope(k).to_json_dict()
     assert (verdict["verdict"] == REFUTED) == (n > affine_dimension_of(k.vertices) + 1)
     cert = verdict["certificate"]
-    if cert is None:
+    if cert["kind"] == "simplex":
         assert verdict["verdict"] == NOT_REFUTED
     elif cert["kind"] == "ambiguous_mixture":
         fields = {key: parse_point(cert[key]) for key in "wxyz"}
@@ -247,7 +270,7 @@ def test_check_polytope_row_reduces_once(monkeypatch, name):
     monkeypatch.setattr(poly, "radon_partition", counting)
     monkeypatch.setattr(adm, "radon_partition", counting)
     verts = {**CIRCUIT_VERDICTS, **PAIR_CIRCUIT_VERDICTS}[name]
-    assert check_polytope(VPolytope(verts), with_face_evidence=False).verdict == REFUTED
+    assert check_polytope(VPolytope(verts)).verdict == REFUTED
     assert len(calls) == 1
 
 
@@ -264,21 +287,7 @@ def test_check_polytope_computes_each_generated_face_once(monkeypatch):
     monkeypatch.setattr(adm, "generated_face", counting)
     verdict = check_polytope(BIPYRAMID)
     assert verdict.failed_condition == FACE_NOT_BALL
-    assert len(calls) == len(set(calls)) == 10
-
-
-def test_face_evidence_present_for_small_polytopes():
-    verdict = check_polytope(make_classical_simplex(2))
-    evidence = verdict.certificate["face_evidence"]
-    assert len(evidence) == 3
-    for item in evidence:
-        assert item["ball"]["is_ball"]
-        assert item["ball"]["n"] == 1
-
-
-def test_face_evidence_can_be_disabled():
-    verdict = check_polytope(make_classical_simplex(2), with_face_evidence=False)
-    assert verdict.certificate is None
+    assert len(calls) == 1
 
 
 def test_ball_descriptor_cases():
@@ -314,11 +323,11 @@ def _random_affine(rng, dim):
 def test_affine_invariance():
     rng = np.random.default_rng(61)
     for k in (make_spekkens_hull(), make_classical_simplex(2), make_square()):
-        base = check_polytope(k, with_face_evidence=False)
+        base = check_polytope(k)
         for _ in range(3):
             m, shift = _random_affine(rng, k.ambient_dim)
             img = k.affine_image(m, shift)
-            moved = check_polytope(img, with_face_evidence=False)
+            moved = check_polytope(img)
             assert moved.verdict == base.verdict
             assert moved.failed_condition == base.failed_condition
 
@@ -330,12 +339,12 @@ def test_affine_invariance():
 def test_separable_pair_refuted():
     x = linalg.projector(linalg.ket("01"))
     y = linalg.projector(linalg.ket("10"))
-    verdict = check_separable_pair(x, y, path_steps=32)
+    verdict = check_separable_pair(x, y)
     assert verdict.verdict == REFUTED
     assert verdict.failed_condition == CONNECTED_BUT_UNSUPERPOSABLE
     cert = verdict.certificate
     path = cert["path"]
-    assert path["steps_per_leg"] == 32
+    assert path["steps_per_leg"] == PATH_STEPS
     assert path["factor_identity_deviation"] <= 1e-12
     assert path["max_consecutive_distance"] <= path["distance_bound"]
     search = cert["search"]
@@ -361,7 +370,7 @@ def test_separable_pair_runs_no_seesaw(monkeypatch, tmp_path):
                         raising=False)
     x = linalg.projector(linalg.ket("01"))
     y = linalg.projector(linalg.ket("10"))
-    assert check_separable_pair(x, y, path_steps=8).verdict == REFUTED
+    assert check_separable_pair(x, y).verdict == REFUTED
     for a, b in ((x, y), (x, x), (linalg.projector(linalg.ket("0+")), y)):
         r = transition.affine_ratio_separable(a, b)
         assert r.lo <= r.hi
@@ -440,5 +449,5 @@ def test_random_simplexes_not_refuted(dim, data):
         min_size=count, max_size=count, unique=True,
     ))
     assume(affine_dimension_of([parse_point(p) for p in pts]) == count - 1)
-    verdict = check_polytope(VPolytope(pts), with_face_evidence=False)
+    verdict = check_polytope(VPolytope(pts))
     assert verdict.verdict == NOT_REFUTED

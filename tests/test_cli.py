@@ -50,6 +50,19 @@ def test_bad_simplex_size(capsys):
 
 def test_nonpositive_budgets_are_usage_errors(capsys):
     assert run(capsys, "protocol", "bc", "--starts", "0")[0] == 2
+    code, out, err = run(capsys, "protocol", "bc", "--sweeps", "-3")
+    assert (code, out) == (2, "")
+    assert "--sweeps: must be positive, got -3" in err
+    assert run(capsys, "protocol", "bc", "--support", "0")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [["analyze", "spekkens"], ["face", "spekkens", "e1"],
+                                  ["trace"]])
+def test_tol_is_usage_error_where_unread(capsys, argv):
+    # Only ratio, superposable and protocol read a tolerance.
+    code, out, err = run(capsys, *argv, "--tol", "1e-3")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --tol 1e-3" in err
 
 
 @pytest.mark.parametrize("argv", [["protocol", "bc"],
@@ -96,7 +109,7 @@ def test_boolean_ambient_dim_is_usage_error(capsys, tmp_path):
 
 
 def test_internal_error_maps_to_exit_4(capsys, monkeypatch):
-    def boom(args, tol):
+    def boom(args):
         raise InternalCheckError("synthetic")
     monkeypatch.setitem(cli._DISPATCH, "trace", boom)
     code, _, err = run(capsys, "trace")
@@ -287,3 +300,16 @@ def test_env_tolerance_and_flag_precedence(capsys, monkeypatch):
     code, _, _ = run(capsys, "superposable", "bloch", "(0,0,1)", NEAR_POLE,
                      "--tol", "1e-13")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [["ratio", "separable2x2"], ["ratio", "full2x2"],
+                                  ["superposable", "separable2x2"],
+                                  ["superposable", "full2x2"]])
+def test_tol_flag_reaches_matrix_engines(capsys, tmp_path, argv):
+    # |01><01| with trace 1 + 1e-8: outside the default tolerance, inside 1e-6.
+    matrix = [[0] * 4 for _ in range(4)]
+    matrix[1][1] = 1 + 1e-8
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    assert run(capsys, *argv, str(path), "10")[0] == 3
+    assert run(capsys, *argv, str(path), "10", "--tol", "1e-6")[0] == 0
