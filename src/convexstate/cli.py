@@ -5,7 +5,7 @@ Grammar::
     convexstate <analyze|ratio|superposable|face|protocol|trace> [args]
                 [--out PATH] [--format json|csv|text]
 
-``ratio``, ``superposable`` and ``protocol`` also take ``--tol X``.
+``ratio``, ``superposable`` and ``protocol clone`` also take ``--tol X``.
 
 Theories are addressed by zoo name (spekkens, simplex:<n>, bloch,
 full2x2, separable2x2) or by a JSON theory file path.  States are
@@ -562,6 +562,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "task", None) == "bc" and args.tol is not None:
+            parser.error("argument --tol: protocol bc reads no tolerance")
     except SystemExit as exc:
         code = exc.code
         return 0 if code in (None, 0) else int(code)

@@ -17,21 +17,25 @@ projector E and later steer it into D0 or D1 with a local nonselective
 measurement (computational or +/- basis).  In a theory without
 entanglement E is unavailable, and ``binding_attack_search`` looks for a
 separable substitute (best mixture of pure product states plus two
-A-side channels).  Its multi-started coordinate descent runs every start
-in lockstep as one row of a numpy batch, and scores a row through each
-channel's 4x4 superoperator acting on the realigned state.  At each
-coordinate both signs of the step are scored in one batch; each row
+A-side channels).  It scores in the real Pauli basis P = (I, X, Y, Z):
+sigma is C[i,j] = Tr(sigma P_i (x) P_j) = sum_n w_n (1, a_n)_i (1, b_n)_j
+for Bloch vectors a_n, b_n, a channel is its transfer matrix
+R[k,i] = Tr(P_k Lambda(P_i)) / 2 = R_s R_T (raw Kraus seeds, then their
+normalisation), and |Lambda0(sigma) - D0|^2 + |Lambda1(sigma) - D1|^2 =
+sum_c |R_c C - C_Dc|_F^2 / 4, since |rho|_HS^2 = |C|_F^2 / 4.  Its
+multi-started coordinate descent runs every start in lockstep as one row
+of a numpy batch and scores both signs of a step in one batch; each row
 still takes +step first and -step only if +step fails, and the
-evaluation count follows that serial rule, not the rows computed.  The best
-residual found is attained, so it bounds the ansatz's minimum from above;
-finding no attack within budget is evidence of binding, not a proof, and
-is reported as such.
+evaluation count follows that serial rule.  The best residual found is
+attained, so it bounds the ansatz's minimum from above; finding no
+attack within budget is evidence of binding, not a proof.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -171,54 +175,73 @@ def binding_residual(sigma, kraus0, kraus1, d0, d1) -> float:
 _N_KRAUS = 4
 _CHANNEL_PARAMS = _N_KRAUS * 8          # 4 Kraus ops, 2x2 complex each
 _STATE_PARAMS = 7                       # 3 + 3 Bloch components + weight seed
+_PAULI = np.stack([linalg.IDENT2, *linalg.PAULIS])      # P_0..P_3 = I, X, Y, Z
+_ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 
-def _realign(ops: np.ndarray) -> np.ndarray:
-    """Reindex pair-space operators [(a,i),(d,j)] -> [(a,d),(i,j)].
+@functools.cache     # built on first use: importing the package skips it
+def _seed_forms() -> np.ndarray:
+    """The 64x20 table of real quadratic forms in a Kraus seed s's 8 raw
+    reals p (re, im per entry, row-major): p p^T, flattened, times the
+    table is the transfer matrix of rho -> s rho s^dag (16 entries) and the
+    Pauli coefficients Tr(s^dag s P_k) / 2 (4).  With sum_n p_n p_n^T in
+    place of p p^T it gives them for a sum over seeds."""
+    basis = (np.eye(4)[:, None, :] * np.array([1.0, 1j])[:, None]).reshape(8, 2, 2)
+    sandwich = np.einsum("kab,rbc,icd,qad->rqki", _PAULI, basis, _PAULI, basis.conj()).real
+    gram = np.einsum("rba,qbc,kca->rqk", basis.conj(), basis, _PAULI).real
+    return 0.5 * np.concatenate([sandwich.reshape(8, 8, 16), gram], axis=2).reshape(64, 20)
 
-    An involution that keeps the HS norm.  Realigned, an A-side channel
-    acts by left multiplication with its superoperator.
-    """
-    lead = ops.shape[:-2]
-    return ops.reshape(*lead, 2, 2, 2, 2).swapaxes(-3, -2).reshape(*lead, 4, 4)
+
+def _pauli_coefficients(rho: np.ndarray) -> np.ndarray:
+    """C[..., i, j] = Tr(rho P_i (x) P_j) of Hermitian two-qubit operators."""
+    t = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)
+    return np.einsum("...aibj,xba,yji->...xy", t, _PAULI, _PAULI).real
 
 
-def _channels_from_params(p: np.ndarray):
-    """Trace-preserving channels from rows of 32 raw reals.
+def _state(c: np.ndarray) -> np.ndarray:
+    """The two-qubit operator sum_ij C[i,j] P_i (x) P_j / 4."""
+    return 0.25 * np.einsum("xy,xab,yij->aibj", c, _PAULI, _PAULI).reshape(4, 4)
 
-    Per row, raw 2x2 seeds are normalized by S^{-1/2} with S = sum K^dag K;
-    the 2x2 PSD square root has a closed form.  Returns (kraus, superop,
-    ok) with shapes (m, 4, 2, 2), (m, 4, 4) and (m,), where
-    superop[(a,d),(b,c)] = sum_n K_n[a,b] conj(K_n[d,c]).  A row whose S is
-    close to singular gets ok = False: the move is rejected rather than
-    regularized, keeping every accepted channel trace-preserving to machine
-    precision.  Its kraus and superop are placeholders: they use
-    det S = 1 and tr S = 2, which keeps S + sqrt(det S) I invertible.
-    """
-    m = p.shape[0]
-    seeds = (p[:, 0::2] + 1j * p[:, 1::2]).reshape(m, _N_KRAUS, 2, 2)
-    s = np.einsum("mnba,mnbc->mac", seeds.conj(), seeds)
-    tr = s[:, 0, 0].real + s[:, 1, 1].real
-    det = (s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]).real
+
+def _channels(p: np.ndarray):
+    """Channels with Kraus operators K_n = s_n T from raw reals (..., 32):
+    4 seeds s_n, normalised by T = t0 I + t.sigma = S^{-1/2} for
+    S = sum_n s_n^dag s_n, the inverse of the closed form
+    sqrt(S) = (S + sqrt(det S) I) / sqrt(tr S + 2 sqrt(det S)).  Returns
+    the transfer matrices R = R_s R_T (..., 4, 4), (t0, t) and ok, where
+    R_T = [[t0^2 + |t|^2, 2 t0 t^T], [2 t0 t, (t0^2 - |t|^2) I + 2 t t^T]]
+    is that of rho -> T rho T.  A nearly singular S gets ok = False (the
+    move is rejected, not regularized) and a finite placeholder T from
+    det S = 1 and tr S = 2.  Accepted channels are trace-preserving up to
+    rounding amplified by the condition of S: about 1e-16 when S is well
+    conditioned, up to about 1e-7 near the rejection threshold."""
+    seeds = p.reshape(*p.shape[:-1], _N_KRAUS, 8)
+    y = (seeds.swapaxes(-1, -2) @ seeds).reshape(*p.shape[:-1], 1, 64)
+    forms = (y @ _seed_forms())[..., 0, :]    # one product per row: batch-independent
+    s0, s = forms[..., 16], forms[..., 17:]
+    tr, det = 2.0 * s0, s0 * s0 - np.sum(s * s, axis=-1)
     ok = (tr > 1e-8) & (det > 1e-10 * np.maximum(1.0, tr) ** 2)
     root_det = np.sqrt(np.where(ok, det, 1.0))
     denom = np.sqrt(np.where(ok, tr, 2.0) + 2.0 * root_det)
-    sqrt_s = (s + root_det[:, None, None] * linalg.IDENT2) / denom[:, None, None]
-    a, b = sqrt_s[:, 0, 0], sqrt_s[:, 0, 1]
-    c, d = sqrt_s[:, 1, 0], sqrt_s[:, 1, 1]
-    inv_sqrt = np.stack([d, -b, -c, a], axis=1).reshape(m, 2, 2) / (a * d - b * c)[:, None, None]
-    kraus = np.einsum("mnab,mbc->mnac", seeds, inv_sqrt)
-    superop = np.einsum("mnab,mndc->madbc", kraus, kraus.conj()).reshape(m, 4, 4)
-    return kraus, superop, ok
+    t = np.concatenate([(s0 + root_det)[..., None], -s], axis=-1)
+    t /= (denom * root_det)[..., None]
+    gap = t[..., 0] ** 2 - np.sum(t[..., 1:] ** 2, axis=-1)
+    r_t = 2.0 * t[..., :, None] * t[..., None, :] + gap[..., None, None] * _ETA
+    return forms[..., :16].reshape(*p.shape[:-1], 4, 4) @ r_t, t, ok
 
 
-def _bloch_vectors(seeds: np.ndarray) -> np.ndarray:
-    """Row-major flattened qubit projectors for nonzero Bloch seeds; a zero
-    seed falls back to the +z axis."""
+def _kraus(row: np.ndarray) -> np.ndarray:
+    """The Kraus operators K_n = s_n T (4, 2, 2) of one row of 32 raw reals."""
+    seeds = (row[0::2] + 1j * row[1::2]).reshape(_N_KRAUS, 2, 2)
+    return seeds @ np.einsum("k,kab->ab", _channels(row)[1], _PAULI)
+
+
+def _bloch_rows(seeds: np.ndarray) -> np.ndarray:
+    """Pauli coefficients (1, a) of the qubit projectors with Bloch vectors
+    a = seed / |seed|; a zero seed falls back to the +z axis."""
     norms = np.sqrt(np.sum(seeds * seeds, axis=-1, keepdims=True))
-    u = np.where(norms > 0.0, seeds / np.where(norms == 0.0, 1.0, norms), (0.0, 0.0, 1.0))
-    x, y, z = u[..., 0], u[..., 1], u[..., 2]
-    return 0.5 * np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=-1)
+    unit = np.where(norms > 0.0, seeds / np.where(norms == 0.0, 1.0, norms), (0.0, 0.0, 1.0))
+    return np.concatenate([np.ones_like(norms), unit], axis=-1)
 
 
 def _weights(seeds: np.ndarray) -> np.ndarray:
@@ -230,35 +253,27 @@ def _weights(seeds: np.ndarray) -> np.ndarray:
 
 
 def _mixture_parts(p: np.ndarray, support: int):
-    """Weights (m, support) and flattened A-side and B-side projectors
-    (m, support, 4) of mixtures of pure product states, from rows of support
-    groups of 7 raw reals: (Bloch seed of A, Bloch seed of B, weight seed)."""
+    """Weights w (m, support) and A-side and B-side rows u_n = (1, a_n),
+    v_n = (1, b_n) (m, support, 4) of mixtures of pure product states, from
+    rows of support groups of 7 raw reals: (Bloch seed of A, Bloch seed of
+    B, weight seed)."""
     q = p.reshape(p.shape[0], support, _STATE_PARAMS)
-    return [_weights(q[:, :, 6]), _bloch_vectors(q[:, :, 0:3]), _bloch_vectors(q[:, :, 3:6])]
+    return [_weights(q[:, :, 6]), _bloch_rows(q[:, :, 0:3]), _bloch_rows(q[:, :, 3:6])]
 
 
-def _mix(w: np.ndarray, vec_a: np.ndarray, vec_b: np.ndarray) -> np.ndarray:
-    """Realigned mixtures from their parts: realigned, sum_n w_n a_n (x) b_n
-    is the sum of outer products w_n vec(a_n) vec(b_n)^T."""
-    return np.einsum("mn,mnx,mny->mxy", w, vec_a, vec_b)
+def _correlations(w: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Pauli coefficients C = sum_n w_n u_n v_n^T (m, 4, 4) of the mixtures."""
+    return (u * w[:, :, None]).swapaxes(1, 2) @ v
 
 
-def _sigmas_from_params(p: np.ndarray, support: int) -> np.ndarray:
-    """Realigned mixtures of pure product states from rows of support * 7
-    raw reals (see `_mixture_parts`)."""
-    return _mix(*_mixture_parts(p, support))
-
-
-def _residuals(sigmas: np.ndarray, superops: np.ndarray, ok: np.ndarray,
-               targets: np.ndarray) -> np.ndarray:
-    """|Lambda0(sigma) - D0|^2 + |Lambda1(sigma) - D1|^2 per row, from
-    realigned sigmas (m, 4, 4), superoperator pairs (m, 2, 4, 4) and
-    realigned targets (2, 4, 4); inf where either channel was rejected."""
-    err = superops @ sigmas[:, None]
-    err -= targets      # in place, like the square below: this is the search's peak memory
-    sq = err.real ** 2
-    sq += np.square(err.imag, out=err.imag)
-    return np.where(ok.all(axis=1), np.sum(sq, axis=(1, 2, 3)), math.inf)
+def _scores(corr: np.ndarray, transfer: np.ndarray, ok: np.ndarray,
+            targets: np.ndarray) -> np.ndarray:
+    """|Lambda0(sigma) - D0|^2 + |Lambda1(sigma) - D1|^2 (HS) per row, as
+    sum_c |R_c C - C_c|_F^2 / 4, from Pauli coefficients of sigma (m, 4, 4),
+    transfer-matrix pairs (m, 2, 4, 4) and target coefficients (2, 4, 4);
+    inf where either channel was rejected."""
+    err = transfer @ corr[:, None] - targets
+    return np.where(ok.all(axis=1), 0.25 * np.sum(err * err, axis=(1, 2, 3)), math.inf)
 
 
 @dataclass(frozen=True)
@@ -292,11 +307,13 @@ def binding_attack_search(d0=None, d1=None, support: int = 8, starts: int = 32,
     it takes +step if that improves, else -step if that does; its step
     halves after a sweep without improvement, and the row stops once the
     step falls below 1e-4.  Both signs of every active row are scored in
-    one batch.  A probe rebuilds only the part its coordinate feeds: one
-    Bloch vector or the weights of sigma (the other parts are kept per
-    start), or one channel.  `evaluations` counts the probes of the serial
-    rule: one per active row, plus one per row whose +step failed, not the
-    rows computed.
+    one batch, in the real Pauli basis (module docstring).  A probe
+    rebuilds only the part its coordinate feeds: one Bloch row or the
+    weights of sigma (the other parts are kept per start), or one
+    channel's transfer matrix.  The Kraus operators and sigma are built
+    once, for the returned row.  `evaluations` counts the probes of the
+    serial rule: one per active row, plus one per row whose +step failed,
+    not the rows computed.
 
     The reported residual is attained by the returned (sigma, Lambda0,
     Lambda1), so it is an upper bound on the ansatz's minimum.  It is not
@@ -312,7 +329,7 @@ def binding_attack_search(d0=None, d1=None, support: int = 8, starts: int = 32,
         d0, d1, _ = build_bb84_states()
     d0 = linalg.require_density(d0, what="D0")
     d1 = linalg.require_density(d1, what="D1")
-    targets = _realign(np.stack([d0, d1]))
+    targets = _pauli_coefficients(np.stack([d0, d1]))
 
     n_sigma = support * _STATE_PARAMS
     offsets = (n_sigma, n_sigma + _CHANNEL_PARAMS)
@@ -320,11 +337,9 @@ def binding_attack_search(d0=None, d1=None, support: int = 8, starts: int = 32,
 
     def build(p):
         parts = _mixture_parts(p[:, :n_sigma], support)
-        sigmas = _mix(*parts)
-        built = [_channels_from_params(p[:, off:off + _CHANNEL_PARAMS]) for off in offsets]
-        superops = np.stack([b[1] for b in built], axis=1)
-        ok = np.stack([b[2] for b in built], axis=1)
-        return parts, sigmas, superops, ok, _residuals(sigmas, superops, ok, targets)
+        corr = _correlations(*parts)
+        transfer, _, ok = _channels(p[:, n_sigma:].reshape(-1, 2, _CHANNEL_PARAMS))
+        return parts, corr, transfer, ok, _scores(corr, transfer, ok, targets)
 
     warm = np.zeros(n_total)
     # sigma = D0: half |0>|1>, half |1>|0>
@@ -333,24 +348,21 @@ def binding_attack_search(d0=None, d1=None, support: int = 8, starts: int = 32,
         warm[7:14] = [0, 0, -1, 0, 0, 1, 1.0]
     for i in range(2, support):
         warm[i * 7:(i + 1) * 7] = [0, 0, 1, 0, 0, 1, 0.0]
-    for off in offsets:
-        warm[off + 0] = 1.0   # K_0 = I (real part of entries (0,0) and (1,1))
-        warm[off + 6] = 1.0
+    identity = [off + k for off in offsets for k in (0, 6)]   # K_0 = I: re of entries 00, 11
+    warm[identity] = 1.0
 
     params = np.empty((starts, n_total))
     params[0] = warm
     for s in range(1, starts):
         params[s] = np.random.default_rng([int(seed), s]).normal(scale=0.8, size=n_total)
-        for off in offsets:
-            params[s, off + 0] += 1.0
-            params[s, off + 6] += 1.0
-    # parts = [weights, A-side vectors, B-side vectors], kept per start
-    parts, sigmas, superops, ok, val = build(params)
+    params[1:, identity] += 1.0
+    # parts = [weights, A-side rows, B-side rows], kept per start
+    parts, corr, transfer, ok, val = build(params)
     evals = starts
     bad = np.flatnonzero(~np.isfinite(val))
     if bad.size:
         params[bad] = warm
-        fixed, sigmas[bad], superops[bad], ok[bad], val[bad] = build(params[bad])
+        fixed, corr[bad], transfer[bad], ok[bad], val[bad] = build(params[bad])
         for part, new in zip(parts, fixed):
             part[bad] = new
         evals += bad.size
@@ -366,6 +378,7 @@ def binding_attack_search(d0=None, d1=None, support: int = 8, starts: int = 32,
         both = np.concatenate([rows, rows])   # +step rows, then -step rows
         here = params[rows, j]
         moved = np.concatenate([here + step[rows], here - step[rows]])
+        tra, flags = transfer[both], ok[both]
         if j < n_sigma:
             group, k = divmod(j, _STATE_PARAMS)
             cand = [x[both] for x in parts]
@@ -377,19 +390,16 @@ def binding_attack_search(d0=None, d1=None, support: int = 8, starts: int = 32,
                 part, first = 1 + k // 3, j - k % 3
                 seeds = params[both, first:first + 3]
                 seeds[:, k % 3] = moved
-                cand[part][:, group] = _bloch_vectors(seeds)
-            sig = _mix(*cand)
+                cand[part][:, group] = _bloch_rows(seeds)
+            cor = _correlations(*cand)
             cand = cand[part]     # drop the unchanged parts before scoring
-            sup, flags = superops[both], ok[both]
         else:
             c, at = divmod(j - n_sigma, _CHANNEL_PARAMS)
             seeds = params[both, offsets[c]:offsets[c] + _CHANNEL_PARAMS]
             seeds[:, at] = moved
-            _, channel, flag = _channels_from_params(seeds)
-            sup, flags = superops[both], ok[both]
-            sup[:, c], flags[:, c] = channel, flag
-            sig = sigmas[both]
-        v2 = _residuals(sig, sup, flags, targets)
+            tra[:, c], _, flags[:, c] = _channels(seeds)
+            cor = corr[both]
+        v2 = _scores(cor, tra, flags, targets)
         bar = val[rows] - 1e-14
         plus = v2[:r] < bar
         minus = ~plus & (v2[r:] < bar)
@@ -397,7 +407,7 @@ def binding_attack_search(d0=None, d1=None, support: int = 8, starts: int = 32,
         src = np.where(plus[pick], pick, pick + r)
         won = rows[pick]
         params[won, j], val[won] = moved[src], v2[src]
-        sigmas[won], superops[won], ok[won] = sig[src], sup[src], flags[src]
+        corr[won], transfer[won], ok[won] = cor[src], tra[src], flags[src]
         if j < n_sigma:
             parts[part][won] = cand[src]
         return 2 * r - int(np.count_nonzero(plus)), won   # -step ran where +step failed
@@ -415,8 +425,7 @@ def binding_attack_search(d0=None, d1=None, support: int = 8, starts: int = 32,
 
     best = int(np.argmin(val))
     best_val = float(val[best])
-    kraus0, kraus1 = (_channels_from_params(params[best:best + 1, off:off + _CHANNEL_PARAMS])[0][0]
-                      for off in offsets)
+    kraus0, kraus1 = (_kraus(params[best, off:off + _CHANNEL_PARAMS]) for off in offsets)
     message = (
         "no attack found within budget; residual stays well above zero "
         "(evidence for binding, not a proof)"
@@ -427,7 +436,7 @@ def binding_attack_search(d0=None, d1=None, support: int = 8, starts: int = 32,
         residual=best_val, support=support, starts=starts, seed=seed, sweeps=sweeps,
         best_start=best, start_residuals=tuple(float(v) for v in val),
         evaluations=evals, message=message,
-        best_sigma=_realign(sigmas[best]), best_kraus0=kraus0, best_kraus1=kraus1,
+        best_sigma=_state(corr[best]), best_kraus0=kraus0, best_kraus1=kraus1,
     )
 
 
@@ -443,25 +452,11 @@ class BitCommitmentReport:
     search: BindingSearchReport = field(repr=False)
 
     def to_json_dict(self) -> dict:
-        return {
-            "concealing": self.concealing,
-            "concealment_deviation": self.concealment_deviation,
-            "epr_separable": self.epr_separable,
-            "epr_partial_transpose_min_eig": self.epr_partial_transpose_min_eig,
-            "qm_unbinding_demonstrated": self.qm_unbinding_demonstrated,
-            "qm_unbinding_max_deviation": self.qm_unbinding_max_deviation,
-            "separable_binding_residual": self.separable_binding_residual,
-            "search": {
-                "support": self.search.support,
-                "starts": self.search.starts,
-                "seed": self.search.seed,
-                "sweeps": self.search.sweeps,
-                "best_start": self.search.best_start,
-                "start_residuals": list(self.search.start_residuals),
-                "evaluations": self.search.evaluations,
-                "message": self.search.message,
-            },
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "search"}
+        out["search"] = {key: getattr(self.search, key) for key in (
+            "support", "starts", "seed", "sweeps", "best_start", "start_residuals",
+            "evaluations", "message")}
+        return out
 
 
 def run_bit_commitment_analysis(support: int = 8, starts: int = 32,

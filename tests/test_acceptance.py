@@ -287,7 +287,7 @@ def test_bit_commitment_analysis():
         assert "not a proof" in search.message
         assert search.evaluations == 222638
         assert search.best_start == 0
-        assert search.residual == 0.12500482608117547
+        assert search.residual == 0.12500482608117544
 
 
 # ---------------------------------------------------------------------------

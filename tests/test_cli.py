@@ -65,6 +65,17 @@ def test_tol_is_usage_error_where_unread(capsys, argv):
     assert "unrecognized arguments: --tol 1e-3" in err
 
 
+def test_protocol_bc_rejects_tol(capsys, monkeypatch):
+    # The binding search reads no tolerance; protocol clone does.
+    budget = ["--support", "1", "--starts", "1", "--sweeps", "1"]
+    code, out, err = run(capsys, "protocol", "bc", *budget, "--tol", "0.5")
+    assert (code, out) == (2, "")
+    assert "argument --tol: protocol bc reads no tolerance" in err
+    assert run(capsys, "protocol", "clone", "--tol", "1e-9")[0] == 0
+    monkeypatch.setenv("CONVEXSTATE_TOL", "0.5")
+    assert run(capsys, "protocol", "bc", *budget)[0] == 0
+
+
 @pytest.mark.parametrize("argv", [["protocol", "bc"],
                                   ["ratio", "separable2x2", "01", "10"]])
 def test_negative_seed_is_usage_error(capsys, argv):

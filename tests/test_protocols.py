@@ -205,18 +205,16 @@ def serial_search(support, starts, seed, sweeps):
     """Reference search, one start at a time: at each coordinate +step,
     then -step only if +step failed; one evaluation per probe.  Returns the
     per-start residuals, the evaluation count and the parameter rows."""
-    targets = protocols._realign(np.stack([D0, D1]))
+    targets = pauli_targets(D0, D1)
     n_sigma = support * 7
     offsets = (n_sigma, n_sigma + 32)
     n_total = n_sigma + 64
 
     def score(p):
         row = p[None]
-        sigma = protocols._sigmas_from_params(row[:, :n_sigma], support)
-        built = [protocols._channels_from_params(row[:, off:off + 32]) for off in offsets]
-        superops = np.stack([b[1] for b in built], axis=1)
-        ok = np.stack([b[2] for b in built], axis=1)
-        return protocols._residuals(sigma, superops, ok, targets)[0]
+        corr = protocols._correlations(*protocols._mixture_parts(row[:, :n_sigma], support))
+        transfer, _, ok = protocols._channels(row[:, n_sigma:].reshape(1, 2, 32))
+        return protocols._scores(corr, transfer, ok, targets)[0]
 
     warm = np.zeros(n_total)
     warm[0:7] = [0, 0, 1, 0, 0, -1, 1.0]
@@ -271,10 +269,10 @@ def test_binding_search_retraces_serial_rule(budget):
     assert report.best_start == best
     p = rows[best][None]
     n_sigma = support * 7
-    sigma = protocols._realign(protocols._sigmas_from_params(p[:, :n_sigma], support)[0])
-    assert np.array_equal(report.best_sigma, sigma)
+    corr = protocols._correlations(*protocols._mixture_parts(p[:, :n_sigma], support))
+    assert np.array_equal(report.best_sigma, protocols._state(corr[0]))
     for kraus, off in ((report.best_kraus0, n_sigma), (report.best_kraus1, n_sigma + 32)):
-        assert np.array_equal(kraus, protocols._channels_from_params(p[:, off:off + 32])[0][0])
+        assert np.array_equal(kraus, protocols._kraus(p[0, off:off + 32]))
 
 
 def test_binding_search_rejects_negative_seed():
@@ -305,29 +303,113 @@ def test_binding_search_best_point_oracle():
     assert kraus_completeness_deviation(report.best_kraus1) <= 1e-10
 
 
+def pauli_targets(d0, d1):
+    return protocols._pauli_coefficients(np.stack([d0, d1]))
+
+
+def complex_channels(p):
+    """Plain-definition channel builder, one row of 32 raw reals at a time:
+    K_n = s_n S^{-1/2} for the complex 2x2 seeds s_n, with S^{-1/2} the
+    inverse of the closed form sqrt(S) = (S + sqrt(det S) I) /
+    sqrt(tr S + 2 sqrt(det S)).  Returns the Kraus operators (m, 4, 2, 2)
+    and the rejection flags ok (m,) of the rule: tr S > 1e-8 and
+    det S > 1e-10 max(1, tr S)^2; rejected rows get None."""
+    kraus, ok = [], []
+    for row in p:
+        seeds = (row[0::2] + 1j * row[1::2]).reshape(4, 2, 2)
+        s = np.einsum("nba,nbc->ac", seeds.conj(), seeds)
+        tr, det = np.trace(s).real, (s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]).real
+        ok.append(bool(tr > 1e-8 and det > 1e-10 * max(1.0, tr) ** 2))
+        if not ok[-1]:
+            kraus.append(None)
+            continue
+        sqrt_s = (s + math.sqrt(det) * np.eye(2)) / math.sqrt(tr + 2.0 * math.sqrt(det))
+        kraus.append(seeds @ np.linalg.inv(sqrt_s))
+    return kraus, np.array(ok)
+
+
+def random_channel_rows(rng, count):
+    """Seeded channel rows like the search's random starts, plus rows on
+    both sides of the rejection rule: S = diag(1, eps) with eps = 1e-9
+    (kept) and 1e-11 (rejected), a rank-1 S, a tiny S and an all-zero row."""
+    rows = rng.normal(scale=0.8, size=(count, 32))
+    rows[:, [0, 6]] += 1.0
+    special = np.zeros((5, 32))
+    special[0, [0, 6]] = 1.0, math.sqrt(1e-9)
+    special[1, [0, 6]] = 1.0, math.sqrt(1e-11)
+    special[2, 0::4] = rng.normal(size=8)     # first columns only: s_n = u_n (1, 0)
+    special[3] = 1e-5 * rng.normal(size=32)
+    return np.concatenate([rows, special])
+
+
+@pytest.mark.parametrize("name", ["bb84", "d0d0", "random"])
+def test_pauli_scores_match_plain_definition(name):
+    rng = np.random.default_rng(74)
+    d0, d1 = {"bb84": (D0, D1), "d0d0": (D0, D0)}.get(name, (None, None))
+    if d0 is None:
+        m = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+        d0, d1 = (x @ x.conj().T / np.trace(x @ x.conj().T).real for x in m)
+    support, count = 3, 40
+    raw = random_channel_rows(rng, count)
+    order = rng.permutation(raw.shape[0])
+    c0, c1 = raw, raw[order]
+    states = rng.normal(size=(c0.shape[0], support * 7))
+    corr = protocols._correlations(*protocols._mixture_parts(states, support))
+    (t0, _, ok0), (t1, _, ok1) = protocols._channels(c0), protocols._channels(c1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = protocols._scores(corr, np.stack([t0, t1], axis=1),
+                                   np.stack([ok0, ok1], axis=1), pauli_targets(d0, d1))
+    (k0, want0), (k1, want1) = complex_channels(c0), complex_channels(c1)
+    assert ok0.tolist() == want0.tolist() and ok1.tolist() == want1.tolist()
+    assert want0[count:].tolist() == [True, False, False, False, False]
+    for i in range(c0.shape[0]):
+        if not (ok0[i] and ok1[i]):
+            assert values[i] == np.inf
+            continue
+        q = states[i].reshape(support, 7)
+        sigma = sum(g[6] ** 2 * np.kron(linalg.bloch_projector(g[0:3] / np.linalg.norm(g[0:3])),
+                                        linalg.bloch_projector(g[3:6] / np.linalg.norm(g[3:6])))
+                    for g in q) / np.sum(q[:, 6] ** 2)
+        # S = diag(1, 1e-9) has condition 1e9: det S = s0^2 - |s|^2 keeps
+        # about 7 digits there, where the complex form S00 S11 is exact
+        tol = 1e-14 if max(i, order[i]) < count else 1e-7
+        assert abs(values[i] - binding_residual(sigma, k0[i], k1[i], d0, d1)) <= tol
+
+
 def test_channel_builder_rejects_singular_row_alone():
     rng = np.random.default_rng(73)
     raw = rng.normal(size=(3, 32))
     raw[1] = 0.0
-    sigmas = protocols._sigmas_from_params(rng.normal(size=(3, 14)), 2)
-    targets = protocols._realign(np.stack([D0, D1]))
+    corr = protocols._correlations(*protocols._mixture_parts(rng.normal(size=(3, 14)), 2))
+    targets = pauli_targets(D0, D1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        kraus, superop, ok = protocols._channels_from_params(raw)
-        pair = np.stack([superop, superop], axis=1)
-        values = protocols._residuals(sigmas, pair, np.stack([ok, ok], axis=1), targets)
+        transfer, _, ok = protocols._channels(raw)
+        pair = np.stack([transfer, transfer], axis=1)
+        values = protocols._scores(corr, pair, np.stack([ok, ok], axis=1), targets)
     assert ok.tolist() == [True, False, True]
     assert values[1] == np.inf
     for i in (0, 2):
-        k1, t1, ok1 = protocols._channels_from_params(raw[i:i + 1])
+        t1, _, ok1 = protocols._channels(raw[i:i + 1])
         assert ok1.tolist() == [True]
-        assert np.array_equal(kraus[i], k1[0]) and np.array_equal(superop[i], t1[0])
-        assert kraus_completeness_deviation(kraus[i]) <= 1e-12
-        one = protocols._residuals(sigmas[i:i + 1], np.stack([t1, t1], axis=1),
-                                   np.stack([ok1, ok1], axis=1), targets)
+        assert np.array_equal(transfer[i], t1[0])
+        kraus = protocols._kraus(raw[i])
+        assert kraus_completeness_deviation(kraus) <= 1e-12
+        one = protocols._scores(corr[i:i + 1], np.stack([t1, t1], axis=1),
+                                np.stack([ok1, ok1], axis=1), targets)
         assert one[0] == values[i]
-        sigma = protocols._realign(sigmas[i])
-        assert abs(values[i] - binding_residual(sigma, kraus[i], kraus[i], D0, D1)) <= 1e-12
+        sigma = protocols._state(corr[i])
+        assert abs(values[i] - binding_residual(sigma, kraus, kraus, D0, D1)) <= 1e-12
+
+
+def test_pauli_coefficients_round_trip():
+    rng = np.random.default_rng(75)
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = m + m.conj().T
+    c = protocols._pauli_coefficients(rho)
+    assert np.max(np.abs(protocols._state(c) - rho)) <= 1e-14
+    assert abs(np.sum(c * c) / 4 - linalg.hs_norm(rho) ** 2) <= 1e-12
 
 
 def test_binding_search_rejects_bad_budgets():
