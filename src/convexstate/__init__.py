@@ -18,7 +18,7 @@ from .errors import InternalCheckError, PreconditionError, TheoryFormatError
 from .models import (make_classical_simplex, make_spekkens_hull,
                      separable_membership)
 from .polytope import (Face, VPolytope, find_ambiguous_mixture, generated_face,
-                       is_simplex, load_theory, minimal_face, theory_from_dict,
+                       load_theory, minimal_face, theory_from_dict,
                        theory_to_dict)
 from .protocols import (binding_attack_search, build_bb84_states,
                         cloning_contradiction, concealment_check,
@@ -59,7 +59,6 @@ __all__ = [
     "concealment_check",
     "find_ambiguous_mixture",
     "generated_face",
-    "is_simplex",
     "jb_norm_inequalities",
     "jordan_identity_residual",
     "load_theory",

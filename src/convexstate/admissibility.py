@@ -53,14 +53,6 @@ def jordan_identity_residual(a, b) -> float:
     return linalg.hs_distance(lhs, rhs)
 
 
-def jordan_identity_scale(a, b) -> float:
-    """Normalization for the identity residual: the identity is cubic in a
-    and linear in b."""
-    na = linalg.hs_norm(a)
-    nb = linalg.hs_norm(b)
-    return (1.0 + na) ** 3 * (1.0 + nb)
-
-
 @dataclass(frozen=True)
 class NormInequalityReport:
     submultiplicative: bool   # |a.b|  <= |a| |b|

@@ -221,22 +221,6 @@ CLAIMS: tuple[Claim, ...] = (
         ),
     ),
     Claim(
-        id="seesaw-grid-agreement",
-        statement=(
-            "The see-saw maximizer of a linear functional over product "
-            "states agrees with an independent brute-force grid oracle; on "
-            "the singlet projector both report 1/2."
-        ),
-        operations=(
-            "models.maximize_linear_over_separable",
-            "models.grid_maximize_over_product",
-        ),
-        tests=(
-            "tests/test_models.py::test_seesaw_vs_grid",
-            "tests/test_acceptance.py::test_seesaw_grid_agreement",
-        ),
-    ),
-    Claim(
         id="verdict-affine-invariance",
         statement=(
             "JB admissibility verdicts for polytopes are invariant under "
@@ -256,10 +240,3 @@ CLAIMS: tuple[Claim, ...] = (
 
 def claims_table() -> list[dict]:
     return [c.to_json_dict() for c in CLAIMS]
-
-
-def get_claim(claim_id: str) -> Claim:
-    for c in CLAIMS:
-        if c.id == claim_id:
-            return c
-    raise KeyError(claim_id)

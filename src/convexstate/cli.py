@@ -2,10 +2,12 @@
 
 Grammar::
 
-    convexstate <analyze|ratio|superposable|face|protocol|trace> [args]
+    convexstate <analyze|ratio|superposable|face|trace> [args]
                 [--out PATH] [--format json|csv|text]
+    convexstate protocol <bc|clone> [args] [--out PATH] [--format ...]
 
 ``ratio``, ``superposable`` and ``protocol clone`` also take ``--tol X``.
+``protocol bc`` and ``protocol clone`` each accept only their own options.
 
 Theories are addressed by zoo name (spekkens, simplex:<n>, bloch,
 full2x2, separable2x2) or by a JSON theory file path.  States are
@@ -523,21 +525,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("theory", help=ZOO_HELP)
     p.add_argument("points", nargs="+")
 
-    p = sub.add_parser("protocol", parents=[common, tolerance],
+    p = sub.add_parser("protocol",
                        help="protocol analyses: bit commitment or cloning")
-    p.add_argument("task", choices=("bc", "clone"))
+    tasks = p.add_subparsers(dest="task", required=True)
+    p = tasks.add_parser("bc", parents=[common],
+                         help="bit commitment: concealment, the quantum "
+                              "attack and the separable binding search")
     p.add_argument("--support", type=budget, default=8,
-                   help="product states in the committed mixture (bc)")
-    p.add_argument("--starts", type=budget, default=32,
-                   help="search restarts (bc)")
+                   help="product states in the committed mixture")
+    p.add_argument("--starts", type=budget, default=32, help="search restarts")
     p.add_argument("--sweeps", type=budget, default=30,
-                   help="descent sweeps per start (bc)")
+                   help="descent sweeps per start")
     p.add_argument("--seed", type=seed, default=0,
-                   help="seed for the binding search's starts (bc)")
+                   help="seed for the binding search's starts")
+    p = tasks.add_parser("clone", parents=[common, tolerance],
+                         help="the cloning contradiction for two qubit states")
     p.add_argument("--bloch-angle", type=float, default=None,
-                   help="angle in degrees between the Bloch vectors (clone)")
-    p.add_argument("--x", default=None, help="first Bloch vector (clone)")
-    p.add_argument("--y", default=None, help="second Bloch vector (clone)")
+                   help="angle in degrees between the Bloch vectors")
+    p.add_argument("--x", default=None, help="first Bloch vector")
+    p.add_argument("--y", default=None, help="second Bloch vector")
 
     p = sub.add_parser("trace", parents=[common],
                        help="traceability table: claims to operations to tests")
@@ -562,8 +568,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "task", None) == "bc" and args.tol is not None:
-            parser.error("argument --tol: protocol bc reads no tolerance")
     except SystemExit as exc:
         code = exc.code
         return 0 if code in (None, 0) else int(code)

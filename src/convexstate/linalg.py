@@ -207,15 +207,6 @@ def require_density(rho, tol: float = 1e-10, what: str = "state") -> np.ndarray:
     return m
 
 
-def is_rank1_projection(p, tol: float = 1e-10) -> bool:
-    """Idempotency test for a Hermitian matrix: p^2 == p and trace 1."""
-    try:
-        require_rank1_projection(p, tol=tol)
-    except PreconditionError:
-        return False
-    return True
-
-
 def require_rank1_projection(p, tol: float = 1e-10, what: str = "state") -> np.ndarray:
     m = require_hermitian(p, atol=max(HERMITIAN_ATOL, tol), what=what)
     if abs(float(np.real(np.trace(m))) - 1.0) > tol:

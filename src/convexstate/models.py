@@ -4,12 +4,11 @@ Polytope models
     make_spekkens_hull     six-outcome toy-theory hull: the cross-polytope
                            conv{+-e1, +-e2, +-e3}
     make_classical_simplex standard n-simplex conv{0, e1, ..., en}
-    make_square            conv{(+-1,0), (0,+-1)}
 
 Separable two-qubit set
     membership is the partial-transpose test, which is exact (necessary and
     sufficient) at 2x2; linear functionals are maximized over pure product
-    states by a see-saw ascent cross-checked against a grid oracle.
+    states by a see-saw ascent.
 """
 
 from __future__ import annotations
@@ -49,10 +48,6 @@ def make_classical_simplex(n: int) -> VPolytope:
     return VPolytope(verts, name=f"simplex:{n}")
 
 
-def make_square() -> VPolytope:
-    return VPolytope([(1, 0), (0, 1), (-1, 0), (0, -1)], name="square")
-
-
 # ---------------------------------------------------------------------------
 # Product states
 # ---------------------------------------------------------------------------
@@ -64,13 +59,9 @@ class ProductStateParam:
     bloch_a: tuple[float, float, float]
     bloch_b: tuple[float, float, float]
 
-    def factors(self) -> tuple[np.ndarray, np.ndarray]:
-        return (linalg.bloch_projector(self.bloch_a),
-                linalg.bloch_projector(self.bloch_b))
-
     def density(self) -> np.ndarray:
-        ea, fb = self.factors()
-        return linalg.tensor(ea, fb)
+        return linalg.tensor(linalg.bloch_projector(self.bloch_a),
+                             linalg.bloch_projector(self.bloch_b))
 
 
 def _unit(v: np.ndarray) -> tuple[float, float, float]:
@@ -110,12 +101,6 @@ def _pauli_contraction(w: np.ndarray) -> np.ndarray:
         for nu in range(4):
             c[mu, nu] = float(np.real(np.trace(w @ linalg.tensor(sig[mu], sig[nu])))) / 4.0
     return c
-
-
-def product_value(w, param: ProductStateParam) -> float:
-    """Tr[W (E_a x F_b)] for a pure product state."""
-    wm = linalg.require_hermitian(w, what="functional")
-    return float(np.real(np.trace(wm @ param.density())))
 
 
 @dataclass(frozen=True)
@@ -178,57 +163,3 @@ def maximize_linear_over_separable(w, starts: int = 16, seed: int = 0) -> SeeSaw
         tight=abs(best_val - ub) <= 1e-8, starts=starts,
         best_start=best_start, iterations=best_iters,
     )
-
-
-def _angles_to_bloch(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """(..., ) angle arrays -> (..., 3) Bloch vectors."""
-    st = np.sin(theta)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
-
-
-def grid_maximize_over_product(w, coarse: int = 50, refine_rounds: int = 20):
-    """Brute-force grid oracle for the product-state maximum of Tr(W rho).
-
-    Scans the full coarse^4 grid of Bloch angles (theta_a, phi_a, theta_b,
-    phi_b), then repeatedly rescans a shrinking local angle window around
-    the best point.  Pure sampling, no eigenvector steps: independent of
-    the see-saw route.  Deterministic.
-    """
-    wm = linalg.require_hermitian(w, what="functional")
-    c = _pauli_contraction(wm)
-
-    def scan(th_a, ph_a, th_b, ph_b):
-        """Evaluate all combinations of the four angle grids; return the
-        best value and its angle 4-tuple."""
-        ba = _angles_to_bloch(*np.meshgrid(th_a, ph_a, indexing="ij"))
-        bb = _angles_to_bloch(*np.meshgrid(th_b, ph_b, indexing="ij"))
-        ma = np.concatenate([np.ones(ba.shape[:-1] + (1,)), ba], axis=-1).reshape(-1, 4)
-        mb = np.concatenate([np.ones(bb.shape[:-1] + (1,)), bb], axis=-1).reshape(-1, 4)
-        vals = ma @ c @ mb.T
-        flat = int(np.argmax(vals))
-        ia, ib = divmod(flat, mb.shape[0])
-        best = (
-            th_a[ia // len(ph_a)], ph_a[ia % len(ph_a)],
-            th_b[ib // len(ph_b)], ph_b[ib % len(ph_b)],
-        )
-        return float(vals.flat[flat]), best
-
-    th = np.linspace(0.0, math.pi, coarse)
-    ph = np.linspace(0.0, 2.0 * math.pi, coarse, endpoint=False)
-    value, center = scan(th, ph, th, ph)
-    win_t, win_p = math.pi / coarse, 2.0 * math.pi / coarse
-    pts = 9
-    for _ in range(refine_rounds):
-        th_a = np.linspace(center[0] - win_t, center[0] + win_t, pts)
-        ph_a = np.linspace(center[1] - win_p, center[1] + win_p, pts)
-        th_b = np.linspace(center[2] - win_t, center[2] + win_t, pts)
-        ph_b = np.linspace(center[3] - win_p, center[3] + win_p, pts)
-        value, center = scan(th_a, ph_a, th_b, ph_b)
-        win_t *= 0.35
-        win_p *= 0.35
-    param = ProductStateParam(
-        tuple(float(x) for x in _angles_to_bloch(np.array(center[0]), np.array(center[1]))),
-        tuple(float(x) for x in _angles_to_bloch(np.array(center[2]), np.array(center[3]))),
-    )
-    return value, param
-

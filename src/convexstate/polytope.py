@@ -81,12 +81,6 @@ class VPolytope:
                 return i
         return None
 
-    def barycenter(self, indices: Sequence[int] | None = None) -> Point:
-        idx = range(len(self.vertices)) if indices is None else indices
-        pts = [self.vertices[i] for i in idx]
-        k = Fraction(len(pts))
-        return tuple(sum(col, Fraction(0)) / k for col in zip(*pts))
-
     def affine_image(self, matrix: Sequence[Sequence], shift: Sequence) -> "VPolytope":
         """Polytope with vertices M v + t (exact rational arithmetic)."""
         m = [[rat(x) for x in row] for row in matrix]
@@ -137,9 +131,6 @@ class Face:
     def affine_dimension(self) -> int:
         return affine_dimension_of(self.vertices)
 
-    def as_polytope(self) -> VPolytope:
-        return VPolytope(self.vertices)
-
 
 def minimal_face(k: VPolytope, point: Sequence) -> Face:
     """Smallest face of `k` containing `point`, harvested from LP supports.
@@ -182,24 +173,11 @@ def generated_face(k: VPolytope, x: Sequence, y: Sequence) -> Face:
     return minimal_face(k, mid)
 
 
-def verify_face(k: VPolytope, vertex_indices: Sequence[int]) -> bool:
-    """Re-validate that a vertex subset is exactly the face it claims to be:
-    the minimal face of its barycenter must list the same vertices."""
-    idx = tuple(sorted(vertex_indices))
-    bary = k.barycenter(idx)
-    return minimal_face(k, bary).vertex_indices == idx
-
-
 def affine_dimension_of(points: Sequence[Point]) -> int:
     """Dimension of the affine hull: the rank of the differences from the
     first point, by exact row reduction."""
     base = points[0]
     return len(row_reduce([[c - b for c, b in zip(p, base)] for p in points[1:]])[1])
-
-
-def affine_dimension(k: VPolytope) -> int:
-    return affine_dimension_of(k.vertices)
-
 
 # ---------------------------------------------------------------------------
 # Simplex decisions
@@ -282,11 +260,6 @@ def circuit_mixture(k: VPolytope, radon) -> AmbiguousMixtureCertificate | None:
     if not cert.validate():
         raise AssertionError("constructed certificate failed validation")
     return cert
-
-
-def is_simplex(k: VPolytope) -> bool:
-    """Whether the vertices are affinely independent."""
-    return radon_partition(k) is None
 
 
 # ---------------------------------------------------------------------------

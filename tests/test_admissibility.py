@@ -17,15 +17,14 @@ from convexstate.admissibility import (CONNECTED_BUT_UNSUPERPOSABLE,
                                        ball_descriptor,
                                        check_polytope, check_separable_pair,
                                        jb_norm_inequalities,
-                                       jordan_identity_residual,
-                                       jordan_identity_scale)
+                                       jordan_identity_residual)
 from convexstate.errors import PreconditionError
 from convexstate.lp import lp_solve
-from convexstate.models import (make_classical_simplex, make_spekkens_hull,
-                                make_square)
+from convexstate.models import make_classical_simplex, make_spekkens_hull
 from convexstate.polytope import (AmbiguousMixtureCertificate, VPolytope,
                                   affine_dimension_of, generated_face,
-                                  minimal_face, parse_point, verify_face)
+                                  minimal_face, parse_point)
+from shapes import is_face, make_square
 
 BIPYRAMID = VPolytope(
     [(1, 0, 0), (0, 1, 0), (0, 0, 0),
@@ -37,6 +36,11 @@ BIPYRAMID = VPolytope(
 def random_hermitian(rng, n):
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return 0.5 * (m + m.conj().T)
+
+
+def jordan_identity_scale(a, b) -> float:
+    """The identity residual's natural size: cubic in a, linear in b."""
+    return (1.0 + linalg.hs_norm(a)) ** 3 * (1.0 + linalg.hs_norm(b))
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +90,7 @@ def test_bipyramid_refuted_by_face():
     face = generated_face(BIPYRAMID, BIPYRAMID.vertices[i], BIPYRAMID.vertices[j])
     assert list(face.vertex_indices) == cert["face_vertices"]
     assert len(face.vertex_indices) > 2
-    assert verify_face(BIPYRAMID, face.vertex_indices)
+    assert is_face(BIPYRAMID, face.vertex_indices)
     assert not cert["ball"]["is_ball"]
 
 
@@ -247,7 +251,7 @@ def test_verdict_refutes_exactly_the_dependent_images(family, d, data):
     elif cert["kind"] == "non_ball_face":
         assert set(cert["pair"]) <= set(cert["face_vertices"])
         assert len(cert["face_vertices"]) >= 3
-        assert verify_face(k, cert["face_vertices"])
+        assert is_face(k, cert["face_vertices"])
     else:
         assert cert["kind"] == "affine_dependence"
         _check_radon_json(cert, k.vertices)

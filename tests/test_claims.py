@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from convexstate.claims import CLAIMS, claims_table, get_claim
+from convexstate.claims import CLAIMS, claims_table
 
 TESTS_DIR = Path(__file__).resolve().parent
 
@@ -41,7 +41,5 @@ def test_referenced_tests_exist(claim):
 
 def test_lookup_helpers():
     table = claims_table()
-    assert len(table) == len(CLAIMS)
-    assert get_claim("octahedron-refuted").id == "octahedron-refuted"
-    with pytest.raises(KeyError):
-        get_claim("missing-claim")
+    assert [c["id"] for c in table] == [c.id for c in CLAIMS]
+    assert table[0] == CLAIMS[0].to_json_dict()

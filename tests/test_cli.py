@@ -59,7 +59,7 @@ def test_nonpositive_budgets_are_usage_errors(capsys):
 @pytest.mark.parametrize("argv", [["analyze", "spekkens"], ["face", "spekkens", "e1"],
                                   ["trace"]])
 def test_tol_is_usage_error_where_unread(capsys, argv):
-    # Only ratio, superposable and protocol read a tolerance.
+    # Only ratio, superposable and protocol clone read a tolerance.
     code, out, err = run(capsys, *argv, "--tol", "1e-3")
     assert (code, out) == (2, "")
     assert "unrecognized arguments: --tol 1e-3" in err
@@ -70,16 +70,24 @@ def test_protocol_bc_rejects_tol(capsys, monkeypatch):
     budget = ["--support", "1", "--starts", "1", "--sweeps", "1"]
     code, out, err = run(capsys, "protocol", "bc", *budget, "--tol", "0.5")
     assert (code, out) == (2, "")
-    assert "argument --tol: protocol bc reads no tolerance" in err
+    assert "unrecognized arguments: --tol 0.5" in err
     assert run(capsys, "protocol", "clone", "--tol", "1e-9")[0] == 0
     monkeypatch.setenv("CONVEXSTATE_TOL", "0.5")
     assert run(capsys, "protocol", "bc", *budget)[0] == 0
 
 
+@pytest.mark.parametrize("argv", [["protocol", "clone", "--starts", "5"],
+                                  ["protocol", "bc", "--bloch-angle", "60"]])
+def test_protocol_tasks_reject_each_others_options(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {' '.join(argv[2:])}" in err
+
+
 @pytest.mark.parametrize("argv", [["protocol", "bc"],
                                   ["ratio", "separable2x2", "01", "10"]])
 def test_negative_seed_is_usage_error(capsys, argv):
-    # Only protocol reads a seed; any other subcommand rejects the flag.
+    # Only protocol bc reads a seed; any other subcommand rejects the flag.
     code, out, err = run(capsys, *argv, "--seed", "-1")
     assert code == 2
     assert out == ""

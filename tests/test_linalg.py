@@ -49,7 +49,9 @@ def test_projector_is_rank1_idempotent():
     p = linalg.projector(linalg.ket("+-"))
     assert np.allclose(p @ p, p, atol=1e-14)
     assert abs(np.trace(p) - 1) < 1e-14
-    assert linalg.is_rank1_projection(p)
+    linalg.require_rank1_projection(p)
+    with pytest.raises(PreconditionError, match="not a rank-1 projection"):
+        linalg.require_rank1_projection(np.eye(2) / 2)
 
 
 def test_jordan_product_example():

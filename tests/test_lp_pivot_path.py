@@ -21,8 +21,9 @@ import pytest
 from convexstate import cli, lp
 from convexstate.errors import InternalCheckError
 from convexstate.lp import OPTIMAL, UNBOUNDED
-from convexstate.polytope import AmbiguousMixtureCertificate, parse_point, verify_face
+from convexstate.polytope import AmbiguousMixtureCertificate, parse_point
 from lp_forms import BoundedLP, bounded_lp
+from shapes import is_face
 
 PINNED_REPORTS = Path(__file__).parent / "data" / "pinned_reports"
 
@@ -277,7 +278,7 @@ def test_report_pinned(name, tmp_path):
     report = json.loads(out.read_text())
     if command == "face":
         k = cli.resolve_theory(theory).payload
-        assert verify_face(k, report["face_vertex_indices"])
+        assert is_face(k, report["face_vertex_indices"])
     elif command == "analyze" and report["verdict"]["certificate"]["kind"] == "ambiguous_mixture":
         # Re-check the pinned crossing exactly, from the JSON and the theory.
         cert = report["verdict"]["certificate"]

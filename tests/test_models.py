@@ -1,21 +1,39 @@
 """Model zoo: polytope constructors, the separable two-qubit set, and the
-two independent product-state maximizers."""
+see-saw product-state maximizer, checked against a test-side oracle."""
 
 import numpy as np
 import pytest
 
 from convexstate import linalg
 from convexstate.errors import PreconditionError
-from convexstate.models import (ProductStateParam, grid_maximize_over_product,
-                                make_classical_simplex, make_spekkens_hull,
-                                make_square, maximize_linear_over_separable,
-                                product_value, sample_pure_product,
-                                separable_membership)
+from convexstate.models import (ProductStateParam, make_classical_simplex,
+                                make_spekkens_hull,
+                                maximize_linear_over_separable,
+                                sample_pure_product, separable_membership)
+from shapes import barycenter, make_square
 
 
 def random_hermitian4(rng):
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     return 0.5 * (m + m.conj().T)
+
+
+def product_maximum_oracle(w, points: int = 4000) -> float:
+    """A product-state value of Tr(W rho) near the maximum, attained.
+
+    With C[mu, nu] = Tr[W (s_mu x s_nu)] / 4 and m(v) = (1, v), the value at
+    Bloch vectors a, b is m(a)^T C m(b).  For fixed a it is affine in b, so
+    its maximum over unit b is exactly u_0 + |u_1:| with u = C^T m(a).  Only
+    a is sampled, on a Fibonacci lattice of the sphere.
+    """
+    sig = (np.eye(2), linalg.PAULI_X, linalg.PAULI_Y, linalg.PAULI_Z)
+    c = np.array([[np.real(np.trace(w @ np.kron(s, t))) for t in sig] for s in sig]) / 4
+    i = np.arange(points) + 0.5
+    z = 1.0 - 2.0 * i / points
+    phi = np.pi * (1.0 + np.sqrt(5.0)) * i
+    r = np.sqrt(1.0 - z * z)
+    u = np.column_stack([np.ones(points), r * np.cos(phi), r * np.sin(phi), z]) @ c
+    return float(np.max(u[:, 0] + np.linalg.norm(u[:, 1:], axis=1)))
 
 
 EPR = linalg.projector(linalg.ket("01") - linalg.ket("10"))
@@ -38,7 +56,7 @@ def test_classical_simplex_shape(n):
     assert k.name == f"simplex:{n}"
     assert len(k.vertices) == n + 1
     assert k.ambient_dim == n
-    assert k.contains(k.barycenter())
+    assert k.contains(barycenter(k.vertices))
 
 
 def test_square_shape():
@@ -92,15 +110,6 @@ def test_product_param_density():
     assert np.max(np.abs(p.density() - linalg.projector(linalg.ket("01")))) <= 1e-14
 
 
-def test_product_value_matches_trace():
-    rng = np.random.default_rng(53)
-    for _ in range(20):
-        w = random_hermitian4(rng)
-        param = sample_pure_product(rng)
-        direct = float(np.real(np.trace(w @ param.density())))
-        assert abs(product_value(w, param) - direct) <= 1e-12
-
-
 def test_sample_pure_product_deterministic():
     a = sample_pure_product(np.random.default_rng(9))
     b = sample_pure_product(np.random.default_rng(9))
@@ -124,7 +133,7 @@ def test_seesaw_bounded_by_operator_norm():
         w = random_hermitian4(rng)
         res = maximize_linear_over_separable(w, starts=4, seed=1)
         assert res.value <= res.upper_bound + 1e-9
-        assert abs(product_value(w, res.argmax) - res.value) <= 1e-12
+        assert abs(np.real(np.trace(w @ res.argmax.density())) - res.value) <= 1e-12
 
 
 def test_seesaw_product_target_is_tight():
@@ -155,15 +164,16 @@ def test_seesaw_deterministic_given_seed():
 
 
 def test_seesaw_vs_grid():
+    # The oracle's value is attained, so the see-saw may not fall below it;
+    # the grid over a leaves it at most a small gap under the maximum.
     rng = np.random.default_rng(56)
     for _ in range(20):
         w = random_hermitian4(rng)
         see = maximize_linear_over_separable(w, starts=8, seed=0).value
-        grid, _ = grid_maximize_over_product(w, coarse=24, refine_rounds=18)
-        assert abs(see - grid) <= 1e-6
+        oracle = product_maximum_oracle(w)
+        assert oracle - 1e-9 <= see <= oracle + 2e-3
 
 
 def test_grid_epr_value():
-    val, arg = grid_maximize_over_product(EPR, coarse=30, refine_rounds=18)
-    assert abs(val - 0.5) <= 1e-6
-    assert abs(product_value(EPR, arg) - val) <= 1e-12
+    # For the singlet every a reaches 1/2, at b = -a.
+    assert abs(product_maximum_oracle(EPR) - 0.5) <= 1e-12

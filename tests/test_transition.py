@@ -275,7 +275,7 @@ def test_superposable_full_quantum_found():
     assert cert.found
     assert abs(cert.ratio_xz - 0.5) <= 1e-12
     assert abs(cert.ratio_yz - 0.5) <= 1e-12
-    assert linalg.is_rank1_projection(np.asarray(cert.z))
+    linalg.require_rank1_projection(np.asarray(cert.z))
 
 
 def test_superposable_needs_orthogonal_inputs():
@@ -345,7 +345,7 @@ def test_great_circle_same_and_antipodal():
     anti = qubit_great_circle(p, q, steps=8)
     assert np.array_equal(anti[-1], q)
     for r in anti:
-        assert linalg.is_rank1_projection(r)
+        linalg.require_rank1_projection(r)
 
 
 def test_path_factor_identity():
@@ -365,7 +365,7 @@ def test_path_states_are_pure_products():
     y = linalg.projector(linalg.ket("+1"))
     path = path_connect_product_states(x, y, steps=8)
     for rho in path:
-        assert linalg.is_rank1_projection(rho)
+        linalg.require_rank1_projection(rho)
         ra = linalg.partial_trace(rho, "B")
         # the reduction of a pure product state is again pure
         assert abs(np.real(np.trace(ra @ ra)) - 1.0) <= 1e-10
