@@ -125,15 +125,6 @@ class JBVerdict:
     failed_condition: str | None
     certificate: dict | None
 
-    def to_json_dict(self) -> dict:
-        from .serialize import jsonable
-
-        return {
-            "verdict": self.verdict,
-            "failed_condition": self.failed_condition,
-            "certificate": jsonable(self.certificate),
-        }
-
 
 def check_polytope(k: VPolytope) -> JBVerdict:
     """Decide the necessary conditions for a finite-vertex state space.

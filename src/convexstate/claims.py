@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .serialize import jsonable
+
 
 @dataclass(frozen=True)
 class Claim:
@@ -17,14 +19,6 @@ class Claim:
     statement: str
     operations: tuple[str, ...]
     tests: tuple[str, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "statement": self.statement,
-            "operations": list(self.operations),
-            "tests": list(self.tests),
-        }
 
 
 CLAIMS: tuple[Claim, ...] = (
@@ -239,4 +233,4 @@ CLAIMS: tuple[Claim, ...] = (
 
 
 def claims_table() -> list[dict]:
-    return [c.to_json_dict() for c in CLAIMS]
+    return [jsonable(c) for c in CLAIMS]

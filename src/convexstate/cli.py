@@ -250,7 +250,7 @@ def cmd_analyze(args) -> dict:
             "num_vertices": len(k.vertices),
             "ambient_dim": k.ambient_dim,
             "vertex_labels": labels,
-            "verdict": verdict.to_json_dict(),
+            "verdict": jsonable(verdict),
             "ratio_matrix": matrix,
         })
         return report
@@ -260,7 +260,7 @@ def cmd_analyze(args) -> dict:
         verdict = admissibility.check_separable_pair(x, y)
         report.update({
             "pair": ["01", "10"],
-            "verdict": verdict.to_json_dict(),
+            "verdict": jsonable(verdict),
         })
         return report
     # Bloch ball and the full two-qubit space: both conditions are
@@ -288,7 +288,7 @@ def cmd_analyze(args) -> dict:
                      + face_note),
         },
     )
-    report.update({"pair": pair, "verdict": verdict.to_json_dict()})
+    report.update({"pair": pair, "verdict": jsonable(verdict)})
     return report
 
 

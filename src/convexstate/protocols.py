@@ -164,14 +164,6 @@ def qm_unbinding_demo(epr=None) -> tuple[ChannelTranscript, ChannelTranscript]:
 # Binding search over separable commitments
 # ---------------------------------------------------------------------------
 
-def binding_residual(sigma, kraus0, kraus1, d0, d1) -> float:
-    """Squared-distance objective for an attack attempt:
-    |Lambda0(sigma) - D0|^2 + |Lambda1(sigma) - D1|^2 (HS norms)."""
-    r0 = apply_channel_a(np.asarray(kraus0, dtype=complex), sigma)
-    r1 = apply_channel_a(np.asarray(kraus1, dtype=complex), sigma)
-    return linalg.hs_distance(r0, d0) ** 2 + linalg.hs_distance(r1, d1) ** 2
-
-
 _N_KRAUS = 4
 _CHANNEL_PARAMS = _N_KRAUS * 8          # 4 Kraus ops, 2x2 complex each
 _STATE_PARAMS = 7                       # 3 + 3 Bloch components + weight seed

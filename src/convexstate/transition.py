@@ -25,8 +25,10 @@ Superposability asks for an extreme z with r(x, z) = r(y, z) = 1/2.  For
 the separable set with x, y orthogonal in both factors this reduces to
 bounding a + c - 2ac over (a, c) in [0,1]^2.  By the identity
 1 - (a + c - 2ac) = (1 - a)(1 - c) + ac the maximum is 1, attained only at
-(0,1) and (1,0), and at those corners one of the two transition
-probabilities vanishes, so no such z exists.
+(0,1) and (1,0), where the product states are y and x themselves and one
+transition probability vanishes, so no such z exists.  The pure product
+states are still norm-path-connected: a path is one (2 * steps + 1, 4, 4)
+array, a Bloch great circle per factor, checked from the 4x4 states.
 """
 
 from __future__ import annotations
@@ -368,13 +370,11 @@ def _superposable_separable(x, y, tol: float) -> SuperposabilityCertificate:
             f"factors; factor overlaps are {oa:.3e} (A) and {ob:.3e} (B)"
         )
 
-    # At each arg-max corner, rebuild the actual product state z and verify
-    # with full complex states that one transition probability vanishes.
+    # At the corner (a, c) = (0, 1) the product state z has z_A = y_A and
+    # z_B = y_B, so z = y; at (1, 0) it is x.  Verify with the full complex
+    # states that one transition probability vanishes there.
     corner_reports = []
-    for a_val, c_val in SURFACE_MAXIMISERS:
-        za = _mix_factor(xa, ya, a_val)        # Tr(xa za) = a
-        zb = _mix_factor(yb, xb, c_val)        # Tr(yb zb) = c
-        z = linalg.tensor(za, zb)
+    for (a_val, c_val), z in zip(SURFACE_MAXIMISERS, (my, mx)):
         u1 = float(np.real(np.trace(mx @ z)))
         u2 = float(np.real(np.trace(my @ z)))
         corner_reports.append({
@@ -401,22 +401,14 @@ def _superposable_separable(x, y, tol: float) -> SuperposabilityCertificate:
     )
 
 
-def _mix_factor(p: np.ndarray, q: np.ndarray, weight: float) -> np.ndarray:
-    """Pure qubit state with overlap `weight` on p and 1-weight on q, for
-    orthogonal pure p, q: sqrt(w)|p> + sqrt(1-w)|q> (phases dropped)."""
-    vp = linalg.top_eigenvector(p)
-    vq = linalg.top_eigenvector(q)
-    vec = math.sqrt(max(0.0, weight)) * vp + math.sqrt(max(0.0, 1.0 - weight)) * vq
-    return linalg.projector(vec)
-
-
 # ---------------------------------------------------------------------------
 # Norm-continuous paths of product states
 # ---------------------------------------------------------------------------
 
-def qubit_great_circle(p: np.ndarray, q: np.ndarray, steps: int) -> list[np.ndarray]:
+def qubit_great_circle(p: np.ndarray, q: np.ndarray, steps: int) -> np.ndarray:
     """Pure-state path from qubit projector p to q along the Bloch great
-    circle, with `steps` segments; endpoints are the inputs themselves."""
+    circle, with `steps` segments, as a (steps + 1, 2, 2) array; endpoints
+    are the inputs themselves."""
     if steps < 1:
         raise PreconditionError(f"steps must be >= 1, got {steps}")
     a = linalg.bloch_vector(p)
@@ -424,23 +416,30 @@ def qubit_great_circle(p: np.ndarray, q: np.ndarray, steps: int) -> list[np.ndar
     dot = float(np.clip(a @ b, -1.0, 1.0))
     theta = math.acos(dot)
     if theta < 1e-12:
-        return [p.copy() for _ in range(steps + 1)]
-    if abs(theta - math.pi) < 1e-12:
+        return np.repeat(p[None], steps + 1, axis=0)
+    # acos is ill-conditioned at -1: antipodal vectors a few ulps off give
+    # theta ~ pi - 1e-8, where b - dot * a is rounding noise, not a direction.
+    if math.pi - theta < 1e-6:
         ortho = _perp_unit(a)
     else:
         ortho = b - dot * a
         ortho = ortho / float(np.sqrt(ortho @ ortho))
-    path = [p.copy()]
-    for i in range(1, steps):
-        ang = theta * i / steps
-        n = math.cos(ang) * a + math.sin(ang) * ortho
-        path.append(linalg.bloch_projector(n / float(np.sqrt(n @ n))))
-    path.append(q.copy())
-    return path
+    ang = theta * np.arange(1, steps) / steps
+    n = np.cos(ang)[:, None] * a + np.sin(ang)[:, None] * ortho
+    # Row-wise n . n through matmul: the same dot kernel as a single n @ n.
+    n = n / np.sqrt(n[:, None] @ n[:, :, None])[:, 0]
+    nrm = np.linalg.norm(n, axis=1)
+    if not np.all(np.abs(nrm - 1.0) <= 1e-10):
+        raise PreconditionError(f"Bloch vectors must be unit length, |n| = {nrm!r}")
+    c = n[:, :, None, None]
+    inner = 0.5 * (linalg.IDENT2 + c[:, 0] * linalg.PAULI_X + c[:, 1] * linalg.PAULI_Y
+                   + c[:, 2] * linalg.PAULI_Z)
+    return np.concatenate([p[None], inner, q[None]])
 
 
-def path_connect_product_states(x, y, steps: int = 64) -> list[np.ndarray]:
-    """Norm-continuous path of pure product states from x to y.
+def path_connect_product_states(x, y, steps: int = 64) -> np.ndarray:
+    """Norm-continuous path of pure product states from x to y, as a
+    (2 * steps + 1, 4, 4) array.
 
     Two legs: rotate the A factor with B frozen, then the B factor with A
     frozen.  On each leg the difference of consecutive states factorizes as
@@ -452,37 +451,34 @@ def path_connect_product_states(x, y, steps: int = 64) -> list[np.ndarray]:
     my = _require_pure_product(y, tol=1e-10, what="y")
     xa, xb = _factor_pair(mx)
     ya, yb = _factor_pair(my)
-    leg_a = qubit_great_circle(xa, ya, steps)
-    leg_b = qubit_great_circle(xb, yb, steps)
-    path = [mx]
-    for f in leg_a[1:]:
-        path.append(linalg.tensor(f, xb))
-    for g in leg_b[1:]:
-        path.append(linalg.tensor(ya, g))
-    path[-1] = my
+    fa = np.concatenate([qubit_great_circle(xa, ya, steps),
+                         np.broadcast_to(ya, (steps, 2, 2))])
+    fb = np.concatenate([np.broadcast_to(xb, (steps + 1, 2, 2)),
+                         qubit_great_circle(xb, yb, steps)[1:]])
+    # np.kron's outer product, state by state: path[n] = fa[n] (x) fb[n]
+    path = (fa[:, :, None, :, None] * fb[:, None, :, None, :]).reshape(-1, 4, 4)
+    path[0], path[-1] = mx, my
     return path
 
 
-def path_report(path: list[np.ndarray]) -> dict:
+def _hs_norms(d: np.ndarray) -> np.ndarray:
+    """HS norm of each matrix in a stack: sqrt(Re sum d * conj(d))."""
+    return np.sqrt(np.real(np.sum(d * d.conj(), axis=(1, 2))))
+
+
+def path_report(path: np.ndarray) -> dict:
     """Summary of a product-state path: consecutive distances and the
     factor-distance identity (checked from the states themselves)."""
-    dists = [linalg.hs_distance(path[i], path[i + 1]) for i in range(len(path) - 1)]
-    identity_dev = 0.0
-    for i in range(len(path) - 1):
-        d_full = dists[i]
-        da = linalg.hs_distance(
-            linalg.partial_trace(path[i], "B", validate=False),
-            linalg.partial_trace(path[i + 1], "B", validate=False),
-        )
-        db = linalg.hs_distance(
-            linalg.partial_trace(path[i], "A", validate=False),
-            linalg.partial_trace(path[i + 1], "A", validate=False),
-        )
-        # On each leg exactly one factor moves; the moving factor's distance
-        # must reproduce the full distance (HS norm multiplicativity).
-        identity_dev = max(identity_dev, abs(d_full - max(da, db)))
+    states = np.asarray(path, dtype=complex)
+    t = states.reshape(-1, 2, 2, 2, 2)
+    dists = _hs_norms(np.diff(states, axis=0))
+    da = _hs_norms(np.diff(np.einsum("nijkj->nik", t), axis=0))
+    db = _hs_norms(np.diff(np.einsum("nijik->njk", t), axis=0))
+    # On each leg exactly one factor moves; the moving factor's distance
+    # must reproduce the full distance (HS norm multiplicativity).
+    identity_dev = np.abs(dists - np.maximum(da, db))
     return {
-        "points": len(path),
-        "max_consecutive_distance": max(dists) if dists else 0.0,
-        "factor_identity_deviation": identity_dev,
+        "points": len(states),
+        "max_consecutive_distance": float(np.max(dists, initial=0.0)),
+        "factor_identity_deviation": float(np.max(identity_dev, initial=0.0)),
     }

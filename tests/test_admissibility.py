@@ -24,6 +24,7 @@ from convexstate.models import make_classical_simplex, make_spekkens_hull
 from convexstate.polytope import (AmbiguousMixtureCertificate, VPolytope,
                                   affine_dimension_of, generated_face,
                                   minimal_face, parse_point)
+from convexstate.serialize import jsonable
 from shapes import is_face, make_square
 
 BIPYRAMID = VPolytope(
@@ -118,7 +119,7 @@ def test_neighbourly_polytope_refuted_by_affine_dependence(ts):
     verdict = check_polytope(k)
     assert verdict.verdict == REFUTED
     assert verdict.failed_condition == FINITE_NONSIMPLEX
-    cert = verdict.to_json_dict()["certificate"]
+    cert = jsonable(verdict)["certificate"]
     assert cert["kind"] == "affine_dependence"
     assert all(ball_descriptor(generated_face(k, x, y)).is_ball
                for x, y in itertools.combinations(k.vertices, 2))
@@ -236,7 +237,7 @@ def test_verdict_refutes_exactly_the_dependent_images(family, d, data):
         verts = _cube(d) if family == "cube" else _cross(d)
     k = _rational_image(data, verts)
     n = len(k.vertices)
-    verdict = check_polytope(k).to_json_dict()
+    verdict = jsonable(check_polytope(k))
     assert (verdict["verdict"] == REFUTED) == (n > affine_dimension_of(k.vertices) + 1)
     cert = verdict["certificate"]
     if cert["kind"] == "simplex":
@@ -306,7 +307,7 @@ def test_ball_descriptor_cases():
 
 
 def test_verdict_json_shape():
-    out = check_polytope(make_spekkens_hull()).to_json_dict()
+    out = jsonable(check_polytope(make_spekkens_hull()))
     assert sorted(out.keys()) == ["certificate", "failed_condition", "verdict"]
     assert out["verdict"] == "refuted"
 

@@ -42,4 +42,6 @@ def test_referenced_tests_exist(claim):
 def test_lookup_helpers():
     table = claims_table()
     assert [c["id"] for c in table] == [c.id for c in CLAIMS]
-    assert table[0] == CLAIMS[0].to_json_dict()
+    first = CLAIMS[0]
+    assert table[0] == {"id": first.id, "statement": first.statement,
+                        "operations": list(first.operations), "tests": list(first.tests)}

@@ -10,9 +10,8 @@ import pytest
 from convexstate import cli, linalg, protocols
 from convexstate.errors import InternalCheckError, PreconditionError
 from convexstate.protocols import (BindingSearchReport, apply_channel_a,
-                                   binding_attack_search, binding_residual,
-                                   build_bb84_states, cloning_contradiction,
-                                   concealment_check,
+                                   binding_attack_search, build_bb84_states,
+                                   cloning_contradiction, concealment_check,
                                    kraus_completeness_deviation,
                                    measurement_channel, qm_unbinding_demo,
                                    run_bit_commitment_analysis)
@@ -305,6 +304,14 @@ def test_binding_search_best_point_oracle():
 
 def pauli_targets(d0, d1):
     return protocols._pauli_coefficients(np.stack([d0, d1]))
+
+
+def binding_residual(sigma, kraus0, kraus1, d0, d1) -> float:
+    """Plain-definition attack objective:
+    |Lambda0(sigma) - D0|^2 + |Lambda1(sigma) - D1|^2 (HS norms)."""
+    r0 = apply_channel_a(np.asarray(kraus0, dtype=complex), sigma)
+    r1 = apply_channel_a(np.asarray(kraus1, dtype=complex), sigma)
+    return linalg.hs_distance(r0, d0) ** 2 + linalg.hs_distance(r1, d1) ** 2
 
 
 def complex_channels(p):

@@ -1,6 +1,7 @@
 """Transition ratios and superposability across all four state-space kinds."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexstate import linalg, lp, transition
+from convexstate.admissibility import REFUTED, check_separable_pair
 from convexstate.errors import InternalCheckError, PreconditionError
 from convexstate.lp import OPTIMAL
 from convexstate.models import ProductStateParam, make_spekkens_hull
@@ -376,6 +378,114 @@ def test_path_rejects_entangled_endpoint():
     prod = linalg.projector(linalg.ket("00"))
     with pytest.raises(PreconditionError):
         path_connect_product_states(epr, prod, steps=8)
+
+
+# The per-state construction the array code replaced, kept as an oracle: one
+# bloch_projector per great-circle point, one tensor per path state, and
+# partial traces and hs_distance per consecutive pair.
+
+def _oracle_great_circle(p, q, steps):
+    a = linalg.bloch_vector(p)
+    b = linalg.bloch_vector(q)
+    dot = float(np.clip(a @ b, -1.0, 1.0))
+    theta = math.acos(dot)
+    if theta < 1e-12:
+        return [p.copy() for _ in range(steps + 1)]
+    if abs(theta - math.pi) < 1e-12:
+        ortho = transition._perp_unit(a)
+    else:
+        ortho = b - dot * a
+        ortho = ortho / float(np.sqrt(ortho @ ortho))
+    path = [p.copy()]
+    for i in range(1, steps):
+        ang = theta * i / steps
+        n = math.cos(ang) * a + math.sin(ang) * ortho
+        path.append(linalg.bloch_projector(n / float(np.sqrt(n @ n))))
+    path.append(q.copy())
+    return path
+
+
+def _oracle_path(x, y, steps):
+    mx = linalg.require_rank1_projection(x)
+    my = linalg.require_rank1_projection(y)
+    xa, xb = (linalg.partial_trace(mx, s, validate=False) for s in "BA")
+    ya, yb = (linalg.partial_trace(my, s, validate=False) for s in "BA")
+    path = [mx]
+    for f in _oracle_great_circle(xa, ya, steps)[1:]:
+        path.append(linalg.tensor(f, xb))
+    for g in _oracle_great_circle(xb, yb, steps)[1:]:
+        path.append(linalg.tensor(ya, g))
+    path[-1] = my
+    return path
+
+
+def _oracle_report(path):
+    dists = [linalg.hs_distance(path[i], path[i + 1]) for i in range(len(path) - 1)]
+    identity_dev = 0.0
+    for i in range(len(path) - 1):
+        da = linalg.hs_distance(linalg.partial_trace(path[i], "B", validate=False),
+                                linalg.partial_trace(path[i + 1], "B", validate=False))
+        db = linalg.hs_distance(linalg.partial_trace(path[i], "A", validate=False),
+                                linalg.partial_trace(path[i + 1], "A", validate=False))
+        identity_dev = max(identity_dev, abs(dists[i] - max(da, db)))
+    return {
+        "points": len(path),
+        "max_consecutive_distance": max(dists) if dists else 0.0,
+        "factor_identity_deviation": identity_dev,
+    }
+
+
+def _oracle_pairs():
+    rng = np.random.default_rng(29)
+    bp = linalg.bloch_projector
+
+    def kets(u, v):
+        return linalg.projector(linalg.ket(u)), linalg.projector(linalg.ket(v))
+
+    pairs = [kets("01", "10"),      # both legs antipodal: theta = pi
+             kets("+0", "+1"),      # A leg theta = 0, B leg theta = pi
+             kets("0+", "-+")]      # A leg a quarter turn, B leg theta = 0
+    for _ in range(4):
+        a, b, c, d = (random_unit(rng) for _ in range(4))
+        pairs.append((linalg.tensor(bp(a), bp(b)), linalg.tensor(bp(c), bp(d))))
+    a, b, d = (random_unit(rng) for _ in range(3))
+    pairs.append((linalg.tensor(bp(a), bp(b)), linalg.tensor(bp(a), bp(d))))
+    return pairs
+
+
+@pytest.mark.parametrize("steps", [1, 8, 64])
+def test_path_matches_per_state_oracle(steps):
+    for x, y in _oracle_pairs():
+        want = _oracle_path(x, y, steps)
+        got = path_connect_product_states(x, y, steps=steps)
+        assert got.shape == (2 * steps + 1, 4, 4)
+        assert np.array_equal(got, np.array(want))
+        assert path_report(got) == _oracle_report(want)
+
+
+def test_separable_corners_are_the_inputs_for_non_ket_pairs():
+    # Random pairs orthogonal in both factors: Bloch vectors a, -a and b, -b.
+    # Both great-circle legs are antipodal, a few ulps off after rounding.
+    rng = np.random.default_rng(31)
+    h = StateSpaceHandle.separable_2x2()
+    bp = linalg.bloch_projector
+    for _ in range(12):
+        a, b = random_unit(rng), random_unit(rng)
+        x = linalg.tensor(bp(a), bp(b))
+        y = linalg.tensor(bp(-a), bp(-b))
+        mx = linalg.require_rank1_projection(x)
+        my = linalg.require_rank1_projection(y)
+        verdict = check_separable_pair(x, y)
+        assert verdict.verdict == REFUTED
+        for corners in (superposability_search(h, x, y).transcript["corner_reports"],
+                        verdict.certificate["search"]["corner_reports"]):
+            for rep in corners:
+                assert rep["vanishing_bound"] <= 1e-12
+                assert abs(max(rep["bound_xz"], rep["bound_yz"]) - 1.0) <= 1e-12
+            first = corners[0]
+            assert (first["a"], first["c"]) == (0.0, 1.0)
+            assert first["bound_xz"] == float(np.real(np.trace(mx @ my)))
+            assert first["bound_yz"] == float(np.real(np.trace(my @ my)))
 
 
 # ---------------------------------------------------------------------------
