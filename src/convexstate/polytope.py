@@ -1,7 +1,10 @@
 """V-representation polytopes with exact rational face machinery.
 
-A polytope is given by its vertices (rational coordinates).  Faces are
-represented as vertex subsets, and every face query reduces to support
+A polytope is given by its vertices (rational coordinates).  Loading one
+proves each vertex extreme: by the exact centroid functional
+c_i = n*v_i - sum_j v_j, which exposes v_i when c_i.v_i > c_i.v_j for every
+other j, and by an irredundancy LP for the vertices it leaves open.  Faces
+are represented as vertex subsets, and every face query reduces to support
 linear programs solved in exact rational arithmetic, so the answers are
 exact certificates rather than approximations.  ``minimal_face`` harvests
 the face from the supports of successive optimal representations of the
@@ -18,14 +21,18 @@ machine-checkable crossing of two segments.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import TheoryFormatError
-from .lp import LPProblem, OPTIMAL, lp_solve, rat, row_reduce
+from .lp import LPProblem, OPTIMAL, _integer_rows, lp_solve, rat, row_reduce
 
 Point = tuple[Fraction, ...]
+
+_ZERO = Fraction(0)
 
 
 def parse_point(coords: Sequence) -> Point:
@@ -35,8 +42,10 @@ def parse_point(coords: Sequence) -> Point:
 class VPolytope:
     """Convex hull of finitely many points, stored irredundantly.
 
-    Construction rejects duplicate or non-extreme input points with an
-    irredundancy LP sweep, so ``vertices`` always equals the extreme points.
+    Construction rejects duplicate or non-extreme input points, so
+    ``vertices`` always equals the extreme points.  A vertex that the
+    centroid functional exposes is extreme by that certificate; each other
+    vertex gets an irredundancy LP against the rest.
     """
 
     def __init__(self, vertices: Iterable[Sequence], name: str | None = None):
@@ -55,10 +64,10 @@ class VPolytope:
         self._check_irredundant()
 
     def _check_irredundant(self) -> None:
-        n = len(self.vertices)
-        if n == 1:
-            return
+        exposed = centroid_exposed(self.vertices)
         for i, v in enumerate(self.vertices):
+            if exposed[i]:
+                continue
             others = [u for j, u in enumerate(self.vertices) if j != i]
             if _hull_contains(others, v):
                 raise ValueError(
@@ -96,8 +105,28 @@ class VPolytope:
         return VPolytope(new_verts, name=self.name)
 
 
-def _membership_problem(vertices: Sequence[Point], point: Point,
-                        objective: Sequence | None = None) -> LPProblem:
+def centroid_exposed(vertices: Sequence[Point]) -> list[bool]:
+    """Whether the centroid functional c_i = n*v_i - sum_j v_j exposes each
+    vertex: c_i.v_i > c_i.v_j for every j != i, which proves v_i an exposed
+    point, so extreme and not repeated.
+
+    Exact, with no LP.  With the Gram matrix G of the points (scaled to
+    integers by one positive factor, which keeps every strict inequality)
+    and s_j = sum_k G[k][j], c_i.v_j = n*G[i][j] - s_j.
+    """
+    rows = _integer_rows(vertices)
+    n = len(rows)
+    gram = [[sum(map(mul, u, v)) for v in rows] for u in rows]
+    sums = [sum(col) for col in zip(*gram)]
+    out = []
+    for i, g in enumerate(gram):
+        score = [n * x - s for x, s in zip(g, sums)]
+        top = score[i]
+        out.append(all(x < top for j, x in enumerate(score) if j != i))
+    return out
+
+
+def _membership_problem(vertices: Sequence[Point], point: Point) -> LPProblem:
     if len(point) != len(vertices[0]):
         raise ValueError(
             f"point has {len(point)} coordinates, polytope lives in "
@@ -108,8 +137,7 @@ def _membership_problem(vertices: Sequence[Point], point: Point,
     a_eq = [[vertices[i][k] for i in range(n)] for k in range(d)]
     a_eq.append([Fraction(1)] * n)
     b_eq = list(point) + [Fraction(1)]
-    obj = [Fraction(0)] * n if objective is None else list(objective)
-    return LPProblem.make(obj, a_eq=a_eq, b_eq=b_eq)
+    return LPProblem.make([_ZERO] * n, a_eq=a_eq, b_eq=b_eq)
 
 
 def _hull_contains(vertices: Sequence[Point], point: Point) -> bool:
@@ -129,6 +157,10 @@ class Face:
         return tuple(self.parent.vertices[i] for i in self.vertex_indices)
 
     def affine_dimension(self) -> int:
+        return self._affine_dimension
+
+    @cached_property
+    def _affine_dimension(self) -> int:
         return affine_dimension_of(self.vertices)
 
 
@@ -143,15 +175,17 @@ def minimal_face(k: VPolytope, point: Sequence) -> Face:
     every vertex left in U has weight 0 in every representation, so none
     is in the face.  Each LP that does not stop the loop decides at least
     one vertex, so a call solves at most min(|F| + 1, n) LPs; they share
-    one feasible set, so the first also decides membership.
+    one feasible set, so the first also decides membership, and the rows
+    are built once.
     """
     p = parse_point(point)
     n = len(k.vertices)
+    problem = _membership_problem(k.vertices, p)
     undecided = set(range(n))
     face = []
     while undecided:
-        obj = [Fraction(-1) if i in undecided else Fraction(0) for i in range(n)]
-        sol = lp_solve(_membership_problem(k.vertices, p, objective=obj))
+        obj = tuple(Fraction(-1) if i in undecided else _ZERO for i in range(n))
+        sol = lp_solve(replace(problem, objective=obj))
         if sol.status != OPTIMAL:
             raise ValueError(f"point {tuple(map(str, p))} is not in the polytope")
         if sol.value == 0:

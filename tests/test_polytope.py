@@ -4,13 +4,14 @@ theory file format."""
 import itertools
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from convexstate import polytope
+from convexstate import cli, polytope
 from convexstate.errors import TheoryFormatError
 from convexstate.lp import OPTIMAL, lp_solve
 from convexstate.models import make_classical_simplex, make_spekkens_hull
@@ -96,7 +97,7 @@ def _per_vertex_face(k, point):
     for i in range(n):
         obj = [Fraction(0)] * n
         obj[i] = Fraction(-1)
-        sol = lp_solve(polytope._membership_problem(k.vertices, p, objective=obj))
+        sol = lp_solve(replace(polytope._membership_problem(k.vertices, p), objective=tuple(obj)))
         assert sol.status == OPTIMAL
         if sol.value < 0:
             support.append(i)
@@ -195,6 +196,156 @@ def test_contains_solves_no_lp_on_a_vertex(counted_lps):
     assert len(counted_lps) == 1
     assert not BIPYRAMID.contains((1, 1, 0))
     assert len(counted_lps) == 2
+
+
+# ---------------------------------------------------------------------------
+# Irredundancy at load: centroid certificates, then LPs
+# ---------------------------------------------------------------------------
+
+def _lp_sweep_error(vertices):
+    """The irredundancy check by one LP per vertex: the error text for the
+    first vertex in the hull of the others, or None."""
+    verts = [parse_point(v) for v in vertices]
+    if len(verts) == 1:
+        return None
+    for i, v in enumerate(verts):
+        others = verts[:i] + verts[i + 1:]
+        if lp_solve(polytope._membership_problem(others, v)).status == OPTIMAL:
+            return (f"vertex {i} {tuple(map(str, v))} is redundant: it lies in "
+                    "the hull of the remaining vertices")
+    return None
+
+
+def _load_error(vertices):
+    try:
+        VPolytope(vertices)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _recheck_exposed(vertices):
+    """Re-check in Fractions each vertex the package says the centroid
+    functional c = n*v_i - sum_j v_j exposes: c.v_i > c.v_j for j != i."""
+    verts = [parse_point(v) for v in vertices]
+    flags = polytope.centroid_exposed(verts)
+    n = len(verts)
+    total = [sum(col, Fraction(0)) for col in zip(*verts)]
+    for i, exposed in enumerate(flags):
+        if exposed:
+            c = [n * a - s for a, s in zip(verts[i], total)]
+            top = sum(a * b for a, b in zip(c, verts[i]))
+            assert all(sum(a * b for a, b in zip(c, v)) < top
+                       for j, v in enumerate(verts) if j != i)
+    return flags
+
+
+def _isometric(verts, seed):
+    """Signed coordinate permutation and shift, vertices shuffled: an
+    isometry keeps the centroid functional exposing every vertex."""
+    rng = random.Random(seed)
+    d = len(verts[0])
+    perm = rng.sample(range(d), d)
+    signs = [rng.choice((-1, 1)) for _ in range(d)]
+    shift = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)]
+    out = [tuple(signs[a] * Fraction(v[perm[a]]) + shift[a] for a in range(d)) for v in verts]
+    rng.shuffle(out)
+    return out
+
+
+_COORD = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _point_sets(draw):
+    """Collinear points in 3D, or random rational points or points on a
+    parabola (in convex position, mostly not exposed by the centroid), with
+    drawn duplicates and mixtures of drawn points inserted."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        base, step = (draw(st.tuples(_COORD, _COORD, _COORD)) for _ in range(2))
+        ts = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=6))
+        return [tuple(b + t * s for b, s in zip(base, step)) for t in ts]
+    if kind == 1:
+        ts = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=10, unique=True))
+        pts = [(t, t * t) for t in ts]
+    else:
+        d = draw(st.integers(1, 4))
+        pts = draw(st.lists(st.tuples(*[_COORD] * d), min_size=1, max_size=10))
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        picks = draw(st.lists(st.sampled_from(pts), min_size=1, max_size=3))
+        extra = tuple(sum(col, Fraction(0)) / len(picks) for col in zip(*picks))
+        pts.insert(draw(st.integers(0, len(pts))), extra)
+    return pts
+
+
+@settings(max_examples=100, deadline=None)
+@given(_point_sets())
+def test_irredundancy_matches_lp_sweep(vertices):
+    counted = []
+
+    def counting(problem):
+        counted.append(problem)
+        return lp_solve(problem)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polytope, "lp_solve", counting)
+        error = _load_error(vertices)
+    assert error == _lp_sweep_error(vertices)
+    flags = _recheck_exposed(vertices)
+    if error is None:
+        assert len(counted) == flags.count(False)
+
+
+@pytest.mark.parametrize("vertices,error", [
+    ([(1, 2, 3)], None),
+    ([(0, 0, 0), (1, 2, 3)], None),
+    ([(1, 2, 3), (1, 2, 3)], "vertex 0"),
+    ([(0, 0, 0), (1, 1, 1), (2, 2, 2)], "vertex 1"),
+    ([(0, 0, 0), (2, 2, 2), (1, 1, 1), (3, 3, 3)], "vertex 1"),
+    ([(0,), ("1/2",), (1,)], "vertex 1"),
+])
+def test_irredundancy_edge_cases(vertices, error):
+    got = _load_error(vertices)
+    assert got == _lp_sweep_error(vertices)
+    assert (got is None) == (error is None)
+    if error is not None:
+        assert got.startswith(error + " ")
+
+
+def test_zoo_and_isometric_scrambles_load_with_no_lp(counted_lps):
+    cube4 = list(itertools.product((0, 1), repeat=4))
+    cross5 = [tuple(s if j == i else 0 for j in range(5)) for i in range(5) for s in (1, -1)]
+    cli.resolve_theory("spekkens")
+    for n in range(1, 13):
+        cli.resolve_theory(f"simplex:{n}")
+    for seed in range(5):
+        VPolytope(_isometric(cube4, seed))
+        VPolytope(_isometric(cross5, seed))
+    assert counted_lps == []
+
+
+def test_face_query_solves_only_minimal_face_lps(counted_lps, tmp_path):
+    verts = _isometric(list(itertools.product((0, 1), repeat=4)), 4)
+    path = tmp_path / "cube4.json"
+    path.write_text(json.dumps({"name": "cube4", "ambient_dim": 4,
+                                "vertices": [[str(c) for c in v] for v in verts]}))
+    assert cli.main(["face", str(path), "1", "2", "3", "--out", str(tmp_path / "r.json")]) == 0
+    in_cli = len(counted_lps)
+    counted_lps.clear()
+    k = load_theory(str(path))
+    assert counted_lps == []
+    minimal_face(k, barycenter(k.vertices[1:4]))
+    assert in_cli == len(counted_lps) <= 9
+
+
+def test_unexposed_vertices_still_get_an_lp(counted_lps):
+    decagon = [(t, t * t) for t in range(-5, 5)]
+    k = VPolytope(decagon)
+    flags = _recheck_exposed(k.vertices)
+    assert flags.count(False) == len(counted_lps) == 8
+    with pytest.raises(ValueError, match=r"^vertex 10 \('0', '10'\) is redundant"):
+        VPolytope(decagon + [(0, 10)])
 
 
 def test_face_as_polytope_round_trip():
