@@ -209,6 +209,7 @@ def check_separable_pair(x, y) -> JBVerdict:
     space with path-connected extreme points cannot do that.
     """
     handle = transition.StateSpaceHandle.separable_2x2()
+    x, y = transition.product_state(x, what="x"), transition.product_state(y, what="y")
     path = transition.path_connect_product_states(x, y, steps=PATH_STEPS)
     prep = transition.path_report(path)
     search = transition.superposability_search(handle, x, y)

@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import admissibility, claims, linalg, models, protocols, transition
-from .config import ENV_TOL, resolve_tol
+from .config import ENV_TOL, resolve_tol, tolerance
 from .errors import InternalCheckError, PreconditionError, TheoryFormatError
 from .lp import rat
 from .polytope import VPolytope, load_theory, minimal_face
@@ -296,7 +296,7 @@ def cmd_ratio(args) -> dict:
     h = resolve_theory(args.theory)
     x = parse_state(h, args.x)
     y = parse_state(h, args.y)
-    res = transition.affine_ratio(h, x, y, resolve_tol(args.tol))
+    res = transition.affine_ratio(h, x, y, args.tol)
     return {
         "command": "ratio",
         "theory": theory_name(h),
@@ -315,7 +315,7 @@ def cmd_superposable(args) -> dict:
     h = resolve_theory(args.theory)
     x = parse_state(h, args.x)
     y = parse_state(h, args.y)
-    cert = transition.superposability_search(h, x, y, tol=resolve_tol(args.tol))
+    cert = transition.superposability_search(h, x, y, tol=args.tol)
     return {
         "command": "superposable",
         "theory": theory_name(h),
@@ -366,7 +366,7 @@ def cmd_protocol(args) -> dict:
         else:
             x = tuple(parse_bloch_state(args.x if args.x else "(0,0,1)"))
             y = tuple(parse_bloch_state(args.y if args.y else "(1,0,0)"))
-        rep = protocols.cloning_contradiction(x, y, tol=resolve_tol(args.tol))
+        rep = protocols.cloning_contradiction(x, y, tol=args.tol)
         return {"command": "protocol", "task": "clone", **jsonable(rep)}
     rep = protocols.run_bit_commitment_analysis(
         support=args.support, starts=args.starts, seed=args.seed,
@@ -486,10 +486,10 @@ def budget(token: str) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    tolerance = argparse.ArgumentParser(add_help=False)
-    tolerance.add_argument("--tol", type=float, default=None,
-                           help="equality tolerance override (also via "
-                                f"{ENV_TOL}; the flag wins)")
+    with_tol = argparse.ArgumentParser(add_help=False)
+    with_tol.add_argument("--tol", type=tolerance, default=None,
+                          help="equality tolerance override (also via "
+                               f"{ENV_TOL}; the flag wins)")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="write the report here "
                         "instead of stdout")
@@ -507,13 +507,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admissibility verdict for a theory")
     p.add_argument("theory", help=ZOO_HELP)
 
-    p = sub.add_parser("ratio", parents=[common, tolerance],
+    p = sub.add_parser("ratio", parents=[common, with_tol],
                        help="transition ratio between two states")
     p.add_argument("theory", help=ZOO_HELP)
     p.add_argument("x")
     p.add_argument("y")
 
-    p = sub.add_parser("superposable", parents=[common, tolerance],
+    p = sub.add_parser("superposable", parents=[common, with_tol],
                        help="search for an equal superposition of two "
                             "orthogonal states")
     p.add_argument("theory", help=ZOO_HELP)
@@ -538,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="descent sweeps per start")
     p.add_argument("--seed", type=seed, default=0,
                    help="seed for the binding search's starts")
-    p = tasks.add_parser("clone", parents=[common, tolerance],
+    p = tasks.add_parser("clone", parents=[common, with_tol],
                          help="the cloning contradiction for two qubit states")
     p.add_argument("--bloch-angle", type=float, default=None,
                    help="angle in degrees between the Bloch vectors")
@@ -568,6 +568,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if "tol" in args:
+            try:
+                args.tol = resolve_tol(args.tol)
+            except ValueError as exc:
+                parser.error(f"{ENV_TOL}: {exc}")
     except SystemExit as exc:
         code = exc.code
         return 0 if code in (None, 0) else int(code)

@@ -13,9 +13,18 @@ ENV_TOL = "CONVEXSTATE_TOL"
 DEFAULT_TOL = 1e-10
 
 
+def tolerance(text: str) -> float:
+    """A tolerance from text, finite and >= 0: NaN or inf would make every
+    ``> tol`` check false.  Anything else raises ValueError."""
+    value = float(text)
+    if not 0.0 <= value < float("inf"):
+        raise ValueError(f"must be finite and non-negative, got {text!r}")
+    return value
+
+
 def resolve_tol(override: float | None = None) -> float:
     """``override`` if given, else CONVEXSTATE_TOL, else ``DEFAULT_TOL``."""
     if override is not None:
         return float(override)
     env = os.environ.get(ENV_TOL)
-    return DEFAULT_TOL if env is None else float(env)
+    return DEFAULT_TOL if env is None else tolerance(env)

@@ -21,6 +21,9 @@ Engines by state-space kind:
   stays feasible on the smaller space, so Tr(xy) is an upper bound; the
   certified lower bound is 0 (or 1 when x == y, forced by f(x) = 1).
 
+``product_state`` checks a separable-engine input once into a
+``ProductState`` record, which every separable engine takes as it is.
+
 Superposability asks for an extreme z with r(x, z) = r(y, z) = 1/2.  For
 the separable set with x, y orthogonal in both factors this reduces to
 bounding a + c - 2ac over (a, c) in [0,1]^2.  By the identity
@@ -33,6 +36,7 @@ array, a Bloch great circle per factor, checked from the 4x4 states.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -188,7 +192,24 @@ def affine_ratio_quantum(x, y, tol: float = DEFAULT_TOL) -> RatioResult:
                        detail={"formula": "Tr(xy)"})
 
 
-def _require_pure_product(rho, tol: float, what: str) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class ProductState:
+    """A checked pure product state; its factors are traced out on first use."""
+
+    matrix: np.ndarray
+
+    @functools.cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        return (linalg.partial_trace(self.matrix, "B", validate=False),
+                linalg.partial_trace(self.matrix, "A", validate=False))
+
+
+def product_state(rho, tol: float = DEFAULT_TOL, what: str = "state") -> ProductState:
+    """``rho`` checked at max(tol, 1e-10) to be a 4x4 rank-1 projection with
+    a positive partial transpose; a ``ProductState`` comes back unchanged."""
+    if isinstance(rho, ProductState):
+        return rho
+    tol = max(tol, 1e-10)
     m = linalg.require_rank1_projection(rho, tol=tol, what=what)
     if m.shape != (4, 4):
         raise PreconditionError(f"{what} must be a 4x4 two-qubit state")
@@ -198,7 +219,7 @@ def _require_pure_product(rho, tol: float, what: str) -> np.ndarray:
             f"{what} is entangled (partial transpose eigenvalue {npt:.3e}); "
             "separable-engine inputs must be pure product states"
         )
-    return m
+    return ProductState(m)
 
 
 def affine_ratio_separable(x, y, tol: float = DEFAULT_TOL) -> RatioResult:
@@ -209,8 +230,8 @@ def affine_ratio_separable(x, y, tol: float = DEFAULT_TOL) -> RatioResult:
     be lower.  lo is the bound actually certified: 1 when x == y (forced by
     f(x) = 1), else 0.
     """
-    mx = _require_pure_product(x, tol=max(tol, 1e-10), what="x")
-    my = _require_pure_product(y, tol=max(tol, 1e-10), what="y")
+    mx = product_state(x, tol, "x").matrix
+    my = product_state(y, tol, "y").matrix
     hi = min(1.0, max(0.0, float(np.real(np.trace(mx @ my)))))
     lo = 1.0 if float(np.max(np.abs(mx - my))) <= tol else 0.0
     return RatioResult(lo=lo, hi=hi, witness=mx,
@@ -262,6 +283,8 @@ def superposability_search(h: StateSpaceHandle, x, y, *,
     identity described in the module docstring.  ``tol`` validates the
     matrix states and the orthogonality.
     """
+    if h.kind == KIND_SEPARABLE:
+        x, y = product_state(x, tol, "x"), product_state(y, tol, "y")
     if not is_orthogonal(h, x, y, tol):
         raise PreconditionError("superposability search needs orthogonal inputs")
     if h.kind == KIND_VPOLYTOPE:
@@ -329,13 +352,6 @@ def _superposable_full_quantum(x, y, tol: float) -> SuperposabilityCertificate:
     )
 
 
-def _factor_pair(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factors of a pure product state via its reductions."""
-    ra = linalg.partial_trace(rho, "B", validate=False)
-    rb = linalg.partial_trace(rho, "A", validate=False)
-    return ra, rb
-
-
 def overlap_square_surface(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """s(a, c) = a + c - 2ac, the sum of the two transition-probability
     upper bounds a*b + c*d after substituting b = 1-c, d = 1-a."""
@@ -357,11 +373,10 @@ def _superposable_separable(x, y, tol: float) -> SuperposabilityCertificate:
     identity SURFACE_IDENTITY proves max = 1, attained only at the corners
     (0,1), (1,0); at each one bound (hence one separable ratio) is 0.
     """
+    px, py = product_state(x, tol, "x"), product_state(y, tol, "y")
+    mx, my = px.matrix, py.matrix
+    (xa, xb), (ya, yb) = px.factors, py.factors
     tol = max(tol, 1e-10)
-    mx = _require_pure_product(x, tol=tol, what="x")
-    my = _require_pure_product(y, tol=tol, what="y")
-    xa, xb = _factor_pair(mx)
-    ya, yb = _factor_pair(my)
     oa = float(np.real(np.trace(xa @ ya)))
     ob = float(np.real(np.trace(xb @ yb)))
     if oa > tol or ob > tol:
@@ -447,17 +462,15 @@ def path_connect_product_states(x, y, steps: int = 64) -> np.ndarray:
     norm is multiplicative, so consecutive distances equal the single-qubit
     factor distances.  Endpoints are exactly the inputs.
     """
-    mx = _require_pure_product(x, tol=1e-10, what="x")
-    my = _require_pure_product(y, tol=1e-10, what="y")
-    xa, xb = _factor_pair(mx)
-    ya, yb = _factor_pair(my)
+    px, py = product_state(x, 1e-10, "x"), product_state(y, 1e-10, "y")
+    (xa, xb), (ya, yb) = px.factors, py.factors
     fa = np.concatenate([qubit_great_circle(xa, ya, steps),
                          np.broadcast_to(ya, (steps, 2, 2))])
     fb = np.concatenate([np.broadcast_to(xb, (steps + 1, 2, 2)),
                          qubit_great_circle(xb, yb, steps)[1:]])
     # np.kron's outer product, state by state: path[n] = fa[n] (x) fb[n]
     path = (fa[:, :, None, :, None] * fb[:, None, :, None, :]).reshape(-1, 4, 4)
-    path[0], path[-1] = mx, my
+    path[0], path[-1] = px.matrix, py.matrix
     return path
 
 

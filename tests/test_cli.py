@@ -321,6 +321,26 @@ def test_env_tolerance_and_flag_precedence(capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
+def test_bad_tol_flag_is_usage_error(capsys, value):
+    # A NaN or infinite tolerance would make every "> tol" check false.
+    code, out, err = run(capsys, "ratio", "full2x2", "01", "10", "--tol", value)
+    assert (code, out) == (2, "")
+    assert "argument --tol:" in err
+    assert repr(value) in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
+def test_bad_env_tolerance_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("CONVEXSTATE_TOL", value)
+    code, out, err = run(capsys, "ratio", "full2x2", "01", "10")
+    assert (code, out) == (2, "")
+    assert "CONVEXSTATE_TOL: " in err and repr(value) in err
+    # The flag wins, and a subcommand that reads no tolerance ignores it.
+    assert run(capsys, "ratio", "full2x2", "01", "10", "--tol", "1e-9")[0] == 0
+    assert run(capsys, "analyze", "spekkens")[0] == 0
+
+
 @pytest.mark.parametrize("argv", [["ratio", "separable2x2"], ["ratio", "full2x2"],
                                   ["superposable", "separable2x2"],
                                   ["superposable", "full2x2"]])

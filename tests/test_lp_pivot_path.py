@@ -247,13 +247,16 @@ REPORTS = {
     "face_bipyramid": ("bipyramid", ["face", "3", "4"]),
     "analyze_cyclic5_3": ("cyclic5_3", ["analyze"]),
     "analyze_cyclic6_4": ("cyclic6_4", ["analyze"]),
-    # The reports of ``scripts/run_all_analyses.py`` whose numbers are
-    # exact (the separable ratio's are 0 and 1 floats), on zoo theories;
-    # "trace" takes no theory.
+    # Reports of ``scripts/run_all_analyses.py`` on zoo theories; "trace"
+    # takes no theory.  The separable ones carry floats: the ratio's 0 and
+    # 1, and the path distances and corner bounds of analyze and
+    # superposable, pinned bit for bit like protocol_bit_commitment.
     "analyze_spekkens": ("spekkens", ["analyze"]),
     "analyze_simplex3": ("simplex:3", ["analyze"]),
+    "analyze_separable": ("separable2x2", ["analyze"]),
     "ratio_octahedron_e1_e2": ("spekkens", ["ratio", "e1", "e2"]),
     "ratio_separable_01_10": ("separable2x2", ["ratio", "01", "10"]),
+    "superposable_separable_01_10": ("separable2x2", ["superposable", "01", "10"]),
     "face_octahedron_edge": ("spekkens", ["face", "e1", "e2"]),
     "face_octahedron_facet": ("spekkens", ["face", "e1", "e2", "e3"]),
     "trace": (None, ["trace"]),

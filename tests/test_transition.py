@@ -1,5 +1,6 @@
 """Transition ratios and superposability across all four state-space kinds."""
 
+import functools
 import itertools
 import math
 import random
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexstate import linalg, lp, transition
+from convexstate import cli, linalg, lp, transition
 from convexstate.admissibility import REFUTED, check_separable_pair
 from convexstate.errors import InternalCheckError, PreconditionError
 from convexstate.lp import OPTIMAL
@@ -216,11 +217,50 @@ def test_separable_orthogonal_pair_is_zero():
     assert r.exact and abs(r.value) <= 1e-12
 
 
-def test_separable_rejects_entangled_input():
-    epr = linalg.projector(linalg.ket("01") - linalg.ket("10"))
-    prod = linalg.projector(linalg.ket("00"))
-    with pytest.raises(PreconditionError, match="product"):
-        affine_ratio_separable(epr, prod)
+_SEPARABLE_ENTRY_POINTS = {
+    "affine_ratio_separable": affine_ratio_separable,
+    "path_connect_product_states": path_connect_product_states,
+    "superposability_search": functools.partial(superposability_search,
+                                                StateSpaceHandle.separable_2x2()),
+    "check_separable_pair": check_separable_pair,
+}
+
+
+@pytest.mark.parametrize("bad, message", [
+    (linalg.projector(linalg.ket("01") - linalg.ket("10")), "x is entangled"),
+    (linalg.projector(linalg.ket("0")), "x must be a 4x4 two-qubit state"),
+], ids=["entangled", "qubit"])
+@pytest.mark.parametrize("entry", sorted(_SEPARABLE_ENTRY_POINTS))
+def test_separable_rejects_entangled_input(entry, bad, message):
+    prod = linalg.projector(linalg.ket("10"))
+    with pytest.raises(PreconditionError, match=message):
+        _SEPARABLE_ENTRY_POINTS[entry](bad, prod)
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["analyze", "separable2x2"], {"require_rank1_projection": 2, "eigvalsh": 2}),
+    (["superposable", "separable2x2", "01", "10"],
+     {"require_rank1_projection": 2, "eigvalsh": 2}),
+    (["ratio", "separable2x2", "01", "10"],
+     {"require_rank1_projection": 2, "eigvalsh": 2, "partial_trace": 0}),
+])
+def test_separable_inputs_validated_once(monkeypatch, capsys, argv, calls):
+    # Each input is checked once into a ProductState (one rank-1 check and
+    # one partial-transpose eigensolve); the engines below reuse the record,
+    # and a ratio never asks for the factors.
+    counts = dict.fromkeys(calls, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(linalg, name, counting(name, getattr(linalg, name)))
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert counts == calls
 
 
 # ---------------------------------------------------------------------------
