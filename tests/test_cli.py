@@ -2,11 +2,14 @@
 plumbing."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from convexstate import cli
 from convexstate.errors import InternalCheckError
+
+PINNED_REPORTS = Path(__file__).parent / "data" / "pinned_reports"
 
 
 def run(capsys, *argv):
@@ -271,6 +274,20 @@ def test_text_format(capsys):
                        "--format", "text")
     assert code == 0
     assert "value: 0.5" in out
+
+
+@pytest.mark.parametrize("pinned, argv", [
+    ("superposable_separable_01_10.txt",
+     ["superposable", "separable2x2", "01", "10", "--format", "text"]),
+    ("superposable_separable_01_10.csv",
+     ["superposable", "separable2x2", "01", "10", "--format", "csv"]),
+    ("face_octahedron_edge.txt", ["face", "spekkens", "e1", "e2", "--format", "text"]),
+])
+def test_rendering_pinned(capsys, pinned, argv):
+    # Text and CSV list keys in the report's own order, not sorted.
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (PINNED_REPORTS / pinned).read_text()
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ other bounds are restated by ``lp_forms.bounded_lp`` into the start
 tableau the kernel used to build for them, so their pins still hold.
 """
 
+import importlib.util
 import itertools
 import json
 import random
@@ -26,6 +27,7 @@ from lp_forms import BoundedLP, bounded_lp
 from shapes import is_face
 
 PINNED_REPORTS = Path(__file__).parent / "data" / "pinned_reports"
+RUN_ALL_ANALYSES = Path(__file__).parent.parent / "scripts" / "run_all_analyses.py"
 
 _BOUNDS = ((-1, 1), (0, 1), (-1, 0), (0, None), (None, 1), (None, None))
 
@@ -248,19 +250,37 @@ REPORTS = {
     "analyze_cyclic5_3": ("cyclic5_3", ["analyze"]),
     "analyze_cyclic6_4": ("cyclic6_4", ["analyze"]),
     # Reports of ``scripts/run_all_analyses.py`` on zoo theories; "trace"
-    # takes no theory.  The separable ones carry floats: the ratio's 0 and
+    # and "protocol clone" take no theory.  The separable ones carry floats: the ratio's 0 and
     # 1, and the path distances and corner bounds of analyze and
     # superposable, pinned bit for bit like protocol_bit_commitment.
     "analyze_spekkens": ("spekkens", ["analyze"]),
     "analyze_simplex3": ("simplex:3", ["analyze"]),
     "analyze_separable": ("separable2x2", ["analyze"]),
+    "analyze_bloch": ("bloch", ["analyze"]),
     "ratio_octahedron_e1_e2": ("spekkens", ["ratio", "e1", "e2"]),
     "ratio_separable_01_10": ("separable2x2", ["ratio", "01", "10"]),
+    "ratio_bloch_xy": ("bloch", ["ratio", "(1,0,0)", "(0,1,0)"]),
+    "superposable_bloch_poles": ("bloch", ["superposable", "(0,0,1)", "(0,0,-1)"]),
     "superposable_separable_01_10": ("separable2x2", ["superposable", "01", "10"]),
     "face_octahedron_edge": ("spekkens", ["face", "e1", "e2"]),
     "face_octahedron_facet": ("spekkens", ["face", "e1", "e2", "e3"]),
+    "protocol_clone_60deg": (None, ["protocol", "clone", "--bloch-angle", "60"]),
     "trace": (None, ["trace"]),
 }
+
+
+def test_every_analysis_job_is_pinned():
+    """A job added to ``scripts/run_all_analyses.py`` ships with its pin: a
+    pinned file and a ``REPORTS`` entry that runs the job's own command.
+    The bit commitment is pinned in ``test_protocols.py``."""
+    spec = importlib.util.spec_from_file_location("run_all_analyses", RUN_ALL_ANALYSES)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    for name, argv in script.jobs(0, False):
+        assert (PINNED_REPORTS / f"{name}.json").is_file(), name
+        if name != "protocol_bit_commitment":
+            theory, (command, *args) = REPORTS[name]
+            assert [command, *([] if theory is None else [theory]), *args] == argv, name
 
 
 @pytest.mark.parametrize("name", sorted(REPORTS))
