@@ -91,32 +91,16 @@ def jb_norm_inequalities(a, b) -> NormInequalityReport:
 # Ball descriptors and verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BallDescriptor:
-    """Which ball B^n a face could be.  Only n = 1 is decidable from a
-    polytope face: a segment.  Anything else with finitely many vertices is
-    not a ball at all."""
-
-    n: int | None            # None means "not a ball"
-    note: str = ""
-
-    @property
-    def is_ball(self) -> bool:
-        return self.n is not None
-
-    def to_json_dict(self) -> dict:
-        return {"is_ball": self.is_ball,
-                "n": self.n if self.n is not None else "not_a_ball",
-                "note": self.note}
-
-
-def ball_descriptor(face: Face) -> BallDescriptor:
+def ball_descriptor(face: Face) -> dict:
+    """Which ball B^n a face could be, as {"is_ball", "n", "note"}.  Only
+    n = 1 is decidable from a polytope face: a segment.  Anything else with
+    finitely many vertices is not a ball at all, and n is "not_a_ball"."""
     k = len(face.vertex_indices)
-    if k == 1:
-        return BallDescriptor(None, "single point (degenerate: not generated by two distinct extreme points)")
     if k == 2:
-        return BallDescriptor(1, "segment")
-    return BallDescriptor(None, f"{k} extreme points, affine dimension {face.affine_dimension()}")
+        return {"is_ball": True, "n": 1, "note": "segment"}
+    note = ("single point (degenerate: not generated by two distinct extreme points)"
+            if k == 1 else f"{k} extreme points, affine dimension {face.affine_dimension}")
+    return {"is_ball": False, "n": "not_a_ball", "note": note}
 
 
 @dataclass(frozen=True)
@@ -176,7 +160,7 @@ def check_polytope(k: VPolytope) -> JBVerdict:
             "kind": "non_ball_face",
             "pair": pair,
             "face_vertices": list(f.vertex_indices),
-            "ball": ball_descriptor(f).to_json_dict(),
+            "ball": ball_descriptor(f),
             "note": (
                 "the face generated by this extreme pair has "
                 f"{len(f.vertex_indices)} extreme points; no "

@@ -316,18 +316,8 @@ def cmd_superposable(args) -> dict:
     x = parse_state(h, args.x)
     y = parse_state(h, args.y)
     cert = transition.superposability_search(h, x, y, tol=args.tol)
-    return {
-        "command": "superposable",
-        "theory": theory_name(h),
-        "x": args.x,
-        "y": args.y,
-        "found": cert.found,
-        "z": jsonable(cert.z),
-        "ratio_xz": jsonable(cert.ratio_xz),
-        "ratio_yz": jsonable(cert.ratio_yz),
-        "overlaps": jsonable(cert.overlaps),
-        "transcript": jsonable(cert.transcript),
-    }
+    return {"command": "superposable", "theory": theory_name(h), "x": args.x, "y": args.y,
+            **jsonable(cert)}
 
 
 def cmd_face(args) -> dict:
@@ -352,8 +342,8 @@ def cmd_face(args) -> dict:
         "points": list(args.points),
         "face_vertex_indices": list(face.vertex_indices),
         "face_vertex_labels": [labels[i] for i in face.vertex_indices],
-        "affine_dimension": face.affine_dimension(),
-        "ball": admissibility.ball_descriptor(face).to_json_dict(),
+        "affine_dimension": face.affine_dimension,
+        "ball": admissibility.ball_descriptor(face),
     }
 
 
@@ -387,10 +377,6 @@ def cmd_trace(args) -> dict:
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
-
-def render_json(report: dict) -> str:
-    return canonical_json(jsonable(report))
-
 
 def _text_lines(value, indent: int, out: list[str]) -> None:
     pad = "  " * indent
@@ -561,8 +547,6 @@ _DISPATCH = {
     "trace": cmd_trace,
 }
 
-_RENDER = {"json": render_json, "csv": render_csv, "text": render_text}
-
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
@@ -587,7 +571,9 @@ def main(argv: list[str] | None = None) -> int:
     except InternalCheckError as exc:
         print(f"convexstate: internal check failed: {exc}", file=sys.stderr)
         return 4
-    rendered = _RENDER[args.format](report)
+    # Looked up per call, so a wrapper installed on a module name is seen.
+    render = {"json": canonical_json, "csv": render_csv, "text": render_text}[args.format]
+    rendered = render(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(rendered)

@@ -9,16 +9,19 @@ from __future__ import annotations
 
 import os
 
+from .errors import PreconditionError
+
 ENV_TOL = "CONVEXSTATE_TOL"
 DEFAULT_TOL = 1e-10
 
 
-def tolerance(text: str) -> float:
-    """A tolerance from text, finite and >= 0: NaN or inf would make every
-    ``> tol`` check false.  Anything else raises ValueError."""
+def tolerance(text) -> float:
+    """A tolerance from a number or its text, finite and >= 0: NaN or inf
+    would make every ``> tol`` check false.  Anything else raises
+    PreconditionError, a ValueError."""
     value = float(text)
     if not 0.0 <= value < float("inf"):
-        raise ValueError(f"must be finite and non-negative, got {text!r}")
+        raise PreconditionError(f"tolerance must be finite and non-negative, got {text!r}")
     return value
 
 

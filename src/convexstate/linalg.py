@@ -6,7 +6,9 @@ Conventions used package-wide:
   array-like and get validated arrays back;
 * tensor products are laid out in the lexicographic product basis
   |00>, |01>, |10>, |11>, with the FIRST factor as subsystem A;
-* Hermitian and density-matrix inputs are validated, never trusted.
+* Hermitian and density-matrix inputs are validated, never trusted;
+* ``hs_norm`` and the unvalidated ``partial_trace`` also take stacks, and
+  ``pauli_coefficients`` over ``PAULI4`` is the one two-qubit Pauli table.
 
 Eigensystems come from numpy.linalg (LAPACK's Hermitian solvers), called
 only through ``eigvalsh`` and ``eigh`` here, after the input has been
@@ -21,6 +23,7 @@ import math
 
 import numpy as np
 
+from .config import tolerance
 from .errors import PreconditionError
 
 HERMITIAN_ATOL = 1e-12
@@ -30,6 +33,7 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
+PAULI4 = np.stack([IDENT2, *PAULIS])        # P_0..P_3 = I, X, Y, Z
 
 _SINGLE_KETS = {
     "0": np.array([1.0, 0.0], dtype=complex),
@@ -99,10 +103,11 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def hs_norm(a) -> float:
-    """Hilbert-Schmidt (Frobenius) norm."""
+def hs_norm(a) -> np.ndarray:
+    """Hilbert-Schmidt (Frobenius) norm over the last two axes: one value
+    for a matrix, one per matrix for a stack."""
     m = np.asarray(a, dtype=complex)
-    return float(math.sqrt(float(np.real(np.sum(m * m.conj())))))
+    return np.sqrt(np.real(np.sum(m * m.conj(), axis=(-2, -1))))
 
 
 def hs_distance(a, b) -> float:
@@ -111,14 +116,14 @@ def hs_distance(a, b) -> float:
         raise PreconditionError(
             f"dimension mismatch: {ma.shape[0]} vs {mb.shape[0]}"
         )
-    return hs_norm(ma - mb)
+    return float(hs_norm(ma - mb))
 
 
 def _split_dims(rho: np.ndarray, dims: tuple[int, int]) -> tuple[int, int]:
     da, db = dims
-    if rho.shape[0] != da * db:
+    if rho.shape[-1] != da * db:
         raise PreconditionError(
-            f"matrix of dimension {rho.shape[0]} does not factor as {da}x{db}"
+            f"matrix of dimension {rho.shape[-1]} does not factor as {da}x{db}"
         )
     return da, db
 
@@ -126,17 +131,25 @@ def _split_dims(rho: np.ndarray, dims: tuple[int, int]) -> tuple[int, int]:
 def partial_trace(rho, subsystem: str, dims: tuple[int, int] = (2, 2), *,
                   validate: bool = True) -> np.ndarray:
     """Trace out one factor.  ``subsystem`` names the factor REMOVED:
-    partial_trace(rho, "A") returns the state of B."""
-    m = as_matrix(rho)
+    partial_trace(rho, "A") returns the state of B.  Unvalidated, ``rho``
+    may be a stack of matrices, traced one by one."""
+    m = as_matrix(rho) if validate else np.asarray(rho, dtype=complex)
     da, db = _split_dims(m, dims)
     if validate:
         require_density(m, what="partial_trace input")
-    t = m.reshape(da, db, da, db)
+    t = m.reshape(*m.shape[:-2], da, db, da, db)
     if subsystem == "A":
-        return np.einsum("ijik->jk", t)
+        return np.einsum("...ijik->...jk", t)
     if subsystem == "B":
-        return np.einsum("ijkj->ik", t)
+        return np.einsum("...ijkj->...ik", t)
     raise PreconditionError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
+
+
+def pauli_coefficients(rho) -> np.ndarray:
+    """C[..., i, j] = Tr(rho P_i (x) P_j) of Hermitian two-qubit operators
+    or stacks of them, with P = ``PAULI4``; rho = sum_ij C[i,j] P_i (x) P_j / 4."""
+    t = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)
+    return np.einsum("...aibj,xba,yji->...xy", t, PAULI4, PAULI4).real
 
 
 def partial_transpose(rho, subsystem: str = "B", dims: tuple[int, int] = (2, 2)) -> np.ndarray:
@@ -195,7 +208,7 @@ def is_density(rho, tol: float = 1e-10) -> bool:
 
 
 def require_density(rho, tol: float = 1e-10, what: str = "state") -> np.ndarray:
-    m = require_hermitian(rho, atol=max(HERMITIAN_ATOL, tol), what=what)
+    m = require_hermitian(rho, atol=max(HERMITIAN_ATOL, tolerance(tol)), what=what)
     tr = float(np.real(np.trace(m)))
     if abs(tr - 1.0) > tol:
         raise PreconditionError(f"{what} has trace {tr!r}, expected 1")
@@ -208,7 +221,7 @@ def require_density(rho, tol: float = 1e-10, what: str = "state") -> np.ndarray:
 
 
 def require_rank1_projection(p, tol: float = 1e-10, what: str = "state") -> np.ndarray:
-    m = require_hermitian(p, atol=max(HERMITIAN_ATOL, tol), what=what)
+    m = require_hermitian(p, atol=max(HERMITIAN_ATOL, tolerance(tol)), what=what)
     if abs(float(np.real(np.trace(m))) - 1.0) > tol:
         raise PreconditionError(f"{what} must have trace 1")
     dev = float(np.max(np.abs(m @ m - m)))

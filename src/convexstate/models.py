@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
+from .config import tolerance
 from .errors import PreconditionError
 from .polytope import VPolytope
 
@@ -82,7 +83,7 @@ def separable_membership(rho, tol: float = PSD_SLACK) -> bool:
     m = linalg.as_matrix(rho)
     if m.shape != (4, 4):
         raise PreconditionError(f"expected a 4x4 two-qubit state, got {m.shape}")
-    if not linalg.is_density(m, tol=max(tol, 1e-10)):
+    if not linalg.is_density(m, tol=max(tolerance(tol), 1e-10)):
         return False
     return linalg.min_eigenvalue(linalg.partial_transpose(m, "B")) >= -tol
 
@@ -90,18 +91,6 @@ def separable_membership(rho, tol: float = PSD_SLACK) -> bool:
 # ---------------------------------------------------------------------------
 # Linear optimization over pure product states
 # ---------------------------------------------------------------------------
-
-def _pauli_contraction(w: np.ndarray) -> np.ndarray:
-    """Real 4x4 coefficient matrix C with
-    Tr[W (E_a x F_b)] = m(a)^T C m(b),  m(v) = (1, v1, v2, v3),
-    for pure qubit states E_a, F_b with Bloch vectors a, b."""
-    sig = (linalg.IDENT2,) + linalg.PAULIS
-    c = np.empty((4, 4))
-    for mu in range(4):
-        for nu in range(4):
-            c[mu, nu] = float(np.real(np.trace(w @ linalg.tensor(sig[mu], sig[nu])))) / 4.0
-    return c
-
 
 @dataclass(frozen=True)
 class SeeSawResult:
@@ -132,7 +121,9 @@ def maximize_linear_over_separable(w, starts: int = 16, seed: int = 0) -> SeeSaw
     if seed < 0:
         raise PreconditionError(f"seed must be non-negative, got {seed}")
     wm = linalg.require_hermitian(w, what="functional")
-    c = _pauli_contraction(wm)
+    # Tr[W (E_a (x) F_b)] = m(a)^T c m(b), m(v) = (1, v), for pure qubit
+    # states E_a, F_b with Bloch vectors a, b.
+    c = linalg.pauli_coefficients(wm) / 4.0
     best_val, best_param, best_start, best_iters = -math.inf, None, -1, 0
     for s in range(starts):
         rng = np.random.default_rng([int(seed), s])

@@ -156,11 +156,8 @@ class Face:
     def vertices(self) -> tuple[Point, ...]:
         return tuple(self.parent.vertices[i] for i in self.vertex_indices)
 
-    def affine_dimension(self) -> int:
-        return self._affine_dimension
-
     @cached_property
-    def _affine_dimension(self) -> int:
+    def affine_dimension(self) -> int:
         return affine_dimension_of(self.vertices)
 
 

@@ -17,7 +17,7 @@ projector E and later steer it into D0 or D1 with a local nonselective
 measurement (computational or +/- basis).  In a theory without
 entanglement E is unavailable, and ``binding_attack_search`` looks for a
 separable substitute (best mixture of pure product states plus two
-A-side channels).  It scores in the real Pauli basis P = (I, X, Y, Z):
+A-side channels).  It scores in the real Pauli basis P = PAULI4 = (I, X, Y, Z):
 sigma is C[i,j] = Tr(sigma P_i (x) P_j) = sum_n w_n (1, a_n)_i (1, b_n)_j
 for Bloch vectors a_n, b_n, a channel is its transfer matrix
 R[k,i] = Tr(P_k Lambda(P_i)) / 2 = R_s R_T (raw Kraus seeds, then their
@@ -40,8 +40,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import linalg
-from .config import DEFAULT_TOL
+from .config import DEFAULT_TOL, tolerance
 from .errors import InternalCheckError, PreconditionError
+from .linalg import PAULI4
 from .transition import affine_ratio_bloch, affine_ratio_quantum
 
 # ---------------------------------------------------------------------------
@@ -67,6 +68,7 @@ def cloning_contradiction(bloch_x, bloch_y,
     The embedded ratio (ancilla |0>) must equal r, the doubled-state ratio
     equals r^2, and cloning would force r <= r^2: false on (0, 1).
     """
+    tol = tolerance(tol)
     r = affine_ratio_bloch(bloch_x, bloch_y).value
     if r <= tol or r >= 1.0 - tol:
         raise PreconditionError(
@@ -167,7 +169,6 @@ def qm_unbinding_demo(epr=None) -> tuple[ChannelTranscript, ChannelTranscript]:
 _N_KRAUS = 4
 _CHANNEL_PARAMS = _N_KRAUS * 8          # 4 Kraus ops, 2x2 complex each
 _STATE_PARAMS = 7                       # 3 + 3 Bloch components + weight seed
-_PAULI = np.stack([linalg.IDENT2, *linalg.PAULIS])      # P_0..P_3 = I, X, Y, Z
 _ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 
@@ -179,20 +180,14 @@ def _seed_forms() -> np.ndarray:
     Pauli coefficients Tr(s^dag s P_k) / 2 (4).  With sum_n p_n p_n^T in
     place of p p^T it gives them for a sum over seeds."""
     basis = (np.eye(4)[:, None, :] * np.array([1.0, 1j])[:, None]).reshape(8, 2, 2)
-    sandwich = np.einsum("kab,rbc,icd,qad->rqki", _PAULI, basis, _PAULI, basis.conj()).real
-    gram = np.einsum("rba,qbc,kca->rqk", basis.conj(), basis, _PAULI).real
+    sandwich = np.einsum("kab,rbc,icd,qad->rqki", PAULI4, basis, PAULI4, basis.conj()).real
+    gram = np.einsum("rba,qbc,kca->rqk", basis.conj(), basis, PAULI4).real
     return 0.5 * np.concatenate([sandwich.reshape(8, 8, 16), gram], axis=2).reshape(64, 20)
-
-
-def _pauli_coefficients(rho: np.ndarray) -> np.ndarray:
-    """C[..., i, j] = Tr(rho P_i (x) P_j) of Hermitian two-qubit operators."""
-    t = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)
-    return np.einsum("...aibj,xba,yji->...xy", t, _PAULI, _PAULI).real
 
 
 def _state(c: np.ndarray) -> np.ndarray:
     """The two-qubit operator sum_ij C[i,j] P_i (x) P_j / 4."""
-    return 0.25 * np.einsum("xy,xab,yij->aibj", c, _PAULI, _PAULI).reshape(4, 4)
+    return 0.25 * np.einsum("xy,xab,yij->aibj", c, PAULI4, PAULI4).reshape(4, 4)
 
 
 def _channels(p: np.ndarray):
@@ -225,7 +220,7 @@ def _channels(p: np.ndarray):
 def _kraus(row: np.ndarray) -> np.ndarray:
     """The Kraus operators K_n = s_n T (4, 2, 2) of one row of 32 raw reals."""
     seeds = (row[0::2] + 1j * row[1::2]).reshape(_N_KRAUS, 2, 2)
-    return seeds @ np.einsum("k,kab->ab", _channels(row)[1], _PAULI)
+    return seeds @ np.einsum("k,kab->ab", _channels(row)[1], PAULI4)
 
 
 def _bloch_rows(seeds: np.ndarray) -> np.ndarray:
@@ -321,7 +316,7 @@ def binding_attack_search(d0=None, d1=None, support: int = 8, starts: int = 32,
         d0, d1, _ = build_bb84_states()
     d0 = linalg.require_density(d0, what="D0")
     d1 = linalg.require_density(d1, what="D1")
-    targets = _pauli_coefficients(np.stack([d0, d1]))
+    targets = linalg.pauli_coefficients(np.stack([d0, d1]))
 
     n_sigma = support * _STATE_PARAMS
     offsets = (n_sigma, n_sigma + _CHANNEL_PARAMS)

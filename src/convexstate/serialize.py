@@ -31,12 +31,7 @@ def jsonable(obj):
             obj = np.real(obj)
         return [jsonable(x) for x in obj.tolist()] if obj.ndim else jsonable(obj.item())
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        out = {}
-        for f in dataclasses.fields(obj):
-            if f.name == "parent":  # polytope back-references are not data
-                continue
-            out[f.name] = jsonable(getattr(obj, f.name))
-        return out
+        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -31,7 +31,8 @@ bounding a + c - 2ac over (a, c) in [0,1]^2.  By the identity
 (0,1) and (1,0), where the product states are y and x themselves and one
 transition probability vanishes, so no such z exists.  The pure product
 states are still norm-path-connected: a path is one (2 * steps + 1, 4, 4)
-array, a Bloch great circle per factor, checked from the 4x4 states.
+array, a Bloch great circle per factor, checked from the 4x4 states by
+``linalg.hs_norm`` and ``linalg.partial_trace`` over the whole stack.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .config import DEFAULT_TOL
+from .config import DEFAULT_TOL, tolerance
 from .errors import InternalCheckError, PreconditionError
 from .lp import LPProblem, OPTIMAL, lp_solve, multipliers
 from .polytope import VPolytope, parse_point
@@ -209,7 +210,7 @@ def product_state(rho, tol: float = DEFAULT_TOL, what: str = "state") -> Product
     a positive partial transpose; a ``ProductState`` comes back unchanged."""
     if isinstance(rho, ProductState):
         return rho
-    tol = max(tol, 1e-10)
+    tol = max(tolerance(tol), 1e-10)
     m = linalg.require_rank1_projection(rho, tol=tol, what=what)
     if m.shape != (4, 4):
         raise PreconditionError(f"{what} must be a 4x4 two-qubit state")
@@ -253,7 +254,7 @@ def affine_ratio(h: StateSpaceHandle, x, y, tol: float = DEFAULT_TOL) -> RatioRe
 
 def is_orthogonal(h: StateSpaceHandle, x, y, tol: float = DEFAULT_TOL) -> bool:
     """Transition probability zero (exactly, where the engine is exact)."""
-    r = affine_ratio(h, x, y, tol)
+    r = affine_ratio(h, x, y, tolerance(tol))
     if isinstance(r.hi, Fraction):
         return r.hi == 0
     return float(r.hi) <= tol
@@ -474,19 +475,13 @@ def path_connect_product_states(x, y, steps: int = 64) -> np.ndarray:
     return path
 
 
-def _hs_norms(d: np.ndarray) -> np.ndarray:
-    """HS norm of each matrix in a stack: sqrt(Re sum d * conj(d))."""
-    return np.sqrt(np.real(np.sum(d * d.conj(), axis=(1, 2))))
-
-
 def path_report(path: np.ndarray) -> dict:
     """Summary of a product-state path: consecutive distances and the
     factor-distance identity (checked from the states themselves)."""
     states = np.asarray(path, dtype=complex)
-    t = states.reshape(-1, 2, 2, 2, 2)
-    dists = _hs_norms(np.diff(states, axis=0))
-    da = _hs_norms(np.diff(np.einsum("nijkj->nik", t), axis=0))
-    db = _hs_norms(np.diff(np.einsum("nijik->njk", t), axis=0))
+    dists = linalg.hs_norm(np.diff(states, axis=0))
+    da = linalg.hs_norm(np.diff(linalg.partial_trace(states, "B", validate=False), axis=0))
+    db = linalg.hs_norm(np.diff(linalg.partial_trace(states, "A", validate=False), axis=0))
     # On each leg exactly one factor moves; the moving factor's distance
     # must reproduce the full distance (HS norm multiplicativity).
     identity_dev = np.abs(dists - np.maximum(da, db))

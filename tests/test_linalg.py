@@ -221,6 +221,46 @@ def test_hs_norm_matches_numpy():
         assert abs(linalg.hs_norm(m) - np.linalg.norm(m)) <= 1e-12
 
 
+def test_stacked_hs_norm_and_partial_trace_match_per_matrix():
+    rng = np.random.default_rng(43)
+    stack = np.stack([random_density(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
+    flat = stack.reshape(6, 4, 4)
+    norms = linalg.hs_norm(stack)
+    assert norms.shape == (2, 3)
+    assert np.array_equal(norms.reshape(6), [linalg.hs_norm(m) for m in flat])
+    for side in "AB":
+        traced = linalg.partial_trace(stack, side, validate=False)
+        assert traced.shape == (2, 3, 2, 2)
+        assert np.array_equal(traced.reshape(6, 2, 2),
+                              [linalg.partial_trace(m, side) for m in flat])
+
+
+# ---------------------------------------------------------------------------
+# Pauli coefficients
+# ---------------------------------------------------------------------------
+
+def _kron_paulis():
+    return [[np.kron(p, q) for q in linalg.PAULI4] for p in linalg.PAULI4]
+
+
+def test_pauli_coefficients_round_trip():
+    rng = np.random.default_rng(75)
+    rho = 2 * random_hermitian(rng, 4)
+    c = linalg.pauli_coefficients(rho)
+    back = sum(c[i, j] * pp for i, row in enumerate(_kron_paulis()) for j, pp in enumerate(row))
+    assert np.max(np.abs(back / 4 - rho)) <= 1e-14
+    assert abs(np.sum(c * c) / 4 - linalg.hs_norm(rho) ** 2) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pauli_coefficients_match_sixteen_traces(seed):
+    # Tr[W (E_a (x) F_b)] = m(a)^T (C / 4) m(b), the see-saw's contraction,
+    # by its plain definition: one trace per pair of Paulis.
+    w = random_hermitian(np.random.default_rng([76, seed]), 4)
+    plain = np.array([[np.real(np.trace(w @ pp)) / 4.0 for pp in row] for row in _kron_paulis()])
+    assert np.max(np.abs(linalg.pauli_coefficients(w) / 4 - plain)) <= 1e-15
+
+
 def test_bloch_round_trip():
     rng = np.random.default_rng(42)
     for _ in range(20):

@@ -59,7 +59,7 @@ def test_octahedron_edge_face():
     k = make_spekkens_hull()
     face = generated_face(k, (1, 0, 0), (0, 1, 0))
     assert face.vertex_indices == (0, 2)
-    assert face.affine_dimension() == 1
+    assert face.affine_dimension == 1
     assert is_face(k, (0, 2))
 
 
@@ -67,14 +67,14 @@ def test_octahedron_facet_face():
     k = make_spekkens_hull()
     face = minimal_face(k, ("1/3", "1/3", "1/3"))
     assert face.vertex_indices == (0, 2, 4)
-    assert face.affine_dimension() == 2
+    assert face.affine_dimension == 2
 
 
 def test_antipodal_pair_generates_everything():
     k = make_spekkens_hull()
     face = generated_face(k, (1, 0, 0), (-1, 0, 0))
     assert face.vertex_indices == (0, 1, 2, 3, 4, 5)
-    assert face.affine_dimension() == 3
+    assert face.affine_dimension == 3
 
 
 def test_bipyramid_apex_pair_face():

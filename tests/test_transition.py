@@ -15,8 +15,10 @@ from convexstate import cli, linalg, lp, transition
 from convexstate.admissibility import REFUTED, check_separable_pair
 from convexstate.errors import InternalCheckError, PreconditionError
 from convexstate.lp import OPTIMAL
-from convexstate.models import ProductStateParam, make_spekkens_hull
+from convexstate.models import (ProductStateParam, make_spekkens_hull,
+                                separable_membership)
 from convexstate.polytope import VPolytope
+from convexstate.protocols import cloning_contradiction
 from convexstate.transition import (StateSpaceHandle, affine_ratio,
                                     affine_ratio_bloch, affine_ratio_polytope,
                                     affine_ratio_quantum,
@@ -284,6 +286,30 @@ def test_is_orthogonal_each_kind():
 
     hs = StateSpaceHandle.separable_2x2()
     assert is_orthogonal(hs, p01, p10)
+
+
+_P00 = linalg.projector(linalg.ket("00"))
+_TOL_ENTRY_POINTS = {
+    "require_density": lambda tol: linalg.require_density(np.eye(4) / 4, tol=tol),
+    "require_rank1_projection": lambda tol: linalg.require_rank1_projection(_P00, tol=tol),
+    "is_orthogonal": lambda tol: is_orthogonal(
+        StateSpaceHandle.bloch_ball(), (0, 0, 1), (0, 0, -1), tol),
+    "cloning_contradiction": lambda tol: cloning_contradiction(
+        (0, 0, 1), (0.6, 0, 0.8), tol=tol),
+    "separable_membership": lambda tol: separable_membership(np.eye(4) / 4, tol=tol),
+    "affine_ratio_quantum": lambda tol: affine_ratio_quantum(_P00, _P00, tol),
+    "affine_ratio_separable": lambda tol: affine_ratio_separable(_P00, _P00, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("entry", sorted(_TOL_ENTRY_POINTS))
+def test_bad_tolerance_rejected(entry, tol):
+    # A NaN or infinite tolerance makes every "> tol" check false, and a
+    # negative one every check true; each valid input here passes at 1e-10.
+    _TOL_ENTRY_POINTS[entry](1e-10)
+    with pytest.raises(PreconditionError, match="tolerance must be finite and non-negative"):
+        _TOL_ENTRY_POINTS[entry](tol)
 
 
 # ---------------------------------------------------------------------------
