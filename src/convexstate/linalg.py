@@ -200,6 +200,8 @@ def top_eigenvector(a) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def is_density(rho, tol: float = 1e-10) -> bool:
+    """Whether rho is a density matrix; a bad ``tol`` raises, not False."""
+    tol = tolerance(tol)
     try:
         require_density(rho, tol=tol)
     except PreconditionError:

@@ -5,41 +5,42 @@ Problems take one form,
     minimize c.x   s.t.   a_eq x == b_eq,  x >= 0;
 
 a caller with free variables splits each into two nonnegative columns,
-and one with an inequality row adds its own slack column.
+and one with an inequality row adds its own slack column.  [a_eq | b_eq]
+is held in ints, the rational rows times one positive scale:
+``LPProblem.make`` applies ``_integer_rows``, and the polytope LPs take
+integer rows as they are.  The objective stays rational.
 
 The tableau is integer-preserving (Edmonds/Bareiss pivoting): its entries
 are Python ints that share one positive common denominator ``den``.
 
-- *Start.* ``_integer_rows`` scales [a_eq | b_eq] by the one LCM of its
-  denominators, so no ``Fraction`` is added or multiplied per entry.  The
-  artificial columns keep the coefficient 1, so the start is an integer
-  tableau with ``den = 1`` and the artificials as its basis: the tableau
-  that scaling the ``Fraction`` rows would give.
+- *Start.* The integer rows, with the artificial columns at coefficient
+  1, so the start is an integer tableau with ``den = 1`` and the
+  artificials as its basis: the tableau that scaling the ``Fraction``
+  rows would give.
 - *Pivot.* On the entry p = tab[r][c], row r stays as it is, every other
   row x becomes (x*p - x[c]*tab[r]) / den, and p becomes the new ``den``.
   Each quotient is an integer minor of the start tableau, so the division
   is exact; it is checked all the same.  A negative pivot, which only
   occurs while leftover artificials are driven out, has its row negated
   first, so ``den`` stays positive.  ``_pivot`` is the one exact
-  elimination step; both phases, drive-out and ``row_reduce`` use it.
+  elimination step; both phases, drive-out and ``_rref`` use it.
 - *Cost row.* The tableau's last row, pivoted with the others and skipped
   by the ratio test.  Phase 2 starts it from [objective | 0] scaled by
   ``_integer_rows``.  Only the signs of its entries are read.
 - *Phase 2.* Drive-out pivots and phase 2 never read an artificial
   column, so those columns are dropped once phase 1 ends.
-- *Answer.* Each basic coordinate is its integer numerator over ``den``,
-  read as one ``Fraction``; the others are 0.  With it comes the basis
-  that ``_iterate`` and the drive-out loop record, as (kept row, basic
-  column) pairs; rows that phase 1 found redundant are dropped.
-  ``multipliers`` solves y.A_B = c_B on it by ``row_reduce``.
+- *Answer.* Each basic coordinate's integer numerator over ``den``, the
+  others 0, checked by ``_verify`` and then read as ``Fraction``s.  With
+  it comes the basis that ``_iterate`` and the drive-out loop record, as
+  (kept row, basic column) pairs; rows that phase 1 found redundant are
+  dropped.  ``multipliers`` solves y.A_B = c_B on it by ``_rref``.
 
 Against the tableau of ``Fraction``s that the same rules would pivot, the
 integer start scales all rows by one positive number and the artificial
 columns by another.  That multiplies every reduced cost and every
 ratio-test ratio of one entering column by a positive factor, so Bland's
 rule takes the same pivots and returns the same point.  Optimal points
-satisfy every constraint with zero error, can serve as certificates, and
-are re-checked in ``Fraction``s before they are returned.
+satisfy every constraint with zero error and can serve as certificates.
 """
 
 from __future__ import annotations
@@ -76,22 +77,23 @@ def rat(x) -> Fraction:
 
 @dataclass(frozen=True)
 class LPProblem:
-    objective: tuple[Fraction, ...]
-    a_eq: tuple[tuple[Fraction, ...], ...]
-    b_eq: tuple[Fraction, ...]
+    objective: tuple                     # rationals: ints or Fractions
+    a_eq: tuple[tuple[int, ...], ...]    # integer rows: [a_eq | b_eq] times one scale > 0
+    b_eq: tuple[int, ...]
 
     @staticmethod
     def make(objective: Sequence, a_eq: Sequence | None = (),
              b_eq: Sequence | None = ()) -> "LPProblem":
         c = tuple(rat(x) for x in objective)
-        rows = tuple(tuple(rat(x) for x in row) for row in a_eq or ())
-        rhs = tuple(rat(x) for x in b_eq or ())
+        rows = [tuple(rat(x) for x in row) for row in a_eq or ()]
+        rhs = [rat(x) for x in b_eq or ()]
         for i, r in enumerate(rows):
             if len(r) != len(c):
                 raise ValueError(f"a_eq row {i} has {len(r)} entries, expected {len(c)}")
         if len(rows) != len(rhs):
             raise ValueError("a_eq: row/rhs count mismatch")
-        return LPProblem(c, rows, rhs)
+        scaled = _integer_rows(r + (b,) for r, b in zip(rows, rhs))
+        return LPProblem(c, tuple(tuple(r[:-1]) for r in scaled), tuple(r[-1] for r in scaled))
 
 
 @dataclass(frozen=True)
@@ -103,36 +105,43 @@ class LPSolution:
 
 
 def lp_solve(problem: LPProblem) -> LPSolution:
-    status, point, basis = _solve_exact(problem)
+    status, nums, den, basis = _solve_exact(problem)
     if status != OPTIMAL:
         return LPSolution(status, None, None)
-    value = sum((c * x for c, x in zip(problem.objective, point) if x), _ZERO)
-    _verify(problem, point)
-    return LPSolution(OPTIMAL, value, tuple(point), tuple(basis))
+    _verify(problem, nums, den)
+    value = Fraction(sum((c * x for c, x in zip(problem.objective, nums) if x), 0)) / den
+    point = tuple(Fraction(x, den) if x else _ZERO for x in nums)
+    return LPSolution(OPTIMAL, value, point, tuple(basis))
 
 
-def multipliers(problem: LPProblem, basis: Sequence[tuple[int, int]]) -> tuple[Fraction, ...]:
-    """Simplex multipliers y of a final basis, one per row of ``a_eq``:
-    y.A_B = c_B on the kept rows, solved exactly, and 0 on dropped rows.
-    At an optimum of a minimization, c - y.A >= 0 column by column."""
+def multipliers(problem: LPProblem, basis: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """Simplex multipliers y of a final basis, one per integer row of
+    ``a_eq``, as (numerators, one positive denominator): y.A_B = c_B on the
+    kept rows and 0 on dropped rows; s*y for the rational rows A / s.  At
+    an optimum of a minimization, c - y.A >= 0 column by column."""
     rows = [r for r, _ in basis]
-    rref, pivots = row_reduce([[problem.a_eq[r][j] for r in rows] + [problem.objective[j]]
-                               for _, j in basis])
+    *c, scale = _integer_rows([(*problem.objective, 1)])[0]
+    tab, pivots, den = _rref([[problem.a_eq[r][j] for r in rows] + [c[j]] for _, j in basis])
     if pivots != tuple(range(len(rows))):
         raise InternalCheckError("simplex returned a singular basis")
-    y = [_ZERO] * len(problem.a_eq)
-    for r, row in zip(rows, rref):
+    y = [0] * len(problem.a_eq)
+    for r, row in zip(rows, tab):
         y[r] = row[-1]
-    return tuple(y)
+    return tuple(y), den * scale
 
 
 def row_reduce(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], tuple[int, ...]]:
     """Reduced row echelon form: the nonzero rows, each with a leading 1
     alone in its column, and the pivot columns.  The rows are scaled to
-    integers and eliminated by ``_pivot``, after which every pivot column
-    is ``den`` times a unit column.  The form is unique, so the pivot order
-    does not matter."""
-    tab = _integer_rows([[rat(x) for x in row] for row in rows])
+    integers and eliminated by ``_rref``.  The form is unique, so the pivot
+    order does not matter."""
+    tab, pivots, den = _rref(_integer_rows([[rat(x) for x in row] for row in rows]))
+    return [[Fraction(x, den) if x else _ZERO for x in row] for row in tab], pivots
+
+
+def _rref(tab: list[list[int]]) -> tuple[list[list[int]], tuple[int, ...], int]:
+    """Integer rows eliminated in place by ``_pivot``; returns the nonzero
+    rows (each pivot column ``den`` times a unit column), pivots and den."""
     pivots, den = [], 1
     for col in range(len(tab[0]) if tab else 0):
         r = len(pivots)
@@ -142,16 +151,15 @@ def row_reduce(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], tuple[in
         tab[r], tab[piv] = tab[piv], tab[r]
         den = _pivot(tab, r, col, den)
         pivots.append(col)
-    return ([[Fraction(x, den) if x else _ZERO for x in row] for row in tab[:len(pivots)]],
-            tuple(pivots))
+    return tab[:len(pivots)], tuple(pivots), den
 
 
-def _verify(problem: LPProblem, point: Sequence[Fraction]) -> None:
-    """Exact feasibility re-check of a claimed optimum (defensive).  Row
-    sums skip the zero coordinates, which are most of a basic solution."""
-    support = [(j, x) for j, x in enumerate(point) if x]
+def _verify(problem: LPProblem, nums: Sequence[int], den: int) -> None:
+    """Exact feasibility re-check of a claimed optimum nums / den, den > 0
+    (defensive).  Row sums skip the zero coordinates, most of the point."""
+    support = [(j, x) for j, x in enumerate(nums) if x]
     for row, b in zip(problem.a_eq, problem.b_eq):
-        if sum((row[j] * x for j, x in support), _ZERO) != b:
+        if sum(row[j] * x for j, x in support) != b * den:
             raise InternalCheckError("simplex returned an infeasible point (eq)")
     if any(x < 0 for _, x in support):
         raise InternalCheckError("simplex returned an infeasible point (nonneg)")
@@ -169,7 +177,9 @@ def _integer_rows(rows) -> list[list[int]]:
 
 
 def _solve_exact(problem: LPProblem):
-    """(status, point, final basis as (kept row, basic column) pairs)."""
+    """(status, numerators of the point, their denominator, final basis as
+    (kept row, basic column) pairs); all but the status are None unless
+    optimal."""
     n = len(problem.objective)
     m = len(problem.b_eq)
     ncols = n + m  # x vars, artificials
@@ -178,10 +188,8 @@ def _solve_exact(problem: LPProblem):
     # and an artificial basis whose coefficients stay 1.
     tab: list[list[int]] = []
     basis: list[int] = []
-    for i, row in enumerate(_integer_rows(r + (b,) for r, b in zip(problem.a_eq, problem.b_eq))):
-        if row[-1] < 0:
-            row = [-x for x in row]
-        row = row[:n] + [0] * m + row[-1:]
+    for i, (a, b) in enumerate(zip(problem.a_eq, problem.b_eq)):
+        row = [*a, *[0] * m, b] if b >= 0 else [*(-x for x in a), *[0] * m, -b]
         row[n + i] = 1
         tab.append(row)
         basis.append(n + i)
@@ -194,7 +202,7 @@ def _solve_exact(problem: LPProblem):
     tab.append(cost)
     status, den = _iterate(tab, basis, den, allowed_max=ncols)
     if status == UNBOUNDED or tab.pop()[-1] != 0:  # the former is impossible; defensive
-        return INFEASIBLE, None, None
+        return INFEASIBLE, None, None, None
 
     # Nothing below reads an artificial column again: drive-out pivots on
     # columns below n and phase 2 never enters an artificial.
@@ -224,14 +232,13 @@ def _solve_exact(problem: LPProblem):
     tab.append(cost)
     status, den = _iterate(tab, basis, den, allowed_max=n)
     if status == UNBOUNDED:
-        return UNBOUNDED, None, None
+        return UNBOUNDED, None, None, None
 
     # x_j = (basic numerator of x_j) / den, or 0 when x_j is nonbasic.
-    point = [_ZERO] * n
+    nums = [0] * n
     for b, row in zip(basis, tab):
-        if row[-1]:
-            point[b] = Fraction(row[-1], den)
-    return OPTIMAL, point, list(zip(keep, basis))
+        nums[b] = row[-1]
+    return OPTIMAL, nums, den, list(zip(keep, basis))
 
 
 def _iterate(tab, basis, den, allowed_max) -> tuple[str, int]:

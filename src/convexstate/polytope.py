@@ -1,12 +1,14 @@
 """V-representation polytopes with exact rational face machinery.
 
-A polytope is given by its vertices (rational coordinates).  Loading one
-proves each vertex extreme: by the exact centroid functional
-c_i = n*v_i - sum_j v_j, which exposes v_i when c_i.v_i > c_i.v_j for every
-other j, and by an irredundancy LP for the vertices it leaves open.  Faces
-are represented as vertex subsets, and every face query reduces to support
-linear programs solved in exact rational arithmetic, so the answers are
-exact certificates rather than approximations.  ``minimal_face`` harvests
+A polytope is given by its vertices (rational coordinates) and keeps the
+homogenised vertices as one integer matrix, from which every LP takes its
+rows.  Loading one proves each vertex extreme: by the exact centroid
+functional c_i = n*v_i - sum_j v_j, which exposes v_i when
+c_i.v_i > c_i.v_j for every other j, and by an irredundancy LP for the
+vertices it leaves open.  Faces are represented as vertex subsets, and
+every face query reduces to support linear programs solved in exact
+rational arithmetic, so the answers are exact certificates rather than
+approximations.  ``minimal_face`` harvests
 the face from the supports of successive optimal representations of the
 point, at most min(|F| + 1, n) LPs for a face of |F| of the n vertices.
 
@@ -24,6 +26,7 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -31,8 +34,6 @@ from .errors import TheoryFormatError
 from .lp import LPProblem, OPTIMAL, _integer_rows, lp_solve, rat, row_reduce
 
 Point = tuple[Fraction, ...]
-
-_ZERO = Fraction(0)
 
 
 def parse_point(coords: Sequence) -> Point:
@@ -43,9 +44,10 @@ class VPolytope:
     """Convex hull of finitely many points, stored irredundantly.
 
     Construction rejects duplicate or non-extreme input points, so
-    ``vertices`` always equals the extreme points.  A vertex that the
-    centroid functional exposes is extreme by that certificate; each other
-    vertex gets an irredundancy LP against the rest.
+    ``vertices`` always equals the extreme points, and ``homogeneous``
+    holds s*(v, 1) for each, with s the LCM of the denominators.  A vertex
+    that the centroid functional exposes is extreme by that certificate;
+    each other vertex gets an irredundancy LP against the rest.
     """
 
     def __init__(self, vertices: Iterable[Sequence], name: str | None = None):
@@ -60,16 +62,18 @@ class VPolytope:
                 )
         self.ambient_dim = dim
         self.vertices: tuple[Point, ...] = tuple(verts)
+        self.homogeneous = tuple(map(tuple, _integer_rows((*v, 1) for v in verts)))
+        self._index = {v: i for i, v in enumerate(verts)}
         self.name = name
         self._check_irredundant()
 
     def _check_irredundant(self) -> None:
-        exposed = centroid_exposed(self.vertices)
+        rows = self.homogeneous
+        exposed = centroid_exposed(rows)
         for i, v in enumerate(self.vertices):
             if exposed[i]:
                 continue
-            others = [u for j, u in enumerate(self.vertices) if j != i]
-            if _hull_contains(others, v):
+            if _hull_contains(rows[:i] + rows[i + 1:], v):
                 raise ValueError(
                     f"vertex {i} {tuple(map(str, v))} is redundant: it lies in "
                     "the hull of the remaining vertices"
@@ -81,14 +85,10 @@ class VPolytope:
 
     def contains(self, point: Sequence) -> bool:
         p = parse_point(point)
-        return p in self.vertices or _hull_contains(self.vertices, p)
+        return p in self._index or _hull_contains(self.homogeneous, p)
 
     def vertex_index(self, point: Sequence) -> int | None:
-        p = parse_point(point)
-        for i, v in enumerate(self.vertices):
-            if v == p:
-                return i
-        return None
+        return self._index.get(parse_point(point))
 
     def affine_image(self, matrix: Sequence[Sequence], shift: Sequence) -> "VPolytope":
         """Polytope with vertices M v + t (exact rational arithmetic)."""
@@ -105,16 +105,16 @@ class VPolytope:
         return VPolytope(new_verts, name=self.name)
 
 
-def centroid_exposed(vertices: Sequence[Point]) -> list[bool]:
+def centroid_exposed(rows: Sequence[Sequence[int]]) -> list[bool]:
     """Whether the centroid functional c_i = n*v_i - sum_j v_j exposes each
     vertex: c_i.v_i > c_i.v_j for every j != i, which proves v_i an exposed
     point, so extreme and not repeated.
 
-    Exact, with no LP.  With the Gram matrix G of the points (scaled to
-    integers by one positive factor, which keeps every strict inequality)
-    and s_j = sum_k G[k][j], c_i.v_j = n*G[i][j] - s_j.
+    Exact, with no LP.  With the Gram matrix G of the homogenised integer
+    rows (one positive scale keeps every strict inequality; the common last
+    entry adds one constant to G, which cancels) and s_j = sum_k G[k][j],
+    c_i.v_j = n*G[i][j] - s_j.
     """
-    rows = _integer_rows(vertices)
     n = len(rows)
     gram = [[sum(map(mul, u, v)) for v in rows] for u in rows]
     sums = [sum(col) for col in zip(*gram)]
@@ -126,22 +126,24 @@ def centroid_exposed(vertices: Sequence[Point]) -> list[bool]:
     return out
 
 
-def _membership_problem(vertices: Sequence[Point], point: Point) -> LPProblem:
-    if len(point) != len(vertices[0]):
+def _membership_problem(rows: Sequence[Sequence[int]], point: Point) -> LPProblem:
+    """point^ = sum lam_i v_i^, lam >= 0, from rows s*(v, 1) with s the LCM of
+    the vertices' denominators: ``_integer_rows`` of the ``Fraction`` rows."""
+    if len(point) + 1 != len(rows[0]):
         raise ValueError(
             f"point has {len(point)} coordinates, polytope lives in "
-            f"dimension {len(vertices[0])}"
+            f"dimension {len(rows[0]) - 1}"
         )
-    d = len(point)
-    n = len(vertices)
-    a_eq = [[vertices[i][k] for i in range(n)] for k in range(d)]
-    a_eq.append([Fraction(1)] * n)
-    b_eq = list(point) + [Fraction(1)]
-    return LPProblem.make([_ZERO] * n, a_eq=a_eq, b_eq=b_eq)
+    s = rows[0][-1]
+    ratios = [c.as_integer_ratio() for c in point]
+    scale = lcm(s, *(q for _, q in ratios))
+    a_eq = tuple(tuple(x * (scale // s) for x in col) for col in zip(*rows))
+    b_eq = tuple(p * (scale // q) for p, q in ratios) + (scale,)
+    return LPProblem((0,) * len(rows), a_eq, b_eq)
 
 
-def _hull_contains(vertices: Sequence[Point], point: Point) -> bool:
-    sol = lp_solve(_membership_problem(vertices, point))
+def _hull_contains(rows: Sequence[Sequence[int]], point: Point) -> bool:
+    sol = lp_solve(_membership_problem(rows, point))
     return sol.status == OPTIMAL
 
 
@@ -177,11 +179,11 @@ def minimal_face(k: VPolytope, point: Sequence) -> Face:
     """
     p = parse_point(point)
     n = len(k.vertices)
-    problem = _membership_problem(k.vertices, p)
+    problem = _membership_problem(k.homogeneous, p)
     undecided = set(range(n))
     face = []
     while undecided:
-        obj = tuple(Fraction(-1) if i in undecided else _ZERO for i in range(n))
+        obj = tuple(-1 if i in undecided else 0 for i in range(n))
         sol = lp_solve(replace(problem, objective=obj))
         if sol.status != OPTIMAL:
             raise ValueError(f"point {tuple(map(str, p))} is not in the polytope")

@@ -7,10 +7,10 @@ For a state space K and extreme points x, y the affine ratio is
 Engines by state-space kind:
 
 * polytopes: the infimum is a linear program over functionals, solved
-  exactly as its LP dual, the mixture LP over the homogenised vertices;
-  the optimal functional is read off the final basis as the negated
-  simplex multipliers and re-checked, so the value is certified from
-  both sides;
+  exactly as its LP dual, the mixture LP over the polytope's integer
+  matrix of homogenised vertices; the optimal functional is read off the
+  final basis as the negated simplex multipliers and re-checked on that
+  matrix in integers, so the value is certified from both sides;
 * the Bloch ball: closed form (1 + x.y)/2;
 * the full quantum state space of a matrix algebra: Tr(xy) for rank-1
   projections (the minimizing functional is rho -> Tr(x rho), and every
@@ -41,6 +41,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -131,29 +132,32 @@ def affine_ratio_polytope(k: VPolytope, x, y) -> RatioResult:
     is the LP dual of the functional LP that defines the ratio.  Any
     feasible f has f(y) = t f(x) + sum(alpha_i f(v_i)) - sum(beta_i f(v_i))
     >= t - sum(beta), so the verified mixture bounds the ratio from below.
-    The witness f is the negated simplex multipliers of the final basis;
-    it is re-checked exactly to be feasible with f(y) equal to that bound.
+    The LP's columns are the rows s*p^ of ``k.homogeneous``.  Its integer
+    multipliers u / D give the witness f = -s*u/D; D*f(v) = -u.(s*v^) is
+    re-checked exactly, one integer product per vertex, to be feasible with
+    f(y) equal to that bound.
     """
-    px, py = parse_point(x), parse_point(y)
-    ix, iy = k.vertex_index(px), k.vertex_index(py)
+    ix, iy = k.vertex_index(x), k.vertex_index(y)
     if ix is None or iy is None:
         raise PreconditionError(
             "affine_ratio_polytope needs vertices of the polytope; "
             f"got x in vertices: {ix is not None}, y in vertices: {iy is not None}"
         )
-    n = len(k.vertices)
-    columns = [(*px, 1), *((*v, 1) for v in k.vertices)]  # t, alpha
-    columns += [tuple(-c for c in col) for col in columns[1:]]  # beta
-    prob = LPProblem.make([-1] + [0] * n + [1] * n, a_eq=list(zip(*columns)), b_eq=[*py, 1])
+    rows = k.homogeneous
+    n = len(rows)
+    a_eq = tuple((t, *col, *(-c for c in col)) for t, col in zip(rows[ix], zip(*rows)))
+    prob = LPProblem((-1, *[0] * n, *[1] * n), a_eq, rows[iy])  # t, alpha, beta
     sol = lp_solve(prob)
     if sol.status != OPTIMAL:  # t = 0, alpha = e_y is always feasible
         raise PreconditionError(f"ratio LP unexpectedly {sol.status}")
     value = -sol.value
-    *normal, offset = (-u for u in multipliers(prob, sol.basis))
-    witness = AffineFunctional(tuple(normal), offset)
-    if witness(px) != 1 or witness(py) != value or any(
-            not 0 <= witness(v) <= 1 for v in k.vertices):
+    u, den = multipliers(prob, sol.basis)
+    fv = [-sum(map(mul, u, v)) for v in rows]  # den * f(v_i)
+    if fv[ix] != den or fv[iy] * value.denominator != value.numerator * den or any(
+            not 0 <= w <= den for w in fv):
         raise InternalCheckError("ratio witness failed its exact check")
+    *normal, offset = (Fraction(-rows[0][-1] * c, den) for c in u)
+    witness = AffineFunctional(tuple(normal), offset)
     return RatioResult(lo=value, hi=value, witness=witness,
                        detail={"x_index": ix, "y_index": iy})
 

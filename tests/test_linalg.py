@@ -282,6 +282,13 @@ def test_density_validation():
         linalg.require_density(np.diag([2.0, -1.0]))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_is_density_rejects_a_bad_tolerance(tol):
+    # A valid state with a bad tolerance is a usage error, not "not a state".
+    with pytest.raises(PreconditionError, match="tolerance must be finite"):
+        linalg.is_density(np.eye(4) / 4, tol=tol)
+
+
 _NONFINITE = (np.nan, np.inf, -np.inf)
 
 

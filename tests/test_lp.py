@@ -4,6 +4,7 @@ other than x >= 0 go through ``lp_forms.bounded_lp``."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -245,8 +246,11 @@ _BAD_CLAIMS = {
 
 
 def _claim(monkeypatch, point):
-    monkeypatch.setattr(lp, "_solve_exact",
-                        lambda problem: (OPTIMAL, [Fraction(x) for x in point], [(0, 2)]))
+    """The kernel made to claim ``point`` as integer numerators over their
+    common denominator, which is how ``_verify`` receives it."""
+    den = lcm(*(Fraction(x).denominator for x in point))
+    nums = [int(Fraction(x) * den) for x in point]
+    monkeypatch.setattr(lp, "_solve_exact", lambda problem: (OPTIMAL, nums, den, [(0, 2)]))
 
 
 def test_verify_accepts_a_feasible_claim(monkeypatch):

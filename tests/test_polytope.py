@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from convexstate import cli, polytope
 from convexstate.errors import TheoryFormatError
-from convexstate.lp import OPTIMAL, lp_solve
+from convexstate.lp import OPTIMAL, LPProblem, _integer_rows, lp_solve
 from convexstate.models import make_classical_simplex, make_spekkens_hull
 from convexstate.polytope import (AmbiguousMixtureCertificate, VPolytope,
                                   affine_dimension_of, find_ambiguous_mixture,
@@ -97,7 +97,7 @@ def _per_vertex_face(k, point):
     for i in range(n):
         obj = [Fraction(0)] * n
         obj[i] = Fraction(-1)
-        sol = lp_solve(replace(polytope._membership_problem(k.vertices, p), objective=tuple(obj)))
+        sol = lp_solve(replace(polytope._membership_problem(k.homogeneous, p), objective=tuple(obj)))
         assert sol.status == OPTIMAL
         if sol.value < 0:
             support.append(i)
@@ -203,14 +203,18 @@ def test_contains_solves_no_lp_on_a_vertex(counted_lps):
 # ---------------------------------------------------------------------------
 
 def _lp_sweep_error(vertices):
-    """The irredundancy check by one LP per vertex: the error text for the
-    first vertex in the hull of the others, or None."""
+    """The irredundancy check by one LP per vertex, each stated in
+    ``Fraction``s (v = sum lam_j u_j over the others u, sum lam = 1,
+    lam >= 0): the error text for the first vertex in the hull of the
+    others, or None."""
     verts = [parse_point(v) for v in vertices]
     if len(verts) == 1:
         return None
     for i, v in enumerate(verts):
         others = verts[:i] + verts[i + 1:]
-        if lp_solve(polytope._membership_problem(others, v)).status == OPTIMAL:
+        problem = LPProblem.make([0] * len(others), a_eq=[*zip(*others), [1] * len(others)],
+                                 b_eq=[*v, 1])
+        if lp_solve(problem).status == OPTIMAL:
             return (f"vertex {i} {tuple(map(str, v))} is redundant: it lies in "
                     "the hull of the remaining vertices")
     return None
@@ -228,7 +232,7 @@ def _recheck_exposed(vertices):
     """Re-check in Fractions each vertex the package says the centroid
     functional c = n*v_i - sum_j v_j exposes: c.v_i > c.v_j for j != i."""
     verts = [parse_point(v) for v in vertices]
-    flags = polytope.centroid_exposed(verts)
+    flags = polytope.centroid_exposed(_integer_rows((*v, 1) for v in verts))
     n = len(verts)
     total = [sum(col, Fraction(0)) for col in zip(*verts)]
     for i, exposed in enumerate(flags):

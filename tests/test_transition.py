@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexstate import cli, linalg, lp, transition
+from convexstate import cli, linalg, lp, polytope, transition
 from convexstate.admissibility import REFUTED, check_separable_pair
 from convexstate.errors import InternalCheckError, PreconditionError
 from convexstate.lp import OPTIMAL
 from convexstate.models import (ProductStateParam, make_spekkens_hull,
                                 separable_membership)
-from convexstate.polytope import VPolytope
+from convexstate.polytope import VPolytope, minimal_face, parse_point
 from convexstate.protocols import cloning_contradiction
 from convexstate.transition import (StateSpaceHandle, affine_ratio,
                                     affine_ratio_bloch, affine_ratio_polytope,
@@ -27,6 +27,7 @@ from convexstate.transition import (StateSpaceHandle, affine_ratio,
                                     path_connect_product_states, path_report,
                                     qubit_great_circle, superposability_search)
 from lp_forms import bounded_lp
+from shapes import barycenter
 
 
 def random_unit(rng):
@@ -117,19 +118,71 @@ def test_mixture_ratio_matches_functional_lp(name):
         assert all(0 <= f(v) <= 1 for v in k.vertices)
 
 
-@pytest.mark.parametrize("entry", [0, -1])
+def _fraction_membership_rows(verts, point):
+    """[v_i | point] by coordinate, then [1 ... 1 | 1], in ``Fraction``s."""
+    return [(*col, c) for col, c in zip(zip(*verts), point)] + [(1,) * (len(verts) + 1)]
+
+
+def _fraction_ratio_rows(verts, x, y):
+    """Columns (x, 1) for t, (v_i, 1) for alpha, their negations for beta,
+    and (y, 1) on the right, in ``Fraction``s."""
+    columns = [(*x, 1), *((*v, 1) for v in verts)]
+    columns += [tuple(-c for c in col) for col in columns[1:]]
+    return [(*row, b) for row, b in zip(zip(*columns), (*y, 1))]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_THEORIES))
+def test_integer_lps_start_from_the_scaled_fraction_tableau(name, monkeypatch):
+    """Every polytope LP (irredundancy at load, ratio, minimal face) holds
+    exactly ``_integer_rows`` of the ``Fraction`` rows these LPs were built
+    from before the polytope kept its vertices in integers: the same start
+    tableau, so Bland's rule takes the same pivots."""
+    solved = []
+
+    def capture(problem):
+        solved.append([[*row, b] for row, b in zip(problem.a_eq, problem.b_eq)])
+        return lp.lp_solve(problem)
+
+    monkeypatch.setattr(polytope, "lp_solve", capture)
+    monkeypatch.setattr(transition, "lp_solve", capture)
+    k = ORACLE_THEORIES[name]()
+    verts = k.vertices
+    unexposed = [i for i, e in enumerate(polytope.centroid_exposed(k.homogeneous)) if not e]
+    assert solved == [lp._integer_rows(_fraction_membership_rows(verts[:i] + verts[i + 1:], verts[i]))
+                      for i in unexposed]
+    for x, y in itertools.product(verts, repeat=2):
+        solved.clear()
+        affine_ratio_polytope(k, x, y)
+        assert solved == [lp._integer_rows(_fraction_ratio_rows(verts, x, y))]
+    for point in (barycenter(verts), barycenter(verts[:2]), barycenter(verts[1:4])):
+        solved.clear()
+        minimal_face(k, point)
+        rows = lp._integer_rows(_fraction_membership_rows(verts, parse_point(point)))
+        assert solved and all(r == rows for r in solved)
+
+
+@pytest.mark.parametrize("entry", [0, -1, "bound"])
 def test_corrupted_multiplier_fails_the_witness_check(monkeypatch, entry):
-    # Raising one multiplier by 1 lowers f by one coordinate (entry 0) or
-    # by the constant 1 (entry -1, the offset): f(e1) = 1 breaks either way.
+    # The octahedron's integer rows are (v, 1) itself, so a multiplier
+    # u / den raised by 1 lowers f by one coordinate (entry 0) or by the
+    # constant 1 (entry -1, the offset): f(e1) = 1 breaks either way.
+    # "bound" adds 2 * (third coordinate) to f, which is 0 at x = e1 and
+    # y = e2, so f(x) = 1 and f(y) hold, but f(e3) leaves [0, 1].
     def corrupted(problem, basis):
-        y = list(lp.multipliers(problem, basis))
-        y[entry] += 1
-        return tuple(y)
+        u, den = lp.multipliers(problem, basis)
+        u = list(u)
+        if entry == "bound":
+            u[2] -= 2 * den
+        else:
+            u[entry] += den
+        return tuple(u), den
 
     monkeypatch.setattr(transition, "multipliers", corrupted)
     k = make_spekkens_hull()
+    x, y = k.vertices[0], k.vertices[2]
+    assert (x, y) == ((1, 0, 0), (0, 1, 0))
     with pytest.raises(InternalCheckError, match="witness"):
-        affine_ratio_polytope(k, k.vertices[0], k.vertices[2])
+        affine_ratio_polytope(k, x, y)
 
 
 def test_nan_bloch_vector_rejected():
