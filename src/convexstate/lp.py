@@ -25,28 +25,40 @@ are Python ints that share one positive common denominator ``den``.
   first, so ``den`` stays positive.  ``_pivot`` is the one exact
   elimination step; both phases, drive-out and ``_rref`` use it.
 - *Cost row.* The tableau's last row, pivoted with the others and skipped
-  by the ratio test.  Phase 2 starts it from [objective | 0] scaled by
-  ``_integer_rows``.  Only the signs of its entries are read.
+  by the ratio test.  Only the signs of its entries are read.
 - *Phase 2.* Drive-out pivots and phase 2 never read an artificial
-  column, so those columns are dropped once phase 1 ends.
+  column, so those columns are dropped once phase 1 ends.  ``_phase2``
+  builds the cost row den*c - sum c_B*row from the objective c scaled
+  once by ``_integer_rows`` (``LPProblem.integer_objective``, which
+  ``multipliers`` reuses), iterates, and reads off the point.
+- *Warm start.* A ``WarmStart`` carries the final tableau (rows, basis,
+  kept rows, ``den``) from one solve to the next over the same rows.  The
+  next solve skips phase 1 and runs ``_phase2`` from it: a feasible
+  basis of the same feasible set, from which Bland's rule cannot cycle
+  either.  ``minimal_face`` uses it for its support LPs, which differ only
+  in the objective.
 - *Answer.* Each basic coordinate's integer numerator over ``den``, the
-  others 0, checked by ``_verify`` and then read as ``Fraction``s.  With
-  it comes the basis that ``_iterate`` and the drive-out loop record, as
-  (kept row, basic column) pairs; rows that phase 1 found redundant are
-  dropped.  ``multipliers`` solves y.A_B = c_B on it by ``_rref``.
+  others 0, checked by ``_verify`` (warm or cold) and then read as
+  ``Fraction``s.  With it comes the basis that ``_iterate`` and the
+  drive-out loop record, as (kept row, basic column) pairs; rows that
+  phase 1 found redundant are dropped.  ``multipliers`` solves
+  y.A_B = c_B on it by ``_rref``.
 
 Against the tableau of ``Fraction``s that the same rules would pivot, the
 integer start scales all rows by one positive number and the artificial
 columns by another.  That multiplies every reduced cost and every
 ratio-test ratio of one entering column by a positive factor, so Bland's
-rule takes the same pivots and returns the same point.  Optimal points
-satisfy every constraint with zero error and can serve as certificates.
+rule takes the same pivots and returns the same point.  A warm solve can
+end at another optimal vertex than a cold one, with the same value.
+Optimal points satisfy every constraint with zero error and can serve as
+certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isfinite, lcm
 from typing import Sequence
 
@@ -95,6 +107,13 @@ class LPProblem:
         scaled = _integer_rows(r + (b,) for r, b in zip(rows, rhs))
         return LPProblem(c, tuple(tuple(r[:-1]) for r in scaled), tuple(r[-1] for r in scaled))
 
+    @cached_property
+    def integer_objective(self) -> tuple[tuple[int, ...], int]:
+        """The objective times s, the LCM of its denominators, and s: one
+        scaling serves the phase-2 cost row and ``multipliers``."""
+        *c, scale = _integer_rows([(*self.objective, 1)])[0]
+        return tuple(c), scale
+
 
 @dataclass(frozen=True)
 class LPSolution:
@@ -104,8 +123,19 @@ class LPSolution:
     basis: tuple[tuple[int, int], ...] | None = None  # (kept row, basic column)
 
 
-def lp_solve(problem: LPProblem) -> LPSolution:
-    status, nums, den, basis = _solve_exact(problem)
+class WarmStart:
+    """The final tableau of one solve, for the next solve over the same
+    rows.  The caller makes it empty and passes it to each ``lp_solve`` of
+    a sequence: the first runs both phases, each later one only phase 2
+    from the tableau the previous one left, and each leaves its own.  It
+    lives as long as the caller keeps it."""
+
+    def __init__(self):
+        self.tableau = None
+
+
+def lp_solve(problem: LPProblem, warm: WarmStart | None = None) -> LPSolution:
+    status, nums, den, basis = _solve_exact(problem, warm)
     if status != OPTIMAL:
         return LPSolution(status, None, None)
     _verify(problem, nums, den)
@@ -120,7 +150,7 @@ def multipliers(problem: LPProblem, basis: Sequence[tuple[int, int]]) -> tuple[t
     kept rows and 0 on dropped rows; s*y for the rational rows A / s.  At
     an optimum of a minimization, c - y.A >= 0 column by column."""
     rows = [r for r, _ in basis]
-    *c, scale = _integer_rows([(*problem.objective, 1)])[0]
+    c, scale = problem.integer_objective
     tab, pivots, den = _rref([[problem.a_eq[r][j] for r in rows] + [c[j]] for _, j in basis])
     if pivots != tuple(range(len(rows))):
         raise InternalCheckError("simplex returned a singular basis")
@@ -176,10 +206,31 @@ def _integer_rows(rows) -> list[list[int]]:
     return [[p * (scale // q) for p, q in row] for row in ratios]
 
 
-def _solve_exact(problem: LPProblem):
+def _solve_exact(problem: LPProblem, warm: WarmStart | None = None):
     """(status, numerators of the point, their denominator, final basis as
     (kept row, basic column) pairs); all but the status are None unless
-    optimal."""
+    optimal.  A filled ``warm`` replaces phase 1; any ``warm`` is left
+    holding the final tableau."""
+    if warm is not None and warm.tableau is not None:
+        rows, tab, basis, keep, den = warm.tableau
+        if rows != (problem.a_eq, problem.b_eq):
+            raise ValueError("a warm start must come from a problem with the same rows")
+    else:
+        start = _phase1(problem)
+        if start is None:
+            return INFEASIBLE, None, None, None
+        tab, basis, keep, den = start
+    status, nums, den = _phase2(problem.integer_objective[0], tab, basis, den)
+    if warm is not None:
+        warm.tableau = ((problem.a_eq, problem.b_eq), tab, basis, keep, den)
+    if status == UNBOUNDED:
+        return UNBOUNDED, None, None, None
+    return OPTIMAL, nums, den, list(zip(keep, basis))
+
+
+def _phase1(problem: LPProblem):
+    """A feasible start for phase 2, (rows, basic columns, kept row
+    indices, den), from the artificial basis; None if infeasible."""
     n = len(problem.objective)
     m = len(problem.b_eq)
     ncols = n + m  # x vars, artificials
@@ -195,14 +246,14 @@ def _solve_exact(problem: LPProblem):
         basis.append(n + i)
     den = 1
 
-    # Phase 1: minimize the sum of artificials; the cost row is the last row.
+    # Minimize the sum of artificials; the cost row is the last row.
     cost = [-sum(col) for col in zip(*tab)] if tab else [0] * (ncols + 1)
     for b in basis:
         cost[b] = 0
     tab.append(cost)
     status, den = _iterate(tab, basis, den, allowed_max=ncols)
     if status == UNBOUNDED or tab.pop()[-1] != 0:  # the former is impossible; defensive
-        return INFEASIBLE, None, None, None
+        return None
 
     # Nothing below reads an artificial column again: drive-out pivots on
     # columns below n and phase 2 never enters an artificial.
@@ -218,27 +269,31 @@ def _solve_exact(problem: LPProblem):
             den = _pivot(tab, i, piv, den)
             basis[i] = piv
         keep.append(i)
-    tab = [tab[i] for i in keep]
-    basis = [basis[i] for i in keep]
+    return [tab[i] for i in keep], [basis[i] for i in keep], keep, den
 
-    # Phase 2 cost row from the objective made integral, reduced against the
-    # basis: den * cx - sum cb * row.
-    cx = _integer_rows([(*problem.objective, 0)])[0]
-    cost = [den * x for x in cx]
+
+def _phase2(c: Sequence[int], tab, basis, den) -> tuple[str, list[int] | None, int]:
+    """Phase 2 from a feasible tableau of the kept rows, for the integer
+    objective c: (status, numerators of the point or None, den).  ``tab``
+    and ``basis`` are updated in place and end as the final tableau, with
+    no cost row."""
+    # The cost row reduced against the basis: den * c - sum c_B * row.
+    cost = [den * x for x in c] + [0]
     for b, row in zip(basis, tab):
-        cb = cx[b]
+        cb = c[b]
         if cb != 0:
             cost = [x - cb * t for x, t in zip(cost, row)]
     tab.append(cost)
-    status, den = _iterate(tab, basis, den, allowed_max=n)
+    status, den = _iterate(tab, basis, den, allowed_max=len(c))
+    tab.pop()
     if status == UNBOUNDED:
-        return UNBOUNDED, None, None, None
+        return UNBOUNDED, None, den
 
     # x_j = (basic numerator of x_j) / den, or 0 when x_j is nonbasic.
-    nums = [0] * n
+    nums = [0] * len(c)
     for b, row in zip(basis, tab):
         nums[b] = row[-1]
-    return OPTIMAL, nums, den, list(zip(keep, basis))
+    return OPTIMAL, nums, den
 
 
 def _iterate(tab, basis, den, allowed_max) -> tuple[str, int]:

@@ -10,7 +10,9 @@ every face query reduces to support linear programs solved in exact
 rational arithmetic, so the answers are exact certificates rather than
 approximations.  ``minimal_face`` harvests
 the face from the supports of successive optimal representations of the
-point, at most min(|F| + 1, n) LPs for a face of |F| of the n vertices.
+point, at most min(|F| + 1, n) LPs for a face of |F| of the n vertices;
+they share their rows, so only the first runs phase 1 and each later one
+starts from the previous one's final tableau.
 
 A polytope is a simplex iff its vertices are affinely independent.
 ``radon_partition`` decides that without an LP: the first affine
@@ -31,7 +33,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import TheoryFormatError
-from .lp import LPProblem, OPTIMAL, _integer_rows, lp_solve, rat, row_reduce
+from .lp import LPProblem, OPTIMAL, WarmStart, _integer_rows, lp_solve, rat, row_reduce
 
 Point = tuple[Fraction, ...]
 
@@ -175,16 +177,20 @@ def minimal_face(k: VPolytope, point: Sequence) -> Face:
     is in the face.  Each LP that does not stop the loop decides at least
     one vertex, so a call solves at most min(|F| + 1, n) LPs; they share
     one feasible set, so the first also decides membership, and the rows
-    are built once.
+    are built once.  Only the first runs phase 1: each later LP starts
+    from the previous optimal tableau (``WarmStart``), which the call
+    drops when it returns.  It may end at another optimal representation
+    than a cold solve, but the face, being unique, is the same.
     """
     p = parse_point(point)
     n = len(k.vertices)
     problem = _membership_problem(k.homogeneous, p)
     undecided = set(range(n))
     face = []
+    warm = WarmStart()
     while undecided:
         obj = tuple(-1 if i in undecided else 0 for i in range(n))
-        sol = lp_solve(replace(problem, objective=obj))
+        sol = lp_solve(replace(problem, objective=obj), warm)
         if sol.status != OPTIMAL:
             raise ValueError(f"point {tuple(map(str, p))} is not in the polytope")
         if sol.value == 0:

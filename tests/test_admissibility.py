@@ -152,9 +152,9 @@ def counted_lps(monkeypatch):
 
     counts = {"lp": 0, "generated_face": 0}
 
-    def counting_lp(problem):
+    def counting_lp(problem, warm=None):
         counts["lp"] += 1
-        return lp_solve(problem)
+        return lp_solve(problem, warm)
 
     def counting_face(k, x, y):
         counts["generated_face"] += 1

@@ -3,6 +3,7 @@ cross-check on random instances.  Problems with <= rows or with bounds
 other than x >= 0 go through ``lp_forms.bounded_lp``."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -91,6 +92,23 @@ def test_equality_system():
     assert sol.status == OPTIMAL
     assert sol.value == Fraction(2)
     assert sol.point == (Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+
+
+def test_warm_start_keeps_values_and_requires_the_same_rows():
+    # The transportation rows: four rows of rank three, so phase 1 drops
+    # one.  Each warm solve starts from the previous optimal tableau and
+    # must reach the value a cold solve finds.
+    prob = LPProblem.make(
+        [1, 2, 3, 1],
+        a_eq=[[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]],
+        b_eq=[1, 1, 1, 1],
+    )
+    warm = lp.WarmStart()
+    for c in ([1, 2, 3, 1], [3, 1, 1, 2], [-1, 0, 0, "1/2"], [0, 0, 0, 0], [2, 2, 1, -1]):
+        step = replace(prob, objective=tuple(map(rat, c)))
+        assert lp_solve(step, warm).value == lp_solve(step).value
+    with pytest.raises(ValueError, match="same rows"):
+        lp_solve(LPProblem.make([1], a_eq=[[1]], b_eq=[1]), warm)
 
 
 def test_degenerate_multiple_optima_value_unique():
@@ -250,7 +268,7 @@ def _claim(monkeypatch, point):
     common denominator, which is how ``_verify`` receives it."""
     den = lcm(*(Fraction(x).denominator for x in point))
     nums = [int(Fraction(x) * den) for x in point]
-    monkeypatch.setattr(lp, "_solve_exact", lambda problem: (OPTIMAL, nums, den, [(0, 2)]))
+    monkeypatch.setattr(lp, "_solve_exact", lambda problem, warm=None: (OPTIMAL, nums, den, [(0, 2)]))
 
 
 def test_verify_accepts_a_feasible_claim(monkeypatch):

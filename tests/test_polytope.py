@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from convexstate import cli, polytope
+from convexstate import cli, lp, polytope
 from convexstate.errors import TheoryFormatError
 from convexstate.lp import OPTIMAL, LPProblem, _integer_rows, lp_solve
 from convexstate.models import make_classical_simplex, make_spekkens_hull
@@ -157,9 +157,9 @@ FACE_CASES = _face_cases()
 def counted_lps(monkeypatch):
     solved = []
 
-    def counting(problem):
+    def counting(problem, warm=None):
         solved.append(problem)
-        return lp_solve(problem)
+        return lp_solve(problem, warm)
 
     monkeypatch.setattr(polytope, "lp_solve", counting)
     return solved
@@ -187,6 +187,63 @@ def test_minimal_face_lp_count_is_bounded(counted_lps):
     assert len(counted_lps) == 1
     with pytest.raises(ValueError, match="coordinates"):
         minimal_face(BIPYRAMID, (0, 0))
+
+
+@pytest.fixture
+def phase_one_starts(monkeypatch):
+    """Each phase-1 run: (number of rows, number of rows it kept)."""
+    starts = []
+    phase1 = lp._phase1
+
+    def spy(problem):
+        start = phase1(problem)
+        starts.append((len(problem.b_eq), None if start is None else len(start[2])))
+        return start
+
+    monkeypatch.setattr(lp, "_phase1", spy)
+    return starts
+
+
+def test_minimal_face_runs_phase_one_once(phase_one_starts, monkeypatch):
+    """Only the first LP of a call leaves the artificial basis; every later
+    one starts from the tableau the previous one left, and its optimal
+    value is the one a cold solve of the same problem finds."""
+    solved = []
+
+    def recording(problem, warm=None):
+        sol = lp_solve(problem, warm)
+        solved.append((problem, sol))
+        return sol
+
+    monkeypatch.setattr(polytope, "lp_solve", recording)
+    for _, k, point in FACE_CASES:
+        phase_one_starts.clear()
+        solved.clear()
+        minimal_face(k, point)
+        assert len(phase_one_starts) == 1
+        for problem, sol in solved:
+            assert sol.value == lp_solve(problem).value
+
+
+# Not full-dimensional, so the membership rows are dependent and phase 1
+# drops one: a square in the plane z = 0 of R^3 (its z row is all zero)
+# and a tilted triangle in R^3 (four rows of rank three).
+FLAT_POLYTOPES = {
+    "square_z0": VPolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]),
+    "tilted_triangle": VPolytope([("1/2", 0, 2), (0, 3, -1), (1, 1, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_POLYTOPES))
+def test_warm_start_after_phase_one_drops_rows(name, phase_one_starts, counted_lps):
+    k = FLAT_POLYTOPES[name]
+    points = [*k.vertices, *(barycenter(pair) for pair in itertools.combinations(k.vertices, 2)),
+              barycenter(k.vertices)]
+    faces = [minimal_face(k, point).vertex_indices for point in points]
+    assert len(phase_one_starts) == len(points)
+    assert all(kept == rows - 1 for rows, kept in phase_one_starts)
+    assert len(counted_lps) > len(points)  # some calls started warm
+    assert faces == [_per_vertex_face(k, point) for point in points]
 
 
 def test_contains_solves_no_lp_on_a_vertex(counted_lps):

@@ -136,12 +136,14 @@ def test_integer_lps_start_from_the_scaled_fraction_tableau(name, monkeypatch):
     """Every polytope LP (irredundancy at load, ratio, minimal face) holds
     exactly ``_integer_rows`` of the ``Fraction`` rows these LPs were built
     from before the polytope kept its vertices in integers: the same start
-    tableau, so Bland's rule takes the same pivots."""
+    tableau, so Bland's rule takes the same pivots.  (Of one minimal-face
+    call, only the first LP starts there; the later ones, on the same
+    rows, start from the tableau the one before left.)"""
     solved = []
 
-    def capture(problem):
+    def capture(problem, warm=None):
         solved.append([[*row, b] for row, b in zip(problem.a_eq, problem.b_eq)])
-        return lp.lp_solve(problem)
+        return lp.lp_solve(problem, warm)
 
     monkeypatch.setattr(polytope, "lp_solve", capture)
     monkeypatch.setattr(transition, "lp_solve", capture)
