@@ -14,8 +14,12 @@ For every end-to-end metric that ``CHANGE_DIR/BENCHMARK.json`` lists, it
 prints each side's median and quartiles, the relative change of the
 medians, and how many pairs favoured the change (ties count for neither).
 A run that is not ``correct`` or has failed operations is reported and
-counted.  With ``--out``, the same summary goes to a JSON file together
-with the Python and numpy versions and the machine.
+counted.  For each side it also prints and records the line count of the
+checkout's ``src/`` and whether ``PYTHONDONTWRITEBYTECODE`` was set for its
+runs (without it, each checkout's bytecode is cached after its first run;
+with it, every run compiles the package again).  With ``--out``, the same
+summary goes to a JSON file together with the Python and numpy versions
+and the machine.
 """
 
 from __future__ import annotations
@@ -42,6 +46,15 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"{checkout}: bench/run.py exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-500:]}")
     return json.loads(lines[-1])
+
+
+def checkout_facts(checkout: Path, environ=os.environ) -> dict:
+    """The ``src/`` line count of a checkout, and whether the runs in it
+    have ``PYTHONDONTWRITEBYTECODE`` set (they inherit this environment)."""
+    lines = sum(len(p.read_text(encoding="utf-8").splitlines())
+                for p in (checkout / "src").rglob("*.py"))
+    return {"src_lines": lines,
+            "pythondontwritebytecode": bool(environ.get("PYTHONDONTWRITEBYTECODE"))}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -93,7 +106,11 @@ def main(argv=None) -> int:
               "python": platform.python_version(), "numpy": numpy.__version__,
               "machine": {"system": platform.system(), "machine": platform.machine(),
                           "cpus": os.cpu_count()},
+              "checkouts": {side: checkout_facts(d) for side, d in dirs.items()},
               "workloads": {}}
+    for side, facts in report["checkouts"].items():
+        print(f"{side}: {dirs[side]}, src/ {facts['src_lines']} lines, "
+              f"PYTHONDONTWRITEBYTECODE {'set' if facts['pythondontwritebytecode'] else 'unset'}")
     for workload in args.workload:
         runs = {"parent": [], "change": []}
         for i in range(args.pairs):

@@ -20,8 +20,9 @@ JSON is the canonical output; text and CSV renderings derive from the
 same report dictionary.  Identical invocations, including seeds, produce
 byte-identical JSON.
 
-Exit codes: 0 success, 2 usage or parse error, 3 domain error (state not
-in the theory, precondition violated), 4 internal invariant violation.
+Exit codes: 0 success, 2 usage or parse error (or an ``--out`` path that
+cannot be written), 3 domain error (state not in the theory, precondition
+violated), 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -575,8 +576,12 @@ def main(argv: list[str] | None = None) -> int:
     render = {"json": canonical_json, "csv": render_csv, "text": render_text}[args.format]
     rendered = render(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(f"convexstate: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
     return 0

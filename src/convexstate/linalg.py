@@ -119,25 +119,22 @@ def hs_distance(a, b) -> float:
     return float(hs_norm(ma - mb))
 
 
-def _split_dims(rho: np.ndarray, dims: tuple[int, int]) -> tuple[int, int]:
-    da, db = dims
-    if rho.shape[-1] != da * db:
+def _require_two_qubit(m: np.ndarray) -> None:
+    if m.shape[-1] != 4:
         raise PreconditionError(
-            f"matrix of dimension {rho.shape[-1]} does not factor as {da}x{db}"
+            f"matrix of dimension {m.shape[-1]} does not factor as 2x2"
         )
-    return da, db
 
 
-def partial_trace(rho, subsystem: str, dims: tuple[int, int] = (2, 2), *,
-                  validate: bool = True) -> np.ndarray:
-    """Trace out one factor.  ``subsystem`` names the factor REMOVED:
-    partial_trace(rho, "A") returns the state of B.  Unvalidated, ``rho``
-    may be a stack of matrices, traced one by one."""
+def partial_trace(rho, subsystem: str, *, validate: bool = True) -> np.ndarray:
+    """Trace out one qubit of a two-qubit operator.  ``subsystem`` names
+    the factor REMOVED: partial_trace(rho, "A") returns the state of B.
+    Unvalidated, ``rho`` may be a stack of matrices, traced one by one."""
     m = as_matrix(rho) if validate else np.asarray(rho, dtype=complex)
-    da, db = _split_dims(m, dims)
+    _require_two_qubit(m)
     if validate:
         require_density(m, what="partial_trace input")
-    t = m.reshape(*m.shape[:-2], da, db, da, db)
+    t = m.reshape(*m.shape[:-2], 2, 2, 2, 2)
     if subsystem == "A":
         return np.einsum("...ijik->...jk", t)
     if subsystem == "B":
@@ -152,18 +149,18 @@ def pauli_coefficients(rho) -> np.ndarray:
     return np.einsum("...aibj,xba,yji->...xy", t, PAULI4, PAULI4).real
 
 
-def partial_transpose(rho, subsystem: str = "B", dims: tuple[int, int] = (2, 2)) -> np.ndarray:
-    """Transpose one tensor factor in place (the PPT-test map)."""
+def partial_transpose(rho, subsystem: str = "B") -> np.ndarray:
+    """Transpose one qubit of a two-qubit operator (the PPT-test map)."""
     m = as_matrix(rho)
-    da, db = _split_dims(m, dims)
-    t = m.reshape(da, db, da, db)
+    _require_two_qubit(m)
+    t = m.reshape(2, 2, 2, 2)
     if subsystem == "A":
         out = t.transpose(2, 1, 0, 3)
     elif subsystem == "B":
         out = t.transpose(0, 3, 2, 1)
     else:
         raise PreconditionError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return out.reshape(da * db, da * db)
+    return out.reshape(4, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ Problems take one form,
     minimize c.x   s.t.   a_eq x == b_eq,  x >= 0;
 
 a caller with free variables splits each into two nonnegative columns,
-and one with an inequality row adds its own slack column.  [a_eq | b_eq]
-is held in ints, the rational rows times one positive scale:
-``LPProblem.make`` applies ``_integer_rows``, and the polytope LPs take
-integer rows as they are.  The objective stays rational.
+and one with an inequality row adds its own slack column.  The kernel
+takes integer problems only: c, a_eq and b_eq are Python ints.  A caller
+with rational data scales it first, the rows by one positive number and
+the objective by another (``_integer_rows`` does either); that changes
+neither the feasible set nor the optimal points.
 
 The tableau is integer-preserving (Edmonds/Bareiss pivoting): its entries
 are Python ints that share one positive common denominator ``den``.
@@ -28,9 +29,8 @@ are Python ints that share one positive common denominator ``den``.
   by the ratio test.  Only the signs of its entries are read.
 - *Phase 2.* Drive-out pivots and phase 2 never read an artificial
   column, so those columns are dropped once phase 1 ends.  ``_phase2``
-  builds the cost row den*c - sum c_B*row from the objective c scaled
-  once by ``_integer_rows`` (``LPProblem.integer_objective``, which
-  ``multipliers`` reuses), iterates, and reads off the point.
+  builds the cost row den*c - sum c_B*row from the integer objective c,
+  iterates, and reads off the point.
 - *Warm start.* A ``WarmStart`` carries the final tableau (rows, basis,
   kept rows, ``den``) from one solve to the next over the same rows.  The
   next solve skips phase 1 and runs ``_phase2`` from it: a feasible
@@ -39,14 +39,16 @@ are Python ints that share one positive common denominator ``den``.
   in the objective.
 - *Answer.* Each basic coordinate's integer numerator over ``den``, the
   others 0, checked by ``_verify`` (warm or cold) and then read as
-  ``Fraction``s.  With it comes the basis that ``_iterate`` and the
-  drive-out loop record, as (kept row, basic column) pairs; rows that
-  phase 1 found redundant are dropped.  ``multipliers`` solves
-  y.A_B = c_B on it by ``_rref``.
+  ``Fraction``s, as is the value c.x.  With it comes the basis that
+  ``_iterate`` and the drive-out loop record, as (kept row, basic column)
+  pairs; rows that phase 1 found redundant are dropped.  ``multipliers``
+  solves y.A_B = c_B on it by ``_rref`` and returns y as integers over
+  one denominator.  ``_rref`` also serves ``polytope`` for affine ranks
+  and circuits.
 
 Against the tableau of ``Fraction``s that the same rules would pivot, the
-integer start scales all rows by one positive number and the artificial
-columns by another.  That multiplies every reduced cost and every
+integer start scales all rows by one positive number, the artificial
+columns by another and the objective by a third.  That multiplies every reduced cost and every
 ratio-test ratio of one entering column by a positive factor, so Bland's
 rule takes the same pivots and returns the same point.  A warm solve can
 end at another optimal vertex than a cold one, with the same value.
@@ -58,7 +60,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import isfinite, lcm
 from typing import Sequence
 
@@ -89,30 +90,9 @@ def rat(x) -> Fraction:
 
 @dataclass(frozen=True)
 class LPProblem:
-    objective: tuple                     # rationals: ints or Fractions
-    a_eq: tuple[tuple[int, ...], ...]    # integer rows: [a_eq | b_eq] times one scale > 0
+    objective: tuple[int, ...]
+    a_eq: tuple[tuple[int, ...], ...]
     b_eq: tuple[int, ...]
-
-    @staticmethod
-    def make(objective: Sequence, a_eq: Sequence | None = (),
-             b_eq: Sequence | None = ()) -> "LPProblem":
-        c = tuple(rat(x) for x in objective)
-        rows = [tuple(rat(x) for x in row) for row in a_eq or ()]
-        rhs = [rat(x) for x in b_eq or ()]
-        for i, r in enumerate(rows):
-            if len(r) != len(c):
-                raise ValueError(f"a_eq row {i} has {len(r)} entries, expected {len(c)}")
-        if len(rows) != len(rhs):
-            raise ValueError("a_eq: row/rhs count mismatch")
-        scaled = _integer_rows(r + (b,) for r, b in zip(rows, rhs))
-        return LPProblem(c, tuple(tuple(r[:-1]) for r in scaled), tuple(r[-1] for r in scaled))
-
-    @cached_property
-    def integer_objective(self) -> tuple[tuple[int, ...], int]:
-        """The objective times s, the LCM of its denominators, and s: one
-        scaling serves the phase-2 cost row and ``multipliers``."""
-        *c, scale = _integer_rows([(*self.objective, 1)])[0]
-        return tuple(c), scale
 
 
 @dataclass(frozen=True)
@@ -139,7 +119,7 @@ def lp_solve(problem: LPProblem, warm: WarmStart | None = None) -> LPSolution:
     if status != OPTIMAL:
         return LPSolution(status, None, None)
     _verify(problem, nums, den)
-    value = Fraction(sum((c * x for c, x in zip(problem.objective, nums) if x), 0)) / den
+    value = Fraction(sum(c * x for c, x in zip(problem.objective, nums) if x), den)
     point = tuple(Fraction(x, den) if x else _ZERO for x in nums)
     return LPSolution(OPTIMAL, value, point, tuple(basis))
 
@@ -147,26 +127,17 @@ def lp_solve(problem: LPProblem, warm: WarmStart | None = None) -> LPSolution:
 def multipliers(problem: LPProblem, basis: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
     """Simplex multipliers y of a final basis, one per integer row of
     ``a_eq``, as (numerators, one positive denominator): y.A_B = c_B on the
-    kept rows and 0 on dropped rows; s*y for the rational rows A / s.  At
-    an optimum of a minimization, c - y.A >= 0 column by column."""
+    kept rows and 0 on dropped rows.  At an optimum of a minimization,
+    c - y.A >= 0 column by column."""
     rows = [r for r, _ in basis]
-    c, scale = problem.integer_objective
+    c = problem.objective
     tab, pivots, den = _rref([[problem.a_eq[r][j] for r in rows] + [c[j]] for _, j in basis])
     if pivots != tuple(range(len(rows))):
         raise InternalCheckError("simplex returned a singular basis")
     y = [0] * len(problem.a_eq)
     for r, row in zip(rows, tab):
         y[r] = row[-1]
-    return tuple(y), den * scale
-
-
-def row_reduce(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], tuple[int, ...]]:
-    """Reduced row echelon form: the nonzero rows, each with a leading 1
-    alone in its column, and the pivot columns.  The rows are scaled to
-    integers and eliminated by ``_rref``.  The form is unique, so the pivot
-    order does not matter."""
-    tab, pivots, den = _rref(_integer_rows([[rat(x) for x in row] for row in rows]))
-    return [[Fraction(x, den) if x else _ZERO for x in row] for row in tab], pivots
+    return tuple(y), den
 
 
 def _rref(tab: list[list[int]]) -> tuple[list[list[int]], tuple[int, ...], int]:
@@ -220,7 +191,7 @@ def _solve_exact(problem: LPProblem, warm: WarmStart | None = None):
         if start is None:
             return INFEASIBLE, None, None, None
         tab, basis, keep, den = start
-    status, nums, den = _phase2(problem.integer_objective[0], tab, basis, den)
+    status, nums, den = _phase2(problem.objective, tab, basis, den)
     if warm is not None:
         warm.tableau = ((problem.a_eq, problem.b_eq), tab, basis, keep, den)
     if status == UNBOUNDED:

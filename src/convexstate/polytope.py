@@ -16,8 +16,9 @@ starts from the previous one's final tableau.
 
 A polytope is a simplex iff its vertices are affinely independent.
 ``radon_partition`` decides that without an LP: the first affine
-dependence among the vertices, read off a rational kernel vector of the
-homogenised vertices, is a circuit whose two sides give the same point.
+dependence among the vertices, read off an integer kernel vector of the
+homogenised vertices by ``lp._rref``, is a circuit whose two sides give
+the same point.
 When both sides are vertex pairs, ``circuit_mixture`` turns it into a
 machine-checkable crossing of two segments.
 """
@@ -32,8 +33,8 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import TheoryFormatError
-from .lp import LPProblem, OPTIMAL, WarmStart, _integer_rows, lp_solve, rat, row_reduce
+from .errors import InternalCheckError, TheoryFormatError
+from .lp import LPProblem, OPTIMAL, WarmStart, _integer_rows, _rref, lp_solve, rat
 
 Point = tuple[Fraction, ...]
 
@@ -213,10 +214,10 @@ def generated_face(k: VPolytope, x: Sequence, y: Sequence) -> Face:
 
 
 def affine_dimension_of(points: Sequence[Point]) -> int:
-    """Dimension of the affine hull: the rank of the differences from the
-    first point, by exact row reduction."""
-    base = points[0]
-    return len(row_reduce([[c - b for c, b in zip(p, base)] for p in points[1:]])[1])
+    """Dimension of the affine hull: the rank of the homogenised points
+    (p, 1), scaled to integers and row-reduced exactly, minus 1.  It equals
+    the rank of the differences from the first point."""
+    return len(_rref(_integer_rows((*p, 1) for p in points))[1]) - 1
 
 # ---------------------------------------------------------------------------
 # Simplex decisions
@@ -254,21 +255,23 @@ class AmbiguousMixtureCertificate:
 def radon_partition(k: VPolytope):
     """Radon partition from the first affine dependence among the vertices.
 
-    The first non-pivot column of the row-reduced homogenised vertices
-    (v_i; 1) gives a kernel vector lam supported on a circuit.  Returns its
-    positive and negative parts as {index: weight} maps, each scaled to sum
-    1, and the point both convex combinations give; None if independent.
+    ``_rref`` reduces the integer matrix whose columns are the rows
+    s*(v_i, 1) of ``k.homogeneous``.  Its first non-pivot column gives an
+    integer kernel vector lam supported on a circuit.  Returns its positive
+    and negative parts as {index: weight} maps, each scaled to sum 1, and
+    the point both convex combinations give; None if independent.
     """
     verts = k.vertices
-    rref, pivots = row_reduce([*zip(*verts), [1] * len(verts)])
+    tab, pivots, den = _rref([list(row) for row in zip(*k.homogeneous)])
     col = next((j for j, p in enumerate(pivots) if p != j), len(pivots))
     if col == len(verts):
         return None
-    # Columns 0..col-1 are unit pivots: column col = sum_i rref[i][col] * column i.
-    lam = [-rref[i][col] for i in range(col)] + [Fraction(1)]
+    # Columns 0..col-1 are den times unit columns:
+    # den * column col = sum_i tab[i][col] * column i.
+    lam = [-tab[i][col] for i in range(col)] + [den]
     total = sum(c for c in lam if c > 0)
-    first = {i: c / total for i, c in enumerate(lam) if c > 0}
-    second = {i: -c / total for i, c in enumerate(lam) if c < 0}
+    first = {i: Fraction(c, total) for i, c in enumerate(lam) if c > 0}
+    second = {i: Fraction(-c, total) for i, c in enumerate(lam) if c < 0}
     point = tuple(sum(w * verts[i][d] for i, w in first.items()) for d in range(k.ambient_dim))
     return first, second, point
 
@@ -297,7 +300,7 @@ def circuit_mixture(k: VPolytope, radon) -> AmbiguousMixtureCertificate | None:
         lam=lam, mu=mu,
     )
     if not cert.validate():
-        raise AssertionError("constructed certificate failed validation")
+        raise InternalCheckError("constructed ambiguous-mixture certificate failed validation")
     return cert
 
 

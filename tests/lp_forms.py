@@ -16,7 +16,11 @@ restates such a problem column by column, in the order of the variables:
 
 That is the start tableau the kernel built for itself when it took bounds
 and <= rows, so the Bland path and the points pinned from it are
-unchanged.  ``BoundedLP.solve`` maps the optimum back to x.
+unchanged.  ``BoundedLP.solve`` maps the optimum back to x and computes
+its value again from x.
+
+The kernel takes integer problems only; ``make`` states a rational one
+in integers.
 """
 
 from __future__ import annotations
@@ -24,7 +28,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from convexstate.lp import OPTIMAL, LPProblem, LPSolution, lp_solve, rat
+from convexstate.lp import OPTIMAL, LPProblem, LPSolution, _integer_rows, lp_solve, rat
+
+
+def make(objective, a_eq=(), b_eq=()) -> LPProblem:
+    """The integer problem of a rational one: the objective times the LCM
+    of its denominators, and [a_eq | b_eq] times the LCM of theirs.  Neither
+    scale moves the feasible set or the optimal points; the optimal value
+    is the objective's scale times the rational one."""
+    assert len(a_eq) == len(b_eq) and all(len(r) == len(objective) for r in a_eq)
+    c = _integer_rows([[rat(x) for x in objective]])[0]
+    rows = _integer_rows([*map(rat, r), rat(b)] for r, b in zip(a_eq, b_eq))
+    return LPProblem(tuple(c), tuple(tuple(r[:-1]) for r in rows), tuple(r[-1] for r in rows))
 
 
 @dataclass(frozen=True)
@@ -82,8 +97,8 @@ def bounded_lp(objective, a_eq=None, b_eq=None, a_ub=None, b_ub=None,
         ub_rows.append([1 if i == k else 0 for i in range(len(columns))])
         ub_rhs.append(gap)
     slacks = [[int(i == k) for k in range(len(ub_rows))] for i in range(len(ub_rows))]
-    problem = LPProblem.make([sign * c[j] for j, sign in columns] + [0] * len(ub_rows),
-                             a_eq=[r + [0] * len(ub_rows) for r in eq_rows]
-                             + [r + s for r, s in zip(ub_rows, slacks)],
-                             b_eq=eq_rhs + ub_rhs)
+    problem = make([sign * c[j] for j, sign in columns] + [0] * len(ub_rows),
+                   a_eq=[r + [0] * len(ub_rows) for r in eq_rows]
+                   + [r + s for r, s in zip(ub_rows, slacks)],
+                   b_eq=eq_rhs + ub_rhs)
     return BoundedLP(problem, tuple(c), tuple(columns), tuple(shifts))

@@ -8,6 +8,7 @@ import pytest
 
 from convexstate import cli
 from convexstate.errors import InternalCheckError
+from convexstate.polytope import AmbiguousMixtureCertificate
 
 PINNED_REPORTS = Path(__file__).parent / "data" / "pinned_reports"
 
@@ -137,6 +138,29 @@ def test_internal_error_maps_to_exit_4(capsys, monkeypatch):
     code, _, err = run(capsys, "trace")
     assert code == 4
     assert "synthetic" in err
+
+
+def test_failed_mixture_certificate_maps_to_exit_4(capsys, monkeypatch):
+    # The octahedron's first circuit is two vertex pairs, so analyze builds
+    # and validates an ambiguous-mixture certificate.
+    monkeypatch.setattr(AmbiguousMixtureCertificate, "validate", lambda self: False)
+    code, out, err = run(capsys, "analyze", "spekkens")
+    assert code == 4
+    assert out == "" and "ambiguous-mixture certificate failed validation" in err
+
+
+@pytest.mark.parametrize("argv,target", [
+    (["trace"], "."),
+    (["analyze", "spekkens"], "missing/x.json"),
+])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, target):
+    # A directory, and a file in a directory that does not exist.
+    path = tmp_path / target
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"convexstate: cannot write {path}: " in err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_help_exits_zero(capsys):

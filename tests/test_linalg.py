@@ -210,6 +210,15 @@ def test_partial_transpose_epr_negative():
     assert abs(w[0] + 0.5) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 8])
+def test_partial_maps_reject_non_two_qubit_sizes(n):
+    rho = np.eye(n) / n
+    with pytest.raises(PreconditionError, match=f"dimension {n} does not factor as 2x2"):
+        linalg.partial_trace(rho, "A")
+    with pytest.raises(PreconditionError, match=f"dimension {n} does not factor as 2x2"):
+        linalg.partial_transpose(rho, "B")
+
+
 # ---------------------------------------------------------------------------
 # Norms, Bloch coordinates, densities
 # ---------------------------------------------------------------------------

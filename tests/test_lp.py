@@ -1,5 +1,6 @@
 """Exact rational LP solver: hand-checked optima, statuses, and a scipy
-cross-check on random instances.  Problems with <= rows or with bounds
+cross-check on random instances.  Rational problems are stated in
+integers through ``lp_forms.make``; problems with <= rows or with bounds
 other than x >= 0 go through ``lp_forms.bounded_lp``."""
 
 import random
@@ -13,9 +14,9 @@ from scipy.optimize import linprog
 
 from convexstate import lp
 from convexstate.errors import InternalCheckError
-from convexstate.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LPProblem,
-                            lp_solve, rat, row_reduce)
-from lp_forms import bounded_lp
+from convexstate.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_solve, rat
+from convexstate.polytope import VPolytope, affine_dimension_of, radon_partition
+from lp_forms import bounded_lp, make
 
 
 def test_rat_exact_conversions():
@@ -83,7 +84,7 @@ def test_lower_bound_shift():
 def test_equality_system():
     # Transportation toy: two supplies of 1 each to two demands of 1 each,
     # shipping costs [[1, 2], [3, 1]]; optimum ships on the diagonal.
-    prob = LPProblem.make(
+    prob = make(
         [1, 2, 3, 1],
         a_eq=[[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]],
         b_eq=[1, 1, 1, 1],
@@ -98,17 +99,17 @@ def test_warm_start_keeps_values_and_requires_the_same_rows():
     # The transportation rows: four rows of rank three, so phase 1 drops
     # one.  Each warm solve starts from the previous optimal tableau and
     # must reach the value a cold solve finds.
-    prob = LPProblem.make(
+    prob = make(
         [1, 2, 3, 1],
         a_eq=[[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]],
         b_eq=[1, 1, 1, 1],
     )
     warm = lp.WarmStart()
-    for c in ([1, 2, 3, 1], [3, 1, 1, 2], [-1, 0, 0, "1/2"], [0, 0, 0, 0], [2, 2, 1, -1]):
-        step = replace(prob, objective=tuple(map(rat, c)))
+    for c in ([1, 2, 3, 1], [3, 1, 1, 2], [-2, 0, 0, 1], [0, 0, 0, 0], [2, 2, 1, -1]):
+        step = replace(prob, objective=tuple(c))
         assert lp_solve(step, warm).value == lp_solve(step).value
     with pytest.raises(ValueError, match="same rows"):
-        lp_solve(LPProblem.make([1], a_eq=[[1]], b_eq=[1]), warm)
+        lp_solve(make([1], a_eq=[[1]], b_eq=[1]), warm)
 
 
 def test_degenerate_multiple_optima_value_unique():
@@ -120,13 +121,6 @@ def test_degenerate_multiple_optima_value_unique():
     assert sol.value == Fraction(1)
     x, y = sol.point
     assert x + y == 1 and 0 <= x <= 1
-
-
-def test_make_validates_shapes():
-    with pytest.raises(ValueError):
-        LPProblem.make([1, 2], a_eq=[[1]], b_eq=[0])
-    with pytest.raises(ValueError):
-        LPProblem.make([1], a_eq=[[1]], b_eq=[0, 1])
 
 
 def _random_problem(rng, n_var, n_ub, n_eq):
@@ -255,7 +249,7 @@ def test_rational_data_against_scipy_linprog(n_var, n_ub, n_eq):
 # Every coordinate of the feasible claim is nonzero and enters the equality,
 # so a row sum that drops any term rejects it.  Each bad claim breaks one
 # constraint and meets the other.
-_VERIFY_PROBLEM = LPProblem.make([0, 0, 0], a_eq=[[1, 1, 1]], b_eq=[2])  # x + y + z == 2
+_VERIFY_PROBLEM = make([0, 0, 0], a_eq=[[1, 1, 1]], b_eq=[2])  # x + y + z == 2
 _FEASIBLE_CLAIM = ("1/4", "1/4", "3/2")
 _BAD_CLAIMS = {
     "eq": ("1/2", "1/4", "1"),
@@ -286,7 +280,7 @@ def test_verify_rejects_an_infeasible_claim(monkeypatch, branch):
 
 def gauss_jordan(rows):
     """Oracle: reduced row echelon form by Gauss-Jordan elimination over
-    ``Fraction``s, with the same pivot rows as ``row_reduce``."""
+    ``Fraction``s, with the same pivot rows as ``lp._rref``."""
     rows = [[rat(x) for x in row] for row in rows]
     pivots = []
     for col in range(len(rows[0]) if rows else 0):
@@ -325,6 +319,12 @@ def _random_matrix(rnd):
     return rows
 
 
+def _rref_fractions(rows):
+    """``lp._rref`` of the rows scaled to integers, divided by its den."""
+    tab, pivots, den = lp._rref(lp._integer_rows([[rat(x) for x in row] for row in rows]))
+    return [[Fraction(x, den) for x in row] for row in tab], pivots
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_row_reduce_matches_gauss_jordan(seed):
     rnd = random.Random(seed)
@@ -332,7 +332,7 @@ def test_row_reduce_matches_gauss_jordan(seed):
     for _ in range(500):
         rows = _random_matrix(rnd)
         expected = gauss_jordan(rows)
-        assert row_reduce(rows) == expected
+        assert _rref_fractions(rows) == expected
         deficient += len(expected[1]) < min(len(rows), len(rows[0]))
         negative_lead += any(rat(x) < 0 for x in next(
             (row for row in rows if any(row)), [0])[:1])
@@ -349,6 +349,64 @@ def test_row_reduce_pivots_through_the_simplex_pivot(monkeypatch):
 
     monkeypatch.setattr(lp, "_pivot", spy)
     # The third row is the sum of the first two.
-    rref, cols = row_reduce([[0, 2, "1/3", 1], [0, -4, 5, 0], [0, -2, Fraction(16, 3), 1]])
+    rref, cols = _rref_fractions([[0, 2, "1/3", 1], [0, -4, 5, 0], [0, -2, Fraction(16, 3), 1]])
     assert pivots == [(0, 1), (1, 2)] and cols == (1, 2)
     assert rref == [[0, 1, 0, Fraction(15, 34)], [0, 0, 1, Fraction(6, 17)]]
+
+
+def _vertex_set(rnd):
+    """Points (x, |x|^2) on a paraboloid, which are in convex position, for
+    3-7 distinct x in Q^d (d = 1, 2, 3) with denominators 1, 2, 3, 5 and 7
+    mixed.  Half the sets are then mapped by an injective rational affine
+    map into one more dimension, so they are not full-dimensional."""
+    d, n = rnd.randint(1, 3), rnd.randint(3, 7)
+    xs = set()
+    while len(xs) < n:
+        xs.add(tuple(Fraction(rnd.randint(-6, 6), rnd.choice((1, 2, 3, 5, 7)))
+                     for _ in range(d)))
+    pts = [(*x, sum(c * c for c in x)) for x in sorted(xs)]
+    rnd.shuffle(pts)
+    if rnd.random() < 0.5:
+        # Rows e_1 .. e_(d+1) and one more random row: injective.
+        extra = [Fraction(rnd.randint(-3, 3), rnd.choice((1, 2, 3))) for _ in range(d + 2)]
+        pts = [(*p, sum(a * c for a, c in zip(extra, p)) + extra[-1]) for p in pts]
+    return pts
+
+
+def _kernel_circuit(verts):
+    """The oracle's Radon partition: the first non-pivot column of the
+    Gauss-Jordan form of the rows (coordinates; 1 ... 1) gives the
+    ``Fraction`` kernel vector (-column on the pivots, 1), each sign part
+    scaled to sum 1; None if every column is a pivot."""
+    rref, pivots = gauss_jordan([*zip(*verts), [1] * len(verts)])
+    col = next((j for j, p in enumerate(pivots) if p != j), len(pivots))
+    if col == len(verts):
+        return None
+    lam = [-rref[i][col] for i in range(col)] + [Fraction(1)]
+    total = sum(c for c in lam if c > 0)
+    return ({i: c / total for i, c in enumerate(lam) if c > 0},
+            {i: -c / total for i, c in enumerate(lam) if c < 0})
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_radon_partition_and_affine_dimension_match_the_oracle(seed):
+    rnd = random.Random(seed)
+    independent = flat = 0
+    for _ in range(60):
+        verts = _vertex_set(rnd)
+        k = VPolytope(verts)
+        radon, expected = radon_partition(k), _kernel_circuit(k.vertices)
+        if expected is None:
+            assert radon is None
+            independent += 1
+        else:
+            first, second, point = radon
+            assert (first, second) == expected
+            for side in (first, second):
+                assert tuple(sum(w * k.vertices[i][j] for i, w in side.items())
+                             for j in range(k.ambient_dim)) == point
+        base = k.vertices[0]
+        rank = len(gauss_jordan([[c - b for c, b in zip(p, base)] for p in k.vertices[1:]])[1])
+        assert affine_dimension_of(k.vertices) == rank
+        flat += rank < k.ambient_dim
+    assert independent >= 5 and flat >= 20

@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 
 from convexstate import cli, lp, polytope
 from convexstate.errors import TheoryFormatError
-from convexstate.lp import OPTIMAL, LPProblem, _integer_rows, lp_solve
+from convexstate.lp import OPTIMAL, _integer_rows, lp_solve
 from convexstate.models import make_classical_simplex, make_spekkens_hull
 from convexstate.polytope import (AmbiguousMixtureCertificate, VPolytope,
                                   affine_dimension_of, find_ambiguous_mixture,
                                   generated_face, load_theory, minimal_face,
                                   parse_point, theory_from_dict, theory_to_dict)
+from lp_forms import make
 from shapes import barycenter, is_face, make_square
 
 BIPYRAMID = VPolytope(
@@ -269,8 +270,8 @@ def _lp_sweep_error(vertices):
         return None
     for i, v in enumerate(verts):
         others = verts[:i] + verts[i + 1:]
-        problem = LPProblem.make([0] * len(others), a_eq=[*zip(*others), [1] * len(others)],
-                                 b_eq=[*v, 1])
+        problem = make([0] * len(others), a_eq=[*zip(*others), [1] * len(others)],
+                       b_eq=[*v, 1])
         if lp_solve(problem).status == OPTIMAL:
             return (f"vertex {i} {tuple(map(str, v))} is redundant: it lies in "
                     "the hull of the remaining vertices")
