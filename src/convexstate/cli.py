@@ -10,19 +10,24 @@ Grammar::
 ``protocol bc`` and ``protocol clone`` each accept only their own options.
 
 Theories are addressed by zoo name (spekkens, simplex:<n>, bloch,
-full2x2, separable2x2) or by a JSON theory file path.  States are
-addressed by vertex name or index (polytopes), coordinate tuples like
+full2x2, separable2x2) or by a JSON theory file path.  ``parse_state``
+reads every state token, in the forms ``STATE_FORMS`` allows each
+theory kind: vertex name or index (polytopes), coordinate tuples like
 "(1,0,0)" (polytopes and the Bloch ball), ket labels over the alphabet
 01+- (qubit and two-qubit spaces), a product pair like
-"(0,0,1);(0,0,-1)" (two-qubit spaces), or a JSON state file.
+"(0,0,1);(0,0,-1)" (two-qubit spaces), or a JSON state file.  Digits are
+ASCII only, and a number written as text goes through ``lp.rat``.  Theory
+and state files both go through ``serialize.read_json``.
 
 JSON is the canonical output; text and CSV renderings derive from the
 same report dictionary.  Identical invocations, including seeds, produce
 byte-identical JSON.
 
-Exit codes: 0 success, 2 usage or parse error (or an ``--out`` path that
-cannot be written), 3 domain error (state not in the theory, precondition
-violated), 4 internal invariant violation.
+Exit codes: 0 success, 2 usage or parse error (a theory file that is not
+UTF-8 or not JSON, a bare second ``--`` in place of a value, or an
+``--out`` path that cannot be written), 3 domain error (state not in the
+theory, a state file that cannot be read, precondition violated), 4
+internal invariant violation.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .config import ENV_TOL, resolve_tol, tolerance
 from .errors import InternalCheckError, PreconditionError, TheoryFormatError
 from .lp import rat
 from .polytope import VPolytope, load_theory, minimal_face
-from .serialize import canonical_json, jsonable
+from .serialize import canonical_json, jsonable, read_json, read_numbers
 from .transition import (KIND_BLOCH, KIND_FULL_QUANTUM, KIND_SEPARABLE,
                          KIND_VPOLYTOPE, StateSpaceHandle)
 
@@ -55,18 +60,19 @@ ZOO_HELP = "spekkens, simplex:<n>, bloch, full2x2, separable2x2, or a JSON file 
 # Theory and state resolution
 # ---------------------------------------------------------------------------
 
+# ASCII digits only, and at most nine of them: no theory here has 10**9
+# vertices, and int() refuses text longer than 4,300 digits.
+_NATURAL = re.compile(r"[0-9]{1,9}")
+
+
 def resolve_theory(token: str) -> StateSpaceHandle:
     if token == "spekkens":
         return StateSpaceHandle.vpolytope(models.make_spekkens_hull())
     if token.startswith("simplex:"):
         tail = token.split(":", 1)[1]
-        try:
-            n = int(tail)
-        except ValueError:
-            raise TheoryFormatError(f"simplex size {tail!r} is not an integer")
-        if n < 1:
-            raise TheoryFormatError(f"simplex size must be positive, got {n}")
-        return StateSpaceHandle.vpolytope(models.make_classical_simplex(n))
+        if not _NATURAL.fullmatch(tail) or int(tail) < 1:
+            raise TheoryFormatError(f"simplex size must be a positive integer, got {tail!r}")
+        return StateSpaceHandle.vpolytope(models.make_classical_simplex(int(tail)))
     if token == "bloch":
         return StateSpaceHandle.bloch_ball()
     if token == "full2x2":
@@ -84,26 +90,42 @@ def vertex_labels(k: VPolytope) -> list[str]:
     return [f"v{i}" for i in range(len(k.vertices))]
 
 
-_TUPLE_RE = re.compile(r"^\(.*\)$")
-_KET_RE = re.compile(r"^[01+-]+$")
+# The state forms each theory kind accepts, in the order they are tried:
+# README's "States accept" list.  "point", "bloch" and "matrix" are the
+# keys a state file may hold.
+STATE_FORMS = {
+    KIND_VPOLYTOPE: ("vertex", "tuple", "point"),
+    KIND_BLOCH: ("ket", "tuple", "bloch", "matrix"),
+    KIND_FULL_QUANTUM: ("ket", "product", "matrix"),
+    KIND_SEPARABLE: ("ket", "product", "matrix"),
+}
+FORM_HELP = {
+    "vertex": "a vertex label or index",
+    "ket": "a ket label over 01+-, one letter per qubit",
+    "tuple": "coordinates (a,b,...)",
+    "product": "a pair of Bloch vectors (ax,ay,az);(bx,by,bz)",
+    "point": 'a file {"point": [...]}',
+    "bloch": 'a file {"bloch": [...]}',
+    "matrix": 'a file {"matrix": [[...]]}',
+}
+_QUBITS = {KIND_BLOCH: 1, KIND_FULL_QUANTUM: 2, KIND_SEPARABLE: 2}
+_KET = re.compile(r"[01+-]+")
+_TUPLE = re.compile(r"\(([^()]*)\)")
 
 
-def _parse_tuple(token: str) -> list[str]:
-    parts = [p.strip() for p in token[1:-1].split(",")]
-    if any(not p for p in parts):
-        raise PreconditionError(f"malformed coordinate tuple {token!r}")
-    return parts
-
-
-def _numbers(values, source: str, read=rat) -> list:
-    """``read`` of each entry of a JSON list, every number going through
-    ``rat``; anything else is a domain error."""
-    try:
-        if not isinstance(values, list):
-            raise TypeError(f"expected a list, got {type(values).__name__}")
-        return [read(v) for v in values]
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise PreconditionError(f"bad {source}: {exc}") from exc
+def _coordinates(h: StateSpaceHandle, coords, source: str):
+    """A coordinate list as ``h`` reads it: an exact point of a polytope,
+    else a Bloch vector in floats (of the state, or of a product factor)."""
+    where = f"state {source} coordinate"
+    if h.kind != KIND_VPOLYTOPE:
+        return np.array(read_numbers(coords, where, PreconditionError, lambda c: float(rat(c))))
+    point = tuple(read_numbers(coords, where, PreconditionError))
+    if len(point) != h.payload.ambient_dim:
+        raise PreconditionError(
+            f"point {source} has {len(point)} coordinates, theory is "
+            f"{h.payload.ambient_dim}-dimensional"
+        )
+    return point
 
 
 def _complex_entry(c) -> complex:
@@ -112,115 +134,59 @@ def _complex_entry(c) -> complex:
     return complex(float(rat(re_part)), float(rat(im_part)))
 
 
-def _load_state_file(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise PreconditionError(f"state file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise PreconditionError(f"state file {path}: top level must be an object")
-    if "point" in data:
-        return ("point", data["point"])
-    if "bloch" in data:
-        return ("bloch", data["bloch"])
-    if "matrix" in data:
-        source = f"matrix in state file {path}"
-        rows = [_numbers(row, source, _complex_entry)
-                for row in _numbers(data["matrix"], source, lambda row: row)]
-        if len({len(row) for row in rows}) > 1:
-            raise PreconditionError(f"{source}: rows of different lengths")
-        return ("matrix", np.array(rows))
-    raise PreconditionError(
-        f"state file {path}: expected one of the keys 'point', 'bloch', 'matrix'"
-    )
+def _density(h: StateSpaceHandle, m: np.ndarray) -> np.ndarray:
+    """A density matrix as ``h``'s engines take it: its Bloch vector on the
+    Bloch ball, the matrix itself on the two-qubit spaces."""
+    return linalg.bloch_vector(m) if h.kind == KIND_BLOCH else m
 
 
-def _polytope_point(k: VPolytope, coords: list, source: str):
-    point = tuple(_numbers(coords, f"coordinates {source!r}"))
-    if len(point) != k.ambient_dim:
-        raise PreconditionError(
-            f"point {source} has {len(point)} coordinates, theory is "
-            f"{k.ambient_dim}-dimensional"
-        )
-    return point
+def _matrix(h: StateSpaceHandle, rows, source: str) -> np.ndarray:
+    where = f"state {source} matrix row"
+    rows = [read_numbers(row, f"{where} {i} entry", PreconditionError, _complex_entry)
+            for i, row in enumerate(read_numbers(rows, where, PreconditionError, lambda r: r))]
+    if len({len(row) for row in rows}) > 1:
+        raise PreconditionError(f"state {source}: matrix rows of different lengths")
+    return _density(h, np.array(rows))
 
 
-def parse_polytope_state(k: VPolytope, token: str):
-    labels = vertex_labels(k)
-    if token in labels:
-        return k.vertices[labels.index(token)]
-    if re.fullmatch(r"\d+", token):
-        i = int(token)
-        if 0 <= i < len(k.vertices):
-            return k.vertices[i]
-        raise PreconditionError(
-            f"vertex index {i} out of range; theory has {len(k.vertices)} vertices"
-        )
-    if _TUPLE_RE.match(token):
-        return _polytope_point(k, _parse_tuple(token), token)
-    if os.path.exists(token):
-        kind, payload = _load_state_file(token)
-        if kind != "point":
-            raise PreconditionError(f"state file {token} does not hold a 'point'")
-        return _polytope_point(k, payload, token)
-    raise PreconditionError(
-        f"cannot resolve state {token!r}; use a vertex name ({', '.join(labels[:6])}"
-        f"{', ...' if len(labels) > 6 else ''}), a vertex index, or coordinates (a,b,...)"
-    )
-
-
-def _bloch_vector(coords: list, source: str) -> np.ndarray:
-    return np.array(_numbers(coords, f"Bloch vector {source!r}", lambda c: float(rat(c))))
-
-
-def parse_bloch_state(token: str) -> np.ndarray:
-    if _KET_RE.match(token) and len(token) == 1:
-        return linalg.bloch_vector(linalg.projector(linalg.ket(token)))
-    if _TUPLE_RE.match(token):
-        return _bloch_vector(_parse_tuple(token), token)
-    if os.path.exists(token):
-        kind, payload = _load_state_file(token)
-        if kind == "bloch":
-            return _bloch_vector(payload, token)
-        if kind == "matrix":
-            return linalg.bloch_vector(payload)
-        raise PreconditionError(f"state file {token} does not hold a Bloch state")
-    raise PreconditionError(
-        f"cannot resolve state {token!r}; use a ket label (0, 1, +, -) or a "
-        "Bloch vector (x,y,z)"
-    )
-
-
-def parse_two_qubit_state(token: str) -> np.ndarray:
-    if _KET_RE.match(token) and len(token) == 2:
-        return linalg.projector(linalg.ket(token))
-    if ";" in token:
-        left, right = token.split(";", 1)
-        if not (_TUPLE_RE.match(left) and _TUPLE_RE.match(right)):
-            raise PreconditionError(
-                f"product state {token!r} must look like (ax,ay,az);(bx,by,bz)"
-            )
-        a = parse_bloch_state(left)
-        b = parse_bloch_state(right)
-        return models.ProductStateParam(tuple(a), tuple(b)).density()
-    if os.path.exists(token):
-        kind, payload = _load_state_file(token)
-        if kind != "matrix":
-            raise PreconditionError(f"state file {token} does not hold a 'matrix'")
-        return payload
-    raise PreconditionError(
-        f"cannot resolve state {token!r}; use a two-letter ket label over 01+-, "
-        "a product pair (ax,ay,az);(bx,by,bz), or a state file"
-    )
+_FILE_READERS = {"point": _coordinates, "bloch": _coordinates, "matrix": _matrix}
 
 
 def parse_state(h: StateSpaceHandle, token: str):
-    if h.kind == KIND_VPOLYTOPE:
-        return parse_polytope_state(h.payload, token)
-    if h.kind == KIND_BLOCH:
-        return parse_bloch_state(token)
-    return parse_two_qubit_state(token)
+    """The state ``token`` names in ``h``, read in the first of the kind's
+    ``STATE_FORMS`` that fits it; a token that fits none is a domain error."""
+    forms = STATE_FORMS[h.kind]
+    if "vertex" in forms:
+        k = h.payload
+        labels = vertex_labels(k)
+        if token in labels:
+            return k.vertices[labels.index(token)]
+        if _NATURAL.fullmatch(token):
+            if int(token) < len(k.vertices):
+                return k.vertices[int(token)]
+            raise PreconditionError(
+                f"vertex index {token} out of range; theory has {len(k.vertices)} vertices"
+            )
+    if "ket" in forms and _KET.fullmatch(token) and len(token) == _QUBITS[h.kind]:
+        return _density(h, linalg.projector(linalg.ket(token)))
+    tuples = [_TUPLE.fullmatch(part) for part in token.split(";")]
+    if all(tuples):
+        coords = [[c.strip(" ") for c in m[1].split(",")] for m in tuples]
+        if len(coords) == 1 and "tuple" in forms:
+            return _coordinates(h, coords[0], token)
+        if len(coords) == 2 and "product" in forms:
+            a, b = (linalg.bloch_projector(_coordinates(h, c, token)) for c in coords)
+            return linalg.tensor(a, b)
+    elif os.path.exists(token):
+        data = read_json(token, PreconditionError)
+        keys = [f for f in forms if f in _FILE_READERS]
+        for key in keys:
+            if isinstance(data, dict) and key in data:
+                return _FILE_READERS[key](h, data[key], token)
+        raise PreconditionError(f"state file {token} holds none of the keys "
+                                + ", ".join(map(repr, keys)))
+    raise PreconditionError(f"cannot resolve state {token!r}; use "
+                            + "; ".join(FORM_HELP[f] for f in forms))
 
 
 def theory_name(h: StateSpaceHandle) -> str:
@@ -329,7 +295,7 @@ def cmd_face(args) -> dict:
             f"{theory_name(h)} is not finitely generated"
         )
     k = h.payload
-    points = [parse_polytope_state(k, t) for t in args.points]
+    points = [parse_state(h, t) for t in args.points]
     for t, p in zip(args.points, points):
         if not k.contains(p):
             raise PreconditionError(f"point {t} is not in the polytope")
@@ -355,8 +321,8 @@ def cmd_protocol(args) -> dict:
             x = (0.0, 0.0, 1.0)
             y = (float(np.sin(theta)), 0.0, float(np.cos(theta)))
         else:
-            x = tuple(parse_bloch_state(args.x if args.x else "(0,0,1)"))
-            y = tuple(parse_bloch_state(args.y if args.y else "(1,0,0)"))
+            ball = StateSpaceHandle.bloch_ball()
+            x, y = (tuple(parse_state(ball, t)) for t in (args.x, args.y))
         rep = protocols.cloning_contradiction(x, y, tol=args.tol)
         return {"command": "protocol", "task": "clone", **jsonable(rep)}
     rep = protocols.run_bit_commitment_analysis(
@@ -529,8 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="the cloning contradiction for two qubit states")
     p.add_argument("--bloch-angle", type=float, default=None,
                    help="angle in degrees between the Bloch vectors")
-    p.add_argument("--x", default=None, help="first Bloch vector")
-    p.add_argument("--y", default=None, help="second Bloch vector")
+    p.add_argument("--x", default="(0,0,1)", help="first Bloch state")
+    p.add_argument("--y", default="(1,0,0)", help="second Bloch state")
 
     p = sub.add_parser("trace", parents=[common],
                        help="traceability table: claims to operations to tests")
@@ -553,6 +519,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse reads a second "--" as a positional or option with no value.
+        if [] in vars(args).values():
+            parser.error("'--' stands for no value here; give each state after the first '--'")
         if "tol" in args:
             try:
                 args.tol = resolve_tol(args.tol)

@@ -235,14 +235,22 @@ def require_rank1_projection(p, tol: float = 1e-10, what: str = "state") -> np.n
 # Bloch-sphere helpers (qubits)
 # ---------------------------------------------------------------------------
 
-def bloch_projector(a) -> np.ndarray:
-    """Pure qubit state (I + a.sigma)/2 from a unit Bloch vector."""
+def unit_bloch(a) -> tuple[np.ndarray, float]:
+    """``a`` as a float 3-vector, and its norm, checked to be 1 within
+    1e-10.  An entry too large to square gives the norm inf, no warning."""
     v = np.asarray(a, dtype=float).reshape(-1)
     if v.shape != (3,):
         raise PreconditionError(f"Bloch vector must have 3 components, got {v.shape}")
-    nrm = float(np.sqrt(v @ v))
+    with np.errstate(over="ignore"):
+        nrm = float(np.sqrt(v @ v))
     if not abs(nrm - 1.0) <= 1e-10:
         raise PreconditionError(f"Bloch vector must be unit length, |a| = {nrm!r}")
+    return v, nrm
+
+
+def bloch_projector(a) -> np.ndarray:
+    """Pure qubit state (I + a.sigma)/2 from a unit Bloch vector."""
+    v, _ = unit_bloch(a)
     return 0.5 * (IDENT2 + v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z)
 
 

@@ -58,6 +58,7 @@ certificates.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, lcm
@@ -72,13 +73,21 @@ UNBOUNDED = "unbounded"
 _ZERO = Fraction(0)
 
 
+# A number as text, in ASCII only: 'p/q', or a decimal with an exponent of
+# at most four digits (Fraction('1e99999999') would take minutes).
+_RATIONAL_TEXT = re.compile(
+    r"[+-]?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]{1,4})?)")
+
+
 def rat(x) -> Fraction:
-    """Exact conversion: ints, Fractions, 'p/q' strings, and finite binary
-    floats."""
+    """Exact conversion: ints, Fractions, 'p/q' and decimal strings, and
+    finite binary floats."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
         raise TypeError("refusing to treat a bool as a number")
+    if isinstance(x, str) and not _RATIONAL_TEXT.fullmatch(x):
+        raise ValueError(f"not a number: {x!r}")
     if isinstance(x, (int, str)):
         return Fraction(x)
     if isinstance(x, float):

@@ -25,7 +25,6 @@ machine-checkable crossing of two segments.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -35,6 +34,7 @@ from typing import Iterable, Sequence
 
 from .errors import InternalCheckError, TheoryFormatError
 from .lp import LPProblem, OPTIMAL, WarmStart, _integer_rows, _rref, lp_solve, rat
+from .serialize import read_json, read_numbers
 
 Point = tuple[Fraction, ...]
 
@@ -337,15 +337,7 @@ def theory_from_dict(data, source: str = "<dict>") -> VPolytope:
             raise TheoryFormatError(
                 f"{source}: vertex {i} must be a list of {dim} coordinates"
             )
-        coords = []
-        for jc, c in enumerate(row):
-            try:
-                coords.append(rat(c))
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
-                raise TheoryFormatError(
-                    f"{source}: vertex {i} coordinate {jc}: {exc}"
-                ) from exc
-        verts.append(coords)
+        verts.append(read_numbers(row, f"{source}: vertex {i} coordinate", TheoryFormatError))
     try:
         return VPolytope(verts, name=name)
     except ValueError as exc:
@@ -353,13 +345,4 @@ def theory_from_dict(data, source: str = "<dict>") -> VPolytope:
 
 
 def load_theory(path: str) -> VPolytope:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise TheoryFormatError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise TheoryFormatError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    return theory_from_dict(data, source=path)
+    return theory_from_dict(read_json(path, TheoryFormatError), source=path)

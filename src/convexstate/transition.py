@@ -163,12 +163,7 @@ def affine_ratio_polytope(k: VPolytope, x, y) -> RatioResult:
 
 
 def _unit3(v) -> np.ndarray:
-    a = np.asarray(v, dtype=float).reshape(-1)
-    if a.shape != (3,):
-        raise PreconditionError(f"Bloch state must have 3 components, got {a.shape}")
-    n = float(np.sqrt(a @ a))
-    if not abs(n - 1.0) <= DEFAULT_TOL:
-        raise PreconditionError(f"Bloch state must be a unit vector, |x| = {n!r}")
+    a, n = linalg.unit_bloch(v)
     return a / n
 
 

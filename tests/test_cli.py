@@ -99,6 +99,40 @@ def test_negative_seed_is_usage_error(capsys, argv):
             else "unrecognized arguments: --seed -1") in err
 
 
+@pytest.mark.parametrize("argv", [["ratio", "spekkens", "--", "--", "--"],
+                                  ["ratio", "spekkens", "--", "e1", "--"],
+                                  ["face", "spekkens", "--", "--"]])
+def test_bare_double_dash_state_is_usage_error(capsys, argv):
+    # argparse reads a second "--" as a positional with no value at all.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "convexstate: error: '--' stands for no value" in err
+    # One "--" before the states still lets a label start with "-".
+    assert run(capsys, "superposable", "spekkens", "--", "e1", "-e1")[0] == 0
+
+
+@pytest.mark.parametrize("argv, code, says", [
+    (["ratio", "spekkens", "\u0663", "0"], 3, "cannot resolve state"),
+    (["ratio", "bloch", "(\u0660,0,1)", "0"], 3, "not a number"),
+    (["analyze", "simplex:1_0"], 2, "simplex size must be a positive integer"),
+    (["analyze", "simplex:3\n"], 2, "simplex size must be a positive integer"),
+    (["face", "spekkens", "(1,0,0)\n"], 3, "cannot resolve state"),
+    (["ratio", "spekkens", "9" * 5000, "0"], 3, "cannot resolve state"),
+    (["analyze", "simplex:" + "9" * 5000], 2, "simplex size must be a positive integer"),
+    (["protocol", "clone", "--x="], 3, "cannot resolve state ''"),
+], ids=["arabic-indic-index", "arabic-indic-coordinate", "underscore-simplex",
+        "newline-simplex", "newline-tuple", "long-index", "long-simplex", "empty-clone-state"])
+def test_tokens_follow_the_ascii_grammar(capsys, argv, code, says):
+    # Only ASCII digits count, with no underscores, and a trailing newline
+    # is part of the token: int() and Fraction() alone would read the
+    # Arabic-Indic digits as 3 and 0, "1_0" as 10 and "3\n" as 3.  An
+    # index or size is at most nine digits; int() raises on 5,000.  An
+    # empty --x is an empty token, not a request for the default.
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert says in err
+
+
 def test_face_outside_point_is_domain_error(capsys):
     code, _, err = run(capsys, "face", "spekkens", "(2,0,0)")
     assert code == 3
@@ -106,11 +140,17 @@ def test_face_outside_point_is_domain_error(capsys):
 
 
 def test_broken_theory_file_reports_position(capsys, tmp_path):
+    # A file that is not JSON, not UTF-8 or nested past the recursion limit
+    # is a theory error with one line on stderr.
     path = tmp_path / "broken.json"
-    path.write_text('{"name": "x",\n "ambient_dim": }')
-    code, _, err = run(capsys, "analyze", str(path))
-    assert code == 2
-    assert "line 2" in err
+    for content, says in [(b'{"name": "x",\n "ambient_dim": }', "line 2"),
+                          (b'\xff\xfe{"name": "x"}', "can't decode byte 0xff"),
+                          (b"[" * 100_000, "recursion")]:
+        path.write_bytes(content)
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("convexstate: theory error: ") and err.count("\n") == 1
+        assert says in err
 
 
 @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
@@ -194,26 +234,37 @@ def test_ratio_state_file(capsys, tmp_path):
     assert json.loads(out)["value"] == 1.0
 
 
+def state_file(tmp_path, key: str, payload) -> Path:
+    """The file {key: payload}, with ``payload`` as JSON text, or as bytes
+    that make the file not UTF-8."""
+    path = tmp_path / "state.json"
+    if isinstance(payload, str):
+        payload = payload.encode()
+    path.write_bytes(b'{"%s": %s}' % (key.encode(), payload))
+    return path
+
+
 @pytest.mark.parametrize("bloch", ['["x", 0, 0]', '"abc"', "[true, 0, 0]", "[[0], 0, 1]",
-                                   "[Infinity, 0, 0]", '["1e400", 0, 0]', '{"z": 1}', "null"])
+                                   "[Infinity, 0, 0]", '["1e400", 0, 0]', '{"z": 1}', "null",
+                                   b"\xff\xfe"])
 def test_bad_state_file_bloch_is_domain_error(capsys, tmp_path, bloch):
     # The file's Bloch vector takes the same checks as an (x,y,z) token: a
     # list of finite, non-boolean numbers.
-    path = tmp_path / "state.json"
-    path.write_text('{"bloch": %s}' % bloch)
+    path = state_file(tmp_path, "bloch", bloch)
     code, _, err = run(capsys, "ratio", "bloch", str(path), "(0,0,1)")
     assert code == 3
     assert str(path) in err
 
 
-@pytest.mark.parametrize("entry", ["true", "[1, 0, 5]", "NaN"])
+@pytest.mark.parametrize("entry", ["true", "[1, 0, 5]", "NaN", b"\xff\xfe"])
 @pytest.mark.parametrize("theory", ["full2x2", "separable2x2"])
 def test_bad_state_file_matrix_is_domain_error(capsys, tmp_path, entry, theory):
     # Each matrix entry, or each [re, im] pair of exactly two, takes the
     # checks of a coordinate: a finite, non-boolean number.
-    path = tmp_path / "state.json"
-    path.write_text('{"matrix": [[%s, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}'
-                    % entry)
+    if isinstance(entry, str):
+        entry = entry.encode()
+    path = state_file(tmp_path, "matrix",
+                      b"[[%s, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]" % entry)
     code, _, err = run(capsys, "ratio", theory, str(path), "00")
     assert code == 3
     assert str(path) in err
@@ -244,12 +295,11 @@ def test_face_state_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("point", ['["nope", 0, 0]', "[Infinity, 0, 0]", "[true, 0, 0]",
-                                   "[[1], 0, 0]", "[0, 0]", "5", '"100"'])
+                                   "[[1], 0, 0]", "[0, 0]", "5", '"100"', b"\xff\xfe"])
 def test_bad_state_file_point_is_domain_error(capsys, tmp_path, point):
     # The file's point takes the same checks as an (a,b,...) token: a list
     # of finite rationals with one coordinate per ambient dimension.
-    path = tmp_path / "state.json"
-    path.write_text('{"point": %s}' % point)
+    path = state_file(tmp_path, "point", point)
     code, _, err = run(capsys, "face", "spekkens", str(path))
     assert code == 3
     assert str(path) in err

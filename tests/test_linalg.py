@@ -319,6 +319,13 @@ def test_bloch_projector_rejects_nonfinite_vectors(bad):
         linalg.bloch_projector(np.array([bad, 0.0, 0.0]))
 
 
+def test_bloch_vector_too_large_to_square_reads_as_infinite_norm():
+    # 1e300**2 overflows; the check reports |a| = inf without a warning,
+    # which the suite's filterwarnings setting would turn into an error.
+    with pytest.raises(PreconditionError, match="= inf"):
+        linalg.bloch_projector([1e300, 0.0, 0.0])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(2, 5))
 def test_eigvalsh_sum_is_trace(seed, n):

@@ -31,6 +31,23 @@ def test_rat_exact_conversions():
             rat(x)
 
 
+@pytest.mark.parametrize("text, value", [("-1/3", Fraction(-1, 3)), ("+.5", Fraction(1, 2)),
+                                         ("1.", Fraction(1)), ("25e-2", Fraction(1, 4)),
+                                         ("1E9999", Fraction(10) ** 9999)])
+def test_rat_reads_ascii_number_text(text, value):
+    assert rat(text) == value
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0663", " 1", "1\n", "1/2.5", "1e", "", "NaN",
+                                  "1e99999"])
+def test_rat_refuses_other_number_text(text):
+    # Fraction() alone reads Arabic-Indic digits, underscores and outer
+    # whitespace, and spends seconds to minutes on an exponent of seven
+    # digits or more; the text grammar stops at four.
+    with pytest.raises(ValueError, match="not a number"):
+        rat(text)
+
+
 def test_minimize_simple_cover():
     # min x + y subject to x + y >= 1, x, y >= 0
     sol = bounded_lp([1, 1], a_ub=[[-1, -1]], b_ub=[-1]).solve()
