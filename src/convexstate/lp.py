@@ -14,46 +14,42 @@ neither the feasible set nor the optimal points.
 The tableau is integer-preserving (Edmonds/Bareiss pivoting): its entries
 are Python ints that share one positive common denominator ``den``.
 
-- *Start.* The integer rows, with the artificial columns at coefficient
-  1, so the start is an integer tableau with ``den = 1`` and the
-  artificials as its basis: the tableau that scaling the ``Fraction``
-  rows would give.
 - *Pivot.* On the entry p = tab[r][c], row r stays as it is, every other
   row x becomes (x*p - x[c]*tab[r]) / den, and p becomes the new ``den``.
   Each quotient is an integer minor of the start tableau, so the division
-  is exact; it is checked all the same.  A negative pivot, which only
-  occurs while leftover artificials are driven out, has its row negated
-  first, so ``den`` stays positive.  ``_pivot`` is the one exact
-  elimination step; both phases, drive-out and ``_rref`` use it.
-- *Cost row.* The tableau's last row, pivoted with the others and skipped
-  by the ratio test.  Only the signs of its entries are read.
-- *Phase 2.* Drive-out pivots and phase 2 never read an artificial
-  column, so those columns are dropped once phase 1 ends.  ``_phase2``
-  builds the cost row den*c - sum c_B*row from the integer objective c,
-  iterates, and reads off the point.
-- *Warm start.* A ``WarmStart`` carries the final tableau (rows, basis,
-  kept rows, ``den``) from one solve to the next over the same rows.  The
-  next solve skips phase 1 and runs ``_phase2`` from it: a feasible
-  basis of the same feasible set, from which Bland's rule cannot cycle
-  either.  ``minimal_face`` uses it for its support LPs, which differ only
-  in the objective.
-- *Answer.* Each basic coordinate's integer numerator over ``den``, the
-  others 0, checked by ``_verify`` (warm or cold) and then read as
-  ``Fraction``s, as is the value c.x.  With it comes the basis that
-  ``_iterate`` and the drive-out loop record, as (kept row, basic column)
-  pairs; rows that phase 1 found redundant are dropped.  ``multipliers``
-  solves y.A_B = c_B on it by ``_rref`` and returns y as integers over
-  one denominator.  ``_rref`` also serves ``polytope`` for affine ranks
-  and circuits.
+  is exact; it is checked all the same.  A negative pivot has its row
+  negated first, so ``den`` stays positive.  ``_pivot`` is the one exact
+  elimination step: both phases, both starts and ``_rref`` (affine ranks
+  and circuits in ``polytope``) use it.
+- *Cold start.* ``_phase1`` starts from the integer rows with artificial
+  columns at coefficient 1 (``den = 1``), the tableau that scaling the
+  ``Fraction`` rows would give, and minimizes their sum.  It then drops
+  the artificial columns, drives leftover artificials out and drops the
+  rows left zero (``_fill_basis``).
+- *Crash start.* ``crash`` is for a problem whose rhs is one of its own
+  columns, so that x = e_first is feasible.  Pivots keep that column equal
+  to the rhs, so it enters at the first row whose rhs is nonzero and
+  leaves the rhs ``den`` times a unit column; every other row takes the
+  first given column nonzero in it, a pivot on a zero rhs, or is dropped
+  as zero.  Identity columns sit beside the rows.  They never enter, and
+  at the optimum the cost row over them is -den*y, with y.A_B = c_B and
+  c - y.A >= 0: ``LPSolution.duals`` (0 on a dropped row).
+- *Warm start.* A ``WarmStart`` carries a feasible tableau (from ``crash``
+  or from the previous solve over the same rows) into ``_phase2``, which
+  builds the cost row den*c - sum c_B*row, iterates with the cost row
+  last and skipped by the ratio test, and leaves its final tableau there.
+  ``minimal_face`` chains its support LPs this way.
+- *Answer.* Each basic coordinate's numerator over ``den``, the others 0,
+  checked by ``_verify`` whatever the start and read as ``Fraction``s.
 
 Against the tableau of ``Fraction``s that the same rules would pivot, the
 integer start scales all rows by one positive number, the artificial
-columns by another and the objective by a third.  That multiplies every reduced cost and every
-ratio-test ratio of one entering column by a positive factor, so Bland's
-rule takes the same pivots and returns the same point.  A warm solve can
-end at another optimal vertex than a cold one, with the same value.
-Optimal points satisfy every constraint with zero error and can serve as
-certificates.
+columns by another and the objective by a third.  That multiplies every
+reduced cost and every ratio-test ratio of one entering column by a
+positive factor, so Bland's rule takes the same pivots and returns the
+same point.  A warm or crash start can end at another optimal vertex than
+a cold one, with the same value.  Optimal points satisfy every constraint
+with zero error and can serve as certificates.
 """
 
 from __future__ import annotations
@@ -109,44 +105,46 @@ class LPSolution:
     status: str
     value: Fraction | None
     point: tuple[Fraction, ...] | None
-    basis: tuple[tuple[int, int], ...] | None = None  # (kept row, basic column)
+    # From a crash start: y as (numerators, one positive denominator), one
+    # per row of a_eq, with y.A_B = c_B; at the optimum c - y.A >= 0.
+    duals: tuple[tuple[int, ...], int] | None = None
 
 
 class WarmStart:
-    """The final tableau of one solve, for the next solve over the same
-    rows.  The caller makes it empty and passes it to each ``lp_solve`` of
-    a sequence: the first runs both phases, each later one only phase 2
-    from the tableau the previous one left, and each leaves its own.  It
-    lives as long as the caller keeps it."""
+    """A feasible tableau for the next solve over the same rows.  The
+    caller makes it empty, or fills it by ``crash``, and passes it to each
+    ``lp_solve`` of a sequence: an empty one runs both phases, a filled one
+    only phase 2 from its tableau, and each leaves its own final tableau.
+    It lives as long as the caller keeps it."""
 
-    def __init__(self):
-        self.tableau = None
+    def __init__(self, tableau=None):
+        self.tableau = tableau
 
 
 def lp_solve(problem: LPProblem, warm: WarmStart | None = None) -> LPSolution:
-    status, nums, den, basis = _solve_exact(problem, warm)
+    status, nums, den, duals = _solve_exact(problem, warm)
     if status != OPTIMAL:
         return LPSolution(status, None, None)
     _verify(problem, nums, den)
     value = Fraction(sum(c * x for c, x in zip(problem.objective, nums) if x), den)
     point = tuple(Fraction(x, den) if x else _ZERO for x in nums)
-    return LPSolution(OPTIMAL, value, point, tuple(basis))
+    return LPSolution(OPTIMAL, value, point, (duals, den) if duals else None)
 
 
-def multipliers(problem: LPProblem, basis: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
-    """Simplex multipliers y of a final basis, one per integer row of
-    ``a_eq``, as (numerators, one positive denominator): y.A_B = c_B on the
-    kept rows and 0 on dropped rows.  At an optimum of a minimization,
-    c - y.A >= 0 column by column."""
-    rows = [r for r, _ in basis]
-    c = problem.objective
-    tab, pivots, den = _rref([[problem.a_eq[r][j] for r in rows] + [c[j]] for _, j in basis])
-    if pivots != tuple(range(len(rows))):
-        raise InternalCheckError("simplex returned a singular basis")
-    y = [0] * len(problem.a_eq)
-    for r, row in zip(rows, tab):
-        y[r] = row[-1]
-    return tuple(y), den
+def crash(problem: LPProblem, first: int, columns: Sequence[int]) -> WarmStart:
+    """A filled ``WarmStart`` for a problem whose b_eq is its column
+    ``first``, so that x = e_first is feasible, with identity columns
+    beside the rows for the duals.  Each row takes the first of ``first``
+    and then ``columns`` that is nonzero in it, or is dropped as zero."""
+    a, b = problem.a_eq, problem.b_eq
+    n, m = len(problem.objective), len(b)
+    if tuple(row[first] for row in a) != tuple(b) or not any(b):
+        raise ValueError("a crash start needs a nonzero right-hand side equal to its first column")
+    tab = [[*row, *(int(i == j) for j in range(m)), rhs] for i, (row, rhs) in enumerate(zip(a, b))]
+    tab, basis, den = _fill_basis(tab, [None] * m, 1, (first, *columns), n)
+    if any(row[-1] < 0 for row in tab):
+        raise InternalCheckError("crash start left a negative right-hand side")
+    return WarmStart(((a, b), tab, basis, den))
 
 
 def _rref(tab: list[list[int]]) -> tuple[list[list[int]], tuple[int, ...], int]:
@@ -187,51 +185,46 @@ def _integer_rows(rows) -> list[list[int]]:
 
 
 def _solve_exact(problem: LPProblem, warm: WarmStart | None = None):
-    """(status, numerators of the point, their denominator, final basis as
-    (kept row, basic column) pairs); all but the status are None unless
+    """(status, numerators of the point, their denominator, dual
+    numerators over it or None); all but the status are None unless
     optimal.  A filled ``warm`` replaces phase 1; any ``warm`` is left
     holding the final tableau."""
     if warm is not None and warm.tableau is not None:
-        rows, tab, basis, keep, den = warm.tableau
+        rows, tab, basis, den = warm.tableau
         if rows != (problem.a_eq, problem.b_eq):
             raise ValueError("a warm start must come from a problem with the same rows")
     else:
         start = _phase1(problem)
         if start is None:
             return INFEASIBLE, None, None, None
-        tab, basis, keep, den = start
-    status, nums, den = _phase2(problem.objective, tab, basis, den)
+        tab, basis, den = start
+    status, nums, den, duals = _phase2(problem.objective, tab, basis, den)
     if warm is not None:
-        warm.tableau = ((problem.a_eq, problem.b_eq), tab, basis, keep, den)
+        warm.tableau = ((problem.a_eq, problem.b_eq), tab, basis, den)
     if status == UNBOUNDED:
         return UNBOUNDED, None, None, None
-    return OPTIMAL, nums, den, list(zip(keep, basis))
+    return OPTIMAL, nums, den, duals
 
 
 def _phase1(problem: LPProblem):
-    """A feasible start for phase 2, (rows, basic columns, kept row
-    indices, den), from the artificial basis; None if infeasible."""
+    """A feasible start for phase 2, (kept rows, basic columns, den), from
+    the artificial basis; None if infeasible."""
     n = len(problem.objective)
     m = len(problem.b_eq)
     ncols = n + m  # x vars, artificials
 
-    # Integer tableau rows [coeffs | rhs], with rhs normalized nonnegative
-    # and an artificial basis whose coefficients stay 1.
-    tab: list[list[int]] = []
-    basis: list[int] = []
-    for i, (a, b) in enumerate(zip(problem.a_eq, problem.b_eq)):
-        row = [*a, *[0] * m, b] if b >= 0 else [*(-x for x in a), *[0] * m, -b]
-        row[n + i] = 1
-        tab.append(row)
-        basis.append(n + i)
-    den = 1
+    # Integer tableau rows [coeffs | artificials | rhs], with rhs normalized
+    # nonnegative and an artificial basis whose coefficients stay 1.
+    tab = [[*(a if b >= 0 else (-x for x in a)), *(int(i == j) for j in range(m)), abs(b)]
+           for i, (a, b) in enumerate(zip(problem.a_eq, problem.b_eq))]
+    basis = list(range(n, ncols))
 
     # Minimize the sum of artificials; the cost row is the last row.
     cost = [-sum(col) for col in zip(*tab)] if tab else [0] * (ncols + 1)
     for b in basis:
         cost[b] = 0
     tab.append(cost)
-    status, den = _iterate(tab, basis, den, allowed_max=ncols)
+    status, den = _iterate(tab, basis, 1, allowed_max=ncols)
     if status == UNBOUNDED or tab.pop()[-1] != 0:  # the former is impossible; defensive
         return None
 
@@ -240,40 +233,51 @@ def _phase1(problem: LPProblem):
     tab = [row[:n] + row[-1:] for row in tab]
 
     # Drive leftover artificials out of the basis or drop redundant rows.
+    return _fill_basis(tab, [b if b < n else None for b in basis], den, range(n), n)
+
+
+def _fill_basis(tab, basis, den, columns, n):
+    """Each row whose basic column is None takes the first of ``columns``
+    nonzero in it; a row with none is dropped, and must be zero in all n
+    columns and the rhs.  Returns the kept rows, their basis and den."""
     keep = []
-    for i in range(m):
-        if basis[i] >= n:
-            piv = next((j for j in range(n) if tab[i][j] != 0), None)
-            if piv is None:
-                continue  # redundant row
-            den = _pivot(tab, i, piv, den)
-            basis[i] = piv
+    for i, row in enumerate(tab):
+        if basis[i] is None:
+            j = next((j for j in columns if row[j]), None)
+            if j is None:
+                if any(row[:n]) or row[-1]:
+                    raise InternalCheckError("a nonzero row was left without a basic column")
+                continue
+            den = _pivot(tab, i, j, den)
+            basis[i] = j
         keep.append(i)
-    return [tab[i] for i in keep], [basis[i] for i in keep], keep, den
+    return [tab[i] for i in keep], [basis[i] for i in keep], den
 
 
-def _phase2(c: Sequence[int], tab, basis, den) -> tuple[str, list[int] | None, int]:
+def _phase2(c: Sequence[int], tab, basis, den):
     """Phase 2 from a feasible tableau of the kept rows, for the integer
-    objective c: (status, numerators of the point or None, den).  ``tab``
-    and ``basis`` are updated in place and end as the final tableau, with
-    no cost row."""
-    # The cost row reduced against the basis: den * c - sum c_B * row.
-    cost = [den * x for x in c] + [0]
+    objective c: (status, numerators of the point or None, den, dual
+    numerators over den, empty without identity columns).  ``tab`` and
+    ``basis`` are updated in place and end as the final tableau, with no
+    cost row."""
+    # The cost row reduced against the basis: den * c - sum c_B * row,
+    # with c = 0 on any identity columns between the x columns and the rhs.
+    cost = [den * x for x in c] + [0] * (len(tab[0]) - len(c) if tab else 1)
     for b, row in zip(basis, tab):
         cb = c[b]
         if cb != 0:
             cost = [x - cb * t for x, t in zip(cost, row)]
     tab.append(cost)
     status, den = _iterate(tab, basis, den, allowed_max=len(c))
-    tab.pop()
+    cost = tab.pop()
     if status == UNBOUNDED:
-        return UNBOUNDED, None, den
+        return UNBOUNDED, None, den, None
 
     # x_j = (basic numerator of x_j) / den, or 0 when x_j is nonbasic.
     nums = [0] * len(c)
     for b, row in zip(basis, tab):
         nums[b] = row[-1]
-    return OPTIMAL, nums, den
+    return OPTIMAL, nums, den, tuple(-x for x in cost[len(c):-1])
 
 
 def _iterate(tab, basis, den, allowed_max) -> tuple[str, int]:

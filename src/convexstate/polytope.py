@@ -99,13 +99,8 @@ class VPolytope:
         t = [rat(x) for x in shift]
         if len(t) != len(m) or any(len(row) != self.ambient_dim for row in m):
             raise ValueError("affine map shape does not match the polytope")
-        new_verts = []
-        for v in self.vertices:
-            new_verts.append(
-                tuple(sum(m[r][c] * v[c] for c in range(self.ambient_dim)) + t[r]
-                      for r in range(len(m)))
-            )
-        return VPolytope(new_verts, name=self.name)
+        return VPolytope([tuple(sum(map(mul, row, v)) + s for row, s in zip(m, t))
+                          for v in self.vertices], name=self.name)
 
 
 def centroid_exposed(rows: Sequence[Sequence[int]]) -> list[bool]:

@@ -8,9 +8,10 @@ Engines by state-space kind:
 
 * polytopes: the infimum is a linear program over functionals, solved
   exactly as its LP dual, the mixture LP over the polytope's integer
-  matrix of homogenised vertices; the optimal functional is read off the
-  final basis as the negated simplex multipliers and re-checked on that
-  matrix in integers, so the value is certified from both sides;
+  matrix of homogenised vertices, from the feasible basis that puts all
+  weight on y; the optimal functional is the negated LP duals, read off
+  the final tableau, and is re-checked on that matrix in integers, so the
+  value is certified from both sides;
 * the Bloch ball: closed form (1 + x.y)/2;
 * the full quantum state space of a matrix algebra: Tr(xy) for rank-1
   projections (the minimizing functional is rho -> Tr(x rho), and every
@@ -49,7 +50,7 @@ import numpy as np
 from . import linalg
 from .config import DEFAULT_TOL, tolerance
 from .errors import InternalCheckError, PreconditionError
-from .lp import LPProblem, OPTIMAL, lp_solve, multipliers
+from .lp import LPProblem, OPTIMAL, crash, lp_solve
 from .polytope import VPolytope, parse_point
 
 KIND_VPOLYTOPE = "vpolytope"
@@ -132,10 +133,12 @@ def affine_ratio_polytope(k: VPolytope, x, y) -> RatioResult:
     is the LP dual of the functional LP that defines the ratio.  Any
     feasible f has f(y) = t f(x) + sum(alpha_i f(v_i)) - sum(beta_i f(v_i))
     >= t - sum(beta), so the verified mixture bounds the ratio from below.
-    The LP's columns are the rows s*p^ of ``k.homogeneous``.  Its integer
-    multipliers u / D give the witness f = -s*u/D; D*f(v) = -u.(s*v^) is
-    re-checked exactly, one integer product per vertex, to be feasible with
-    f(y) equal to that bound.
+    The LP's columns are the rows s*p^ of ``k.homogeneous``.  t = 0,
+    alpha = e_y is feasible, so the LP starts there (``lp.crash``, alpha_y
+    and then the other alpha columns) with no phase 1.  Its duals u / D
+    give the witness f = -s*u/D; D*f(v) = -u.(s*v^) is re-checked exactly,
+    one integer product per vertex, to be feasible with f(y) equal to that
+    bound.
     """
     ix, iy = k.vertex_index(x), k.vertex_index(y)
     if ix is None or iy is None:
@@ -147,11 +150,11 @@ def affine_ratio_polytope(k: VPolytope, x, y) -> RatioResult:
     n = len(rows)
     a_eq = tuple((t, *col, *(-c for c in col)) for t, col in zip(rows[ix], zip(*rows)))
     prob = LPProblem((-1, *[0] * n, *[1] * n), a_eq, rows[iy])  # t, alpha, beta
-    sol = lp_solve(prob)
-    if sol.status != OPTIMAL:  # t = 0, alpha = e_y is always feasible
+    sol = lp_solve(prob, crash(prob, 1 + iy, range(1, n + 1)))
+    if sol.status != OPTIMAL:  # bounded: t - sum(beta) <= f(y) <= 1 for any witness f
         raise PreconditionError(f"ratio LP unexpectedly {sol.status}")
     value = -sol.value
-    u, den = multipliers(prob, sol.basis)
+    u, den = sol.duals
     fv = [-sum(map(mul, u, v)) for v in rows]  # den * f(v_i)
     if fv[ix] != den or fv[iy] * value.denominator != value.numerator * den or any(
             not 0 <= w <= den for w in fv):

@@ -52,6 +52,35 @@ def test_bad_simplex_size(capsys):
     assert run(capsys, "analyze", "simplex:0")[0] == 2
 
 
+def test_simplex_size_is_capped(capsys, monkeypatch):
+    # Refused before any simplex is built.
+    def build(n):
+        raise AssertionError(f"simplex:{n} was built")
+
+    monkeypatch.setattr(cli.models, "make_classical_simplex", build)
+    code, out, err = run(capsys, "analyze", f"simplex:{cli.SIMPLEX_MAX + 1}")
+    assert (code, out) == (2, "")
+    assert f"of at most {cli.SIMPLEX_MAX}, got '{cli.SIMPLEX_MAX + 1}'" in err
+
+
+@pytest.mark.parametrize("flag, token", [
+    ("--starts", "1_0"), ("--support", "\u0663"), ("--sweeps", " 8 "), ("--seed", "+7"),
+    ("--starts", "1" * 10), ("--seed", "1" * 10), ("--sweeps", ""),
+], ids=["underscore", "arabic-indic", "spaces", "plus-sign", "ten-digits", "ten-digit-seed",
+        "empty"])
+def test_budgets_and_seed_follow_the_ascii_grammar(capsys, monkeypatch, flag, token):
+    # int() would read each of these; the budgets and the seed are at most
+    # nine ASCII digits, like every other count, and are refused while
+    # the arguments are parsed, before any search starts.
+    def search(**kwargs):
+        raise AssertionError("the binding search started")
+
+    monkeypatch.setattr(cli.protocols, "run_bit_commitment_analysis", search)
+    code, out, err = run(capsys, "protocol", "bc", flag, token)
+    assert (code, out) == (2, "")
+    assert f"{flag}: must be at most nine ASCII digits, got {token!r}" in err
+
+
 def test_nonpositive_budgets_are_usage_errors(capsys):
     assert run(capsys, "protocol", "bc", "--starts", "0")[0] == 2
     code, out, err = run(capsys, "protocol", "bc", "--sweeps", "-3")

@@ -129,6 +129,28 @@ def test_warm_start_keeps_values_and_requires_the_same_rows():
         lp_solve(make([1], a_eq=[[1]], b_eq=[1]), warm)
 
 
+def test_crash_start_reads_duals_and_drops_a_dependent_row():
+    # b_eq is column 1, so x = e_1 is feasible; the third row is the sum of
+    # the first two and is dropped.  The optimum is x = (1, 0, 1), priced
+    # by y = (1, 1, 0): c - y.A = (0, 1, 0) >= 0 and b.y = 2 = c.x.
+    prob = make([1, 3, 1], a_eq=[[1, 1, 0], [0, 1, 1], [1, 2, 1]], b_eq=[1, 1, 2])
+    warm = lp.crash(prob, 1, [0, 2])
+    assert len(warm.tableau[1]) == 2
+    sol = lp_solve(prob, warm)
+    assert sol.value == 2 and sol.point == (1, 0, 1)
+    u, den = sol.duals
+    assert [Fraction(x, den) for x in u] == [1, 1, 0]
+    assert lp_solve(prob).duals is None  # phase 1 carries no identity columns
+
+
+def test_crash_start_refuses_what_it_cannot_start():
+    with pytest.raises(ValueError, match="equal to its first column"):
+        lp.crash(make([0, 0], a_eq=[[1, 0]], b_eq=[2]), 0, [1])
+    # Row 1 is nonzero, but no given column reaches it.
+    with pytest.raises(InternalCheckError, match="nonzero row"):
+        lp.crash(make([0, 0], a_eq=[[1, 0], [0, 1]], b_eq=[1, 0]), 0, [])
+
+
 def test_degenerate_multiple_optima_value_unique():
     # min x + y on the square [0,1]^2 with x + y >= 1: every boundary point
     # of the constraint is optimal but the value is fixed.
@@ -279,7 +301,7 @@ def _claim(monkeypatch, point):
     common denominator, which is how ``_verify`` receives it."""
     den = lcm(*(Fraction(x).denominator for x in point))
     nums = [int(Fraction(x) * den) for x in point]
-    monkeypatch.setattr(lp, "_solve_exact", lambda problem, warm=None: (OPTIMAL, nums, den, [(0, 2)]))
+    monkeypatch.setattr(lp, "_solve_exact", lambda problem, warm=None: (OPTIMAL, nums, den, None))
 
 
 def test_verify_accepts_a_feasible_claim(monkeypatch):

@@ -13,13 +13,14 @@ tableau the kernel used to build for them, so their pins still hold.
 import importlib.util
 import itertools
 import json
+import operator
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from convexstate import cli, lp
+from convexstate import cli, lp, transition
 from convexstate.errors import InternalCheckError
 from convexstate.lp import OPTIMAL, UNBOUNDED
 from convexstate.polytope import AmbiguousMixtureCertificate, parse_point
@@ -269,6 +270,28 @@ REPORTS = {
 }
 
 
+def test_analyze_runs_no_phase_one_in_a_ratio_lp(tmp_path, monkeypatch):
+    """Every ratio LP starts from its crash basis, so phase 1 runs only in
+    the face and membership LPs of ``analyze``."""
+    ratio_lps, phase_one = [], []
+    phase1 = lp._phase1
+
+    def ratio_solve(problem, warm=None):
+        ratio_lps.append(problem)
+        return lp.lp_solve(problem, warm)
+
+    def spy(problem):
+        phase_one.append(problem)
+        return phase1(problem)
+
+    monkeypatch.setattr(transition, "lp_solve", ratio_solve)
+    monkeypatch.setattr(lp, "_phase1", spy)
+    assert cli.main(["analyze", _theory_file("cube4", tmp_path),
+                     "--out", str(tmp_path / "report.json")]) == 0
+    assert len(ratio_lps) == 16 * 15
+    assert not {id(p) for p in ratio_lps} & {id(p) for p in phase_one}
+
+
 def test_every_analysis_job_is_pinned():
     """A job added to ``scripts/run_all_analyses.py`` ships with its pin: a
     pinned file and a ``REPORTS`` entry that runs the job's own command.
@@ -283,17 +306,22 @@ def test_every_analysis_job_is_pinned():
             assert [command, *([] if theory is None else [theory]), *args] == argv, name
 
 
+def _theory_file(theory, tmp_path) -> str:
+    """A theory of ``THEORIES`` written as a theory file; its path."""
+    verts = THEORIES[theory]
+    theory_file = tmp_path / f"{theory}.json"
+    theory_file.write_text(json.dumps({
+        "name": theory, "ambient_dim": len(verts[0]),
+        "vertices": [[str(c) for c in v] for v in verts],
+    }))
+    return str(theory_file)
+
+
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_report_pinned(name, tmp_path):
     theory, (command, *args) = REPORTS[name]
     if theory in THEORIES:
-        verts = THEORIES[theory]
-        theory_file = tmp_path / f"{theory}.json"
-        theory_file.write_text(json.dumps({
-            "name": theory, "ambient_dim": len(verts[0]),
-            "vertices": [[str(c) for c in v] for v in verts],
-        }))
-        theory = str(theory_file)
+        theory = _theory_file(theory, tmp_path)
     out = tmp_path / "report.json"
     theory_args = [] if theory is None else [theory]
     assert cli.main([command, *theory_args, *args, "--out", str(out)]) == 0
@@ -302,6 +330,16 @@ def test_report_pinned(name, tmp_path):
     if command == "face":
         k = cli.resolve_theory(theory).payload
         assert is_face(k, report["face_vertex_indices"])
+    elif command == "ratio" and isinstance(report["witness"], dict):
+        # Re-check the pinned polytope witness exactly, from the JSON and
+        # the theory: f(x) = 1, f(y) = the value and 0 <= f <= 1.
+        verts = cli.resolve_theory(theory).payload.vertices
+        normal = parse_point(report["witness"]["normal"])
+        offset = Fraction(report["witness"]["offset"])
+        f = [sum(map(operator.mul, normal, v)) + offset for v in verts]
+        x, y = (verts[report["detail"][key]] for key in ("x_index", "y_index"))
+        assert f[verts.index(x)] == 1 and f[verts.index(y)] == Fraction(report["value"])
+        assert all(0 <= w <= 1 for w in f)
     elif command == "analyze" and report["verdict"]["certificate"]["kind"] == "ambiguous_mixture":
         # Re-check the pinned crossing exactly, from the JSON and the theory.
         cert = report["verdict"]["certificate"]

@@ -20,7 +20,7 @@ from convexstate.polytope import (AmbiguousMixtureCertificate, VPolytope,
                                   generated_face, load_theory, minimal_face,
                                   parse_point, theory_from_dict, theory_to_dict)
 from lp_forms import make
-from shapes import barycenter, is_face, make_square
+from shapes import FLAT_POLYTOPES, barycenter, is_face, make_square
 
 BIPYRAMID = VPolytope(
     [(1, 0, 0), (0, 1, 0), (0, 0, 0),
@@ -198,7 +198,7 @@ def phase_one_starts(monkeypatch):
 
     def spy(problem):
         start = phase1(problem)
-        starts.append((len(problem.b_eq), None if start is None else len(start[2])))
+        starts.append((len(problem.b_eq), None if start is None else len(start[0])))
         return start
 
     monkeypatch.setattr(lp, "_phase1", spy)
@@ -224,15 +224,6 @@ def test_minimal_face_runs_phase_one_once(phase_one_starts, monkeypatch):
         assert len(phase_one_starts) == 1
         for problem, sol in solved:
             assert sol.value == lp_solve(problem).value
-
-
-# Not full-dimensional, so the membership rows are dependent and phase 1
-# drops one: a square in the plane z = 0 of R^3 (its z row is all zero)
-# and a tilted triangle in R^3 (four rows of rank three).
-FLAT_POLYTOPES = {
-    "square_z0": VPolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]),
-    "tilted_triangle": VPolytope([("1/2", 0, 2), (0, 3, -1), (1, 1, 1)]),
-}
 
 
 @pytest.mark.parametrize("name", sorted(FLAT_POLYTOPES))

@@ -1,8 +1,10 @@
 """Transition ratios and superposability across all four state-space kinds."""
 
+import dataclasses
 import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -27,7 +29,7 @@ from convexstate.transition import (StateSpaceHandle, affine_ratio,
                                     path_connect_product_states, path_report,
                                     qubit_great_circle, superposability_search)
 from lp_forms import bounded_lp
-from shapes import barycenter
+from shapes import FLAT_POLYTOPES, barycenter
 
 
 def random_unit(rng):
@@ -118,6 +120,37 @@ def test_mixture_ratio_matches_functional_lp(name):
         assert all(0 <= f(v) <= 1 for v in k.vertices)
 
 
+@pytest.mark.parametrize("name", sorted(ORACLE_THEORIES) + sorted(FLAT_POLYTOPES))
+def test_ratio_duals_certify_the_optimum(name, monkeypatch):
+    """The duals y that the ratio LP reads off its crash-started tableau
+    are dual feasible, c - y.A >= 0 column by column, and b.y = c.x, so
+    weak duality alone proves the mixture optimal.  A polytope that is not
+    full-dimensional has dependent rows; the crash drops one, and the value
+    still matches the functional LP."""
+    solved, kept = [], []
+
+    def capture(problem, warm=None):
+        kept.append(len(warm.tableau[1]))
+        solved.append((problem, lp.lp_solve(problem, warm)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(transition, "lp_solve", capture)
+    flat = name in FLAT_POLYTOPES
+    k = FLAT_POLYTOPES[name] if flat else ORACLE_THEORIES[name]()
+    for x, y in itertools.product(k.vertices, repeat=2):
+        solved.clear()
+        kept.clear()
+        r = affine_ratio_polytope(k, x, y)
+        [(problem, sol)] = solved
+        u, den = sol.duals
+        for j, c in enumerate(problem.objective):
+            assert c * den - sum(ui * row[j] for ui, row in zip(u, problem.a_eq)) >= 0
+        assert sum(map(operator.mul, u, problem.b_eq)) == sol.value * den
+        assert kept == [len(problem.b_eq) - flat]
+        if flat:
+            assert r.value == functional_ratio(k, x, y)
+
+
 def _fraction_membership_rows(verts, point):
     """[v_i | point] by coordinate, then [1 ... 1 | 1], in ``Fraction``s."""
     return [(*col, c) for col, c in zip(zip(*verts), point)] + [(1,) * (len(verts) + 1)]
@@ -165,21 +198,22 @@ def test_integer_lps_start_from_the_scaled_fraction_tableau(name, monkeypatch):
 
 @pytest.mark.parametrize("entry", [0, -1, "bound"])
 def test_corrupted_multiplier_fails_the_witness_check(monkeypatch, entry):
-    # The octahedron's integer rows are (v, 1) itself, so a multiplier
-    # u / den raised by 1 lowers f by one coordinate (entry 0) or by the
-    # constant 1 (entry -1, the offset): f(e1) = 1 breaks either way.
-    # "bound" adds 2 * (third coordinate) to f, which is 0 at x = e1 and
-    # y = e2, so f(x) = 1 and f(y) hold, but f(e3) leaves [0, 1].
-    def corrupted(problem, basis):
-        u, den = lp.multipliers(problem, basis)
+    # The octahedron's integer rows are (v, 1) itself, so a dual u / den
+    # raised by 1 lowers f by one coordinate (entry 0) or by the constant 1
+    # (entry -1, the offset): f(e1) = 1 breaks either way.  "bound" adds
+    # 2 * (third coordinate) to f, which is 0 at x = e1 and y = e2, so
+    # f(x) = 1 and f(y) hold, but f(e3) leaves [0, 1].
+    def corrupted(problem, warm=None):
+        sol = lp.lp_solve(problem, warm)
+        u, den = sol.duals
         u = list(u)
         if entry == "bound":
             u[2] -= 2 * den
         else:
             u[entry] += den
-        return tuple(u), den
+        return dataclasses.replace(sol, duals=(tuple(u), den))
 
-    monkeypatch.setattr(transition, "multipliers", corrupted)
+    monkeypatch.setattr(transition, "lp_solve", corrupted)
     k = make_spekkens_hull()
     x, y = k.vertices[0], k.vertices[2]
     assert (x, y) == ((1, 0, 0), (0, 1, 0))
