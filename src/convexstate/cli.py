@@ -24,10 +24,10 @@ same report dictionary.  Identical invocations, including seeds, produce
 byte-identical JSON.
 
 Exit codes: 0 success, 2 usage or parse error (a theory file that is not
-UTF-8 or not JSON, a bare second ``--`` in place of a value, or an
-``--out`` path that cannot be written), 3 domain error (state not in the
-theory, a state file that cannot be read, precondition violated), 4
-internal invariant violation.
+UTF-8 or not JSON, a bare second ``--`` in place of a value, a ``protocol
+bc`` budget above ``BC_MAX`` or an ``--out`` path that cannot be written),
+3 domain error (state not in the theory, a state file that cannot be
+read, precondition violated), 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -259,8 +259,7 @@ def cmd_analyze(args) -> dict:
 
 def cmd_ratio(args) -> dict:
     h = resolve_theory(args.theory)
-    x = parse_state(h, args.x)
-    y = parse_state(h, args.y)
+    x, y = (parse_state(h, t) for t in (args.x, args.y))
     res = transition.affine_ratio(h, x, y, args.tol)
     return {
         "command": "ratio",
@@ -278,8 +277,7 @@ def cmd_ratio(args) -> dict:
 
 def cmd_superposable(args) -> dict:
     h = resolve_theory(args.theory)
-    x = parse_state(h, args.x)
-    y = parse_state(h, args.y)
+    x, y = (parse_state(h, t) for t in (args.x, args.y))
     cert = transition.superposability_search(h, x, y, tol=args.tol)
     return {"command": "superposable", "theory": theory_name(h), "x": args.x, "y": args.y,
             **jsonable(cert)}
@@ -366,14 +364,10 @@ def _text_lines(value, indent: int, out: list[str]) -> None:
 
 
 def _scalar(v) -> str:
-    if isinstance(v, bool) or v is None:
+    if isinstance(v, bool) or v is None or (isinstance(v, (list, dict)) and not v):
         return json.dumps(v)
     if isinstance(v, float):
         return repr(v)
-    if isinstance(v, list) and not v:
-        return "[]"
-    if isinstance(v, dict) and not v:
-        return "{}"
     return str(v)
 
 
@@ -419,20 +413,24 @@ def _flatten(value, prefix: str = ""):
 # Argument parsing and entry points
 # ---------------------------------------------------------------------------
 
-def _count(least: int, must: str):
-    """An argparse type: an int of ``_NATURAL`` digits, at least ``least``.
-    A leading '-' is read only to name a negative value in the error."""
+def _count(least: int, must: str, most: int = 10 ** 9):
+    """An argparse type: an int of ``_NATURAL`` digits, from ``least`` to
+    ``most``.  A leading '-' is read only to name a negative value in the error."""
     def read(token: str) -> int:
         if not _NATURAL.fullmatch(token.removeprefix("-")):
             raise argparse.ArgumentTypeError(f"must be at most nine ASCII digits, got {token!r}")
         if int(token) < least:
             raise argparse.ArgumentTypeError(f"must be {must}, got {int(token)}")
+        if int(token) > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {int(token)}")
         return int(token)
     return read
 
 
 seed = _count(0, "non-negative")  # the --seed type
-budget = _count(1, "positive")  # the type of the bc budgets
+# The bc budget caps: with one flag at its cap and the others at their defaults,
+# a call takes 7-10 s on a 2-core host (0.5-0.9 s with all at their defaults).
+BC_MAX = {"support": 100, "starts": 800, "sweeps": 600}
 
 
 @functools.cache
@@ -482,10 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = tasks.add_parser("bc", parents=[common],
                          help="bit commitment: concealment, the quantum "
                               "attack and the separable binding search")
-    p.add_argument("--support", type=budget, default=8,
+    p.add_argument("--support", type=_count(1, "positive", BC_MAX["support"]), default=8,
                    help="product states in the committed mixture")
-    p.add_argument("--starts", type=budget, default=32, help="search restarts")
-    p.add_argument("--sweeps", type=budget, default=30,
+    p.add_argument("--starts", type=_count(1, "positive", BC_MAX["starts"]), default=32,
+                   help="search restarts")
+    p.add_argument("--sweeps", type=_count(1, "positive", BC_MAX["sweeps"]), default=30,
                    help="descent sweeps per start")
     p.add_argument("--seed", type=seed, default=0,
                    help="seed for the binding search's starts")

@@ -9,7 +9,8 @@ and one with an inequality row adds its own slack column.  The kernel
 takes integer problems only: c, a_eq and b_eq are Python ints.  A caller
 with rational data scales it first, the rows by one positive number and
 the objective by another (``_integer_rows`` does either); that changes
-neither the feasible set nor the optimal points.
+neither the feasible set nor the optimal points.  Number text becomes a
+``Fraction`` in ``rat``, which parses an integer or 'p/q' once, as ints.
 
 The tableau is integer-preserving (Edmonds/Bareiss pivoting): its entries
 are Python ints that share one positive common denominator ``den``.
@@ -69,22 +70,30 @@ UNBOUNDED = "unbounded"
 _ZERO = Fraction(0)
 
 
-# A number as text, in ASCII only: 'p/q', or a decimal with an exponent of
-# at most four digits (Fraction('1e99999999') would take minutes).
+# ASCII number text: an integer or 'p/q' (p and q as groups), or a decimal with
+# an exponent of at most four digits (Fraction('1e99999999') would take minutes).
 _RATIONAL_TEXT = re.compile(
-    r"[+-]?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]{1,4})?)")
+    r"([+-]?[0-9]+)(?:/([0-9]+))?|[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]{1,4})?")
 
 
 def rat(x) -> Fraction:
-    """Exact conversion: ints, Fractions, 'p/q' and decimal strings, and
-    finite binary floats."""
+    """Exact conversion: ints, Fractions, finite binary floats, and text that
+    fully matches ``_RATIONAL_TEXT``, the one gate (int() and Fraction() also
+    read '1_0', ' 1' and non-ASCII digits).  Text is read once: an integer or
+    'p/q' from the ints of its groups, a decimal by Fraction(text).  It is
+    tested first, as isinstance(text, Fraction) takes the slow ABC path."""
+    if isinstance(x, str):
+        if not (match := _RATIONAL_TEXT.fullmatch(x)):
+            raise ValueError(f"not a number: {x!r}")
+        p, q = match.groups()
+        if p is None:
+            return Fraction(x)
+        return Fraction(int(p), int(q)) if q else Fraction(int(p))
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
         raise TypeError("refusing to treat a bool as a number")
-    if isinstance(x, str) and not _RATIONAL_TEXT.fullmatch(x):
-        raise ValueError(f"not a number: {x!r}")
-    if isinstance(x, (int, str)):
+    if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
         if not isfinite(x):

@@ -4,15 +4,15 @@ A polytope is given by its vertices (rational coordinates) and keeps the
 homogenised vertices as one integer matrix, from which every LP takes its
 rows.  Loading one proves each vertex extreme: by the exact centroid
 functional c_i = n*v_i - sum_j v_j, which exposes v_i when
-c_i.v_i > c_i.v_j for every other j, and by an irredundancy LP for the
-vertices it leaves open.  Faces are represented as vertex subsets, and
-every face query reduces to support linear programs solved in exact
-rational arithmetic, so the answers are exact certificates rather than
-approximations.  ``minimal_face`` harvests
-the face from the supports of successive optimal representations of the
-point, at most min(|F| + 1, n) LPs for a face of |F| of the n vertices;
-they share their rows, so only the first runs phase 1 and each later one
-starts from the previous one's final tableau.
+c_i.v_i > c_i.v_j for every other j (from the rows' Gram matrix, one
+product per pair), and by an irredundancy LP for the vertices it leaves
+open.  Faces are represented as vertex subsets, and every face query
+reduces to support linear programs solved in exact rational arithmetic,
+so the answers are exact certificates rather than approximations.
+``minimal_face`` harvests the face from the supports of successive
+optimal representations of the point, at most min(|F| + 1, n) LPs for a
+face of |F| of the n vertices; they share their rows, so only the first
+runs phase 1 and each later one starts from the previous final tableau.
 
 A polytope is a simplex iff its vertices are affinely independent.
 ``radon_partition`` decides that without an LP: the first affine
@@ -40,7 +40,7 @@ Point = tuple[Fraction, ...]
 
 
 def parse_point(coords: Sequence) -> Point:
-    return tuple(rat(c) for c in coords)
+    return tuple(map(rat, coords))
 
 
 class VPolytope:
@@ -66,7 +66,7 @@ class VPolytope:
         self.ambient_dim = dim
         self.vertices: tuple[Point, ...] = tuple(verts)
         self.homogeneous = tuple(map(tuple, _integer_rows((*v, 1) for v in verts)))
-        self._index = {v: i for i, v in enumerate(verts)}
+        self._index = {r: i for i, r in enumerate(self.homogeneous)}  # int keys hash fast
         self.name = name
         self._check_irredundant()
 
@@ -88,10 +88,11 @@ class VPolytope:
 
     def contains(self, point: Sequence) -> bool:
         p = parse_point(point)
-        return p in self._index or _hull_contains(self.homogeneous, p)
+        return self.vertex_index(p) is not None or _hull_contains(self.homogeneous, p)
 
     def vertex_index(self, point: Sequence) -> int | None:
-        return self._index.get(parse_point(point))
+        s = self.homogeneous[0][-1]  # the index holds s*(v, 1), as the rows do
+        return self._index.get((*(x * s for x in parse_point(point)), s))
 
     def affine_image(self, matrix: Sequence[Sequence], shift: Sequence) -> "VPolytope":
         """Polytope with vertices M v + t (exact rational arithmetic)."""
@@ -110,18 +111,19 @@ def centroid_exposed(rows: Sequence[Sequence[int]]) -> list[bool]:
 
     Exact, with no LP.  With the Gram matrix G of the homogenised integer
     rows (one positive scale keeps every strict inequality; the common last
-    entry adds one constant to G, which cancels) and s_j = sum_k G[k][j],
-    c_i.v_j = n*G[i][j] - s_j.
+    entry adds one constant to G, which cancels) and s_j = sum_k G[k][j] =
+    v_j.(sum_k v_k), c_i.v_j = n*G[i][j] - s_j.  G is symmetric, so each
+    unordered pair's product is computed once and gives both scores.
     """
     n = len(rows)
-    gram = [[sum(map(mul, u, v)) for v in rows] for u in rows]
-    sums = [sum(col) for col in zip(*gram)]
-    out = []
-    for i, g in enumerate(gram):
-        score = [n * x - s for x, s in zip(g, sums)]
-        top = score[i]
-        out.append(all(x < top for j, x in enumerate(score) if j != i))
-    return out
+    total = [sum(col) for col in zip(*rows)]
+    sums = [sum(map(mul, v, total)) for v in rows]
+    score = [[0] * n for _ in rows]  # score[i][j] = c_i.v_j
+    for i, u in enumerate(rows):
+        for j in range(i, n):
+            g = n * sum(map(mul, u, rows[j]))
+            score[i][j], score[j][i] = g - sums[j], g - sums[i]
+    return [max(sc) == sc[i] and sc.count(sc[i]) == 1 for i, sc in enumerate(score)]
 
 
 def _membership_problem(rows: Sequence[Sequence[int]], point: Point) -> LPProblem:

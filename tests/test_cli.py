@@ -81,6 +81,28 @@ def test_budgets_and_seed_follow_the_ascii_grammar(capsys, monkeypatch, flag, to
     assert f"{flag}: must be at most nine ASCII digits, got {token!r}" in err
 
 
+@pytest.mark.parametrize("flag", sorted(cli.BC_MAX))
+def test_bc_budgets_are_capped(capsys, monkeypatch, flag):
+    # One over the cap is refused while the arguments are parsed, before
+    # any search starts.
+    def search(**kwargs):
+        raise AssertionError("the binding search started")
+
+    monkeypatch.setattr(cli.protocols, "run_bit_commitment_analysis", search)
+    cap = cli.BC_MAX[flag]
+    code, out, err = run(capsys, "protocol", "bc", f"--{flag}", str(cap + 1))
+    assert (code, out) == (2, "")
+    assert f"--{flag}: must be at most {cap}, got {cap + 1}" in err
+
+
+@pytest.mark.parametrize("claim", ["nope", "", "\U0001f4a5"], ids=["word", "empty", "emoji"])
+def test_unknown_claim_is_a_domain_error(capsys, claim):
+    code, out, err = run(capsys, "trace", f"--claim={claim}")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"convexstate: domain error: unknown claim {claim!r}; known: ")
+    assert err.count("\n") == 1
+
+
 def test_nonpositive_budgets_are_usage_errors(capsys):
     assert run(capsys, "protocol", "bc", "--starts", "0")[0] == 2
     code, out, err = run(capsys, "protocol", "bc", "--sweeps", "-3")

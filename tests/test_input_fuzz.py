@@ -1,5 +1,6 @@
-"""Fuzz contract for the input boundary: theory files, state files and
-state tokens, each read through ``cli.main``.
+"""Fuzz contract for the input boundary: theory files, state files, state
+tokens, the ``protocol bc`` budgets and seed, and ``trace --claim`` text,
+each read through ``cli.main``.  The binding search itself never runs.
 
 Whatever the input, the CLI exits 0, 2 or 3 and raises nothing.  On exit 2
 or 3 stderr holds exactly one ``convexstate`` error line and stdout is
@@ -15,12 +16,14 @@ import contextlib
 import io
 import json
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from convexstate import cli
-from convexstate.errors import TheoryFormatError
+from convexstate.claims import CLAIMS
+from convexstate.errors import PreconditionError, TheoryFormatError
 from convexstate.polytope import load_theory, theory_from_dict, theory_to_dict
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -54,6 +57,19 @@ STATE_TOKEN = st.one_of(
         "(1e400,0,0)", "(1e300,0,0)", "(1e300,0,0);(0,0,1)", "(NaN,0,0)", "9" * 5000,
     ]),
     st.text(alphabet="()01+-,;/.e_9 \n٣", max_size=10),
+)
+# Values of the protocol bc budgets and --seed: around 0 and the caps, and
+# text that int() would read but the nine-ASCII-digit grammar refuses.
+COUNT_TOKEN = st.one_of(
+    st.integers(-2, 1002).map(str),
+    st.sampled_from(["0", "-0", "101", "801", "601", "999999999", "1" * 10, "1_0", "٣",
+                     " 8 ", "+7", "8\n", "", "--", "1e2", "0x10"]),
+    st.text(alphabet="0123456789+-_ ٣", max_size=10),
+)
+CLAIM_TOKEN = st.one_of(
+    st.sampled_from([c.id for c in CLAIMS]),
+    st.sampled_from(["nope", "", "\U0001f4a5", "--", "-h"]),
+    st.text(max_size=8),
 )
 THEORY = st.sampled_from(["spekkens", "simplex:2", "bloch", "full2x2", "separable2x2"])
 THEORY_TOKEN = st.one_of(
@@ -139,6 +155,19 @@ def test_theory_files_exit_cleanly_and_round_trip(folder, data, how):
     assert back.vertices == k.vertices and theory_to_dict(back) == d
 
 
+@pytest.mark.parametrize("text", ["9" * 4400, "-1/" + "9" * 4400, "9" * 4400 + "/7"],
+                         ids=["integer", "denominator", "numerator"])
+def test_overlong_integer_text_is_a_theory_error(folder, text):
+    # int(), like Fraction(), refuses text of more than 4,300 digits with a
+    # ValueError, so such a coordinate exits 2 with one line, not 1.
+    path = folder / "long.json"
+    path.write_text(json.dumps({"name": "long", "ambient_dim": 1, "vertices": [[text], [0]]}))
+    code, out, err = run(["analyze", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("convexstate: theory error: ") and err.count("\n") == 1
+    assert "vertex 0 coordinate 0: Exceeds the limit (4300 digits)" in err
+
+
 MATRIX = st.one_of(
     st.sampled_from([
         [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
@@ -191,10 +220,29 @@ def test_state_files_exit_cleanly(folder, theory, how, command, data):
     check_contract([command, theory, *states])
 
 
+def refuse_search(**budget):
+    # Stands in for the binding search: a budget that parses is in range,
+    # and no search runs.
+    for flag, value in budget.items():
+        assert 0 <= value <= cli.BC_MAX.get(flag, 999_999_999), (flag, value)
+    raise PreconditionError("the binding search is not run here")
+
+
 @settings(FUZZ, max_examples=200)
-@given(command=st.sampled_from(["analyze", "ratio", "superposable", "face", "clone"]),
+@given(command=st.sampled_from(["analyze", "ratio", "superposable", "face", "clone", "bc",
+                                "trace"]),
        dashes=st.booleans(), data=st.data())
 def test_tokens_exit_cleanly(command, dashes, data):
+    if command == "bc":
+        flags = data.draw(st.lists(st.sampled_from(["--support", "--starts", "--sweeps", "--seed"]),
+                                   max_size=3, unique=True))
+        argv = ["protocol", "bc", *(f"{flag}={data.draw(COUNT_TOKEN)}" for flag in flags)]
+        with mock.patch.object(cli.protocols, "run_bit_commitment_analysis", refuse_search):
+            check_contract(argv)
+        return
+    if command == "trace":
+        check_contract(["trace", f"--claim={data.draw(CLAIM_TOKEN)}"])
+        return
     theory = data.draw(THEORY_TOKEN if command == "analyze" else THEORY)
     valid = st.sampled_from(VALID_TOKENS.get(theory, VALID_TOKENS["bloch"]))
     tokens = data.draw(st.lists(st.one_of(valid, valid, STATE_TOKEN), min_size=1, max_size=3))

@@ -10,6 +10,7 @@ from math import lcm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from convexstate import lp
@@ -46,6 +47,28 @@ def test_rat_refuses_other_number_text(text):
     # digits or more; the text grammar stops at four.
     with pytest.raises(ValueError, match="not a number"):
         rat(text)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(text=st.from_regex(lp._RATIONAL_TEXT, fullmatch=True))
+def test_rat_reads_number_text_as_fraction_does(text):
+    # rat builds an integer or 'p/q' from the ints of its groups and sends
+    # only a decimal to Fraction(text); Fraction(text) is the oracle.
+    try:
+        expected = Fraction(text)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            rat(text)
+        return
+    got = rat(text)
+    assert got == expected and text_of(got) == text_of(expected)
+
+
+def text_of(q: Fraction) -> str | None:
+    try:
+        return str(q)
+    except ValueError:  # 1e-5000 has more digits than str() of an int writes
+        return None
 
 
 def test_minimize_simple_cover():
