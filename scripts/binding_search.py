@@ -19,16 +19,20 @@ import time
 
 import numpy as np
 
+from convexstate.cli import _count, seed
 from convexstate.protocols import binding_attack_search
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--support", default=8, type=int,
+    # The CLI's readers of budgets and seeds, without its budget caps: this
+    # script exists to probe large budgets.
+    budget = _count(1, "positive")
+    parser.add_argument("--support", default=8, type=budget,
                         help="product states in the shared-mixture ansatz")
-    parser.add_argument("--starts", default=32, type=int)
-    parser.add_argument("--sweeps", default=30, type=int)
-    parser.add_argument("--seed", default=0, type=int)
+    parser.add_argument("--starts", default=32, type=budget)
+    parser.add_argument("--sweeps", default=30, type=budget)
+    parser.add_argument("--seed", default=0, type=seed)
     args = parser.parse_args(argv)
 
     start = time.perf_counter()

@@ -427,6 +427,14 @@ def _count(least: int, must: str, most: int = 10 ** 9):
     return read
 
 
+def _degrees(token: str) -> float:
+    """An argparse type: number text read by ``rat``, as a finite float."""
+    try:
+        return float(rat(token))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {token!r}") from None
+
+
 seed = _count(0, "non-negative")  # the --seed type
 # The bc budget caps: with one flag at its cap and the others at their defaults,
 # a call takes 7-10 s on a 2-core host (0.5-0.9 s with all at their defaults).
@@ -490,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed for the binding search's starts")
     p = tasks.add_parser("clone", parents=[common, with_tol],
                          help="the cloning contradiction for two qubit states")
-    p.add_argument("--bloch-angle", type=float, default=None,
+    p.add_argument("--bloch-angle", type=_degrees, default=None,
                    help="angle in degrees between the Bloch vectors")
     p.add_argument("--x", default="(0,0,1)", help="first Bloch state")
     p.add_argument("--y", default="(1,0,0)", help="second Bloch state")
@@ -541,7 +549,7 @@ def main(argv: list[str] | None = None) -> int:
     # Looked up per call, so a wrapper installed on a module name is seen.
     render = {"json": canonical_json, "csv": render_csv, "text": render_text}[args.format]
     rendered = render(report)
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(rendered)

@@ -10,16 +10,21 @@ from __future__ import annotations
 import os
 
 from .errors import PreconditionError
+from .lp import rat
 
 ENV_TOL = "CONVEXSTATE_TOL"
 DEFAULT_TOL = 1e-10
 
 
 def tolerance(text) -> float:
-    """A tolerance from a number or its text, finite and >= 0: NaN or inf
-    would make every ``> tol`` check false.  Anything else raises
+    """A tolerance from a number, or from its text read by ``lp.rat``,
+    finite and >= 0: NaN or inf would make every ``> tol`` check false.
+    Text that is not a number raises rat's ValueError, any other value
     PreconditionError, a ValueError."""
-    value = float(text)
+    try:
+        value = float(rat(text)) if isinstance(text, str) else float(text)
+    except (ZeroDivisionError, OverflowError):  # 'p/0', or text beyond the float range
+        value = float("nan")
     if not 0.0 <= value < float("inf"):
         raise PreconditionError(f"tolerance must be finite and non-negative, got {text!r}")
     return value

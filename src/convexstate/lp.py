@@ -24,9 +24,10 @@ are Python ints that share one positive common denominator ``den``.
   and circuits in ``polytope``) use it.
 - *Cold start.* ``_phase1`` starts from the integer rows with artificial
   columns at coefficient 1 (``den = 1``), the tableau that scaling the
-  ``Fraction`` rows would give, and minimizes their sum.  It then drops
-  the artificial columns, drives leftover artificials out and drops the
-  rows left zero (``_fill_basis``).
+  ``Fraction`` rows would give, and minimizes their sum by ``_phase2``,
+  the one simplex loop; the problem is infeasible if an artificial stays
+  nonzero.  It then drops the artificial columns, drives leftover
+  artificials out and drops the rows left zero (``_fill_basis``).
 - *Crash start.* ``crash`` is for a problem whose rhs is one of its own
   columns, so that x = e_first is feasible.  Pivots keep that column equal
   to the rhs, so it enters at the first row whose rhs is nonzero and
@@ -131,9 +132,22 @@ class WarmStart:
 
 
 def lp_solve(problem: LPProblem, warm: WarmStart | None = None) -> LPSolution:
-    status, nums, den, duals = _solve_exact(problem, warm)
-    if status != OPTIMAL:
-        return LPSolution(status, None, None)
+    """Solve ``problem``, from ``warm``'s tableau if it is filled (that
+    replaces phase 1), else from ``_phase1``.  Any ``warm`` is left holding
+    the final tableau.  An optimum is checked by ``_verify``."""
+    if warm is not None and warm.tableau is not None:
+        rows, tab, basis, den = warm.tableau
+        if rows != (problem.a_eq, problem.b_eq):
+            raise ValueError("a warm start must come from a problem with the same rows")
+    elif (start := _phase1(problem)) is None:
+        return LPSolution(INFEASIBLE, None, None)
+    else:
+        tab, basis, den = start
+    nums, den, duals = _phase2(problem.objective, tab, basis, den)
+    if warm is not None:
+        warm.tableau = ((problem.a_eq, problem.b_eq), tab, basis, den)
+    if nums is None:
+        return LPSolution(UNBOUNDED, None, None)
     _verify(problem, nums, den)
     value = Fraction(sum(c * x for c, x in zip(problem.objective, nums) if x), den)
     point = tuple(Fraction(x, den) if x else _ZERO for x in nums)
@@ -193,48 +207,19 @@ def _integer_rows(rows) -> list[list[int]]:
     return [[p * (scale // q) for p, q in row] for row in ratios]
 
 
-def _solve_exact(problem: LPProblem, warm: WarmStart | None = None):
-    """(status, numerators of the point, their denominator, dual
-    numerators over it or None); all but the status are None unless
-    optimal.  A filled ``warm`` replaces phase 1; any ``warm`` is left
-    holding the final tableau."""
-    if warm is not None and warm.tableau is not None:
-        rows, tab, basis, den = warm.tableau
-        if rows != (problem.a_eq, problem.b_eq):
-            raise ValueError("a warm start must come from a problem with the same rows")
-    else:
-        start = _phase1(problem)
-        if start is None:
-            return INFEASIBLE, None, None, None
-        tab, basis, den = start
-    status, nums, den, duals = _phase2(problem.objective, tab, basis, den)
-    if warm is not None:
-        warm.tableau = ((problem.a_eq, problem.b_eq), tab, basis, den)
-    if status == UNBOUNDED:
-        return UNBOUNDED, None, None, None
-    return OPTIMAL, nums, den, duals
-
-
 def _phase1(problem: LPProblem):
     """A feasible start for phase 2, (kept rows, basic columns, den), from
-    the artificial basis; None if infeasible."""
-    n = len(problem.objective)
-    m = len(problem.b_eq)
-    ncols = n + m  # x vars, artificials
+    ``_phase2`` on the artificial basis with the sum of the artificial
+    columns as the objective; None if infeasible."""
+    n, m = len(problem.objective), len(problem.b_eq)
 
     # Integer tableau rows [coeffs | artificials | rhs], with rhs normalized
     # nonnegative and an artificial basis whose coefficients stay 1.
     tab = [[*(a if b >= 0 else (-x for x in a)), *(int(i == j) for j in range(m)), abs(b)]
            for i, (a, b) in enumerate(zip(problem.a_eq, problem.b_eq))]
-    basis = list(range(n, ncols))
-
-    # Minimize the sum of artificials; the cost row is the last row.
-    cost = [-sum(col) for col in zip(*tab)] if tab else [0] * (ncols + 1)
-    for b in basis:
-        cost[b] = 0
-    tab.append(cost)
-    status, den = _iterate(tab, basis, 1, allowed_max=ncols)
-    if status == UNBOUNDED or tab.pop()[-1] != 0:  # the former is impossible; defensive
+    basis = list(range(n, n + m))
+    nums, den, _ = _phase2((0,) * n + (1,) * m, tab, basis, 1)
+    if nums is None or any(nums[n:]):  # the former is impossible; defensive
         return None
 
     # Nothing below reads an artificial column again: drive-out pivots on
@@ -264,48 +249,30 @@ def _fill_basis(tab, basis, den, columns, n):
 
 
 def _phase2(c: Sequence[int], tab, basis, den):
-    """Phase 2 from a feasible tableau of the kept rows, for the integer
-    objective c: (status, numerators of the point or None, den, dual
-    numerators over den, empty without identity columns).  ``tab`` and
-    ``basis`` are updated in place and end as the final tableau, with no
-    cost row."""
+    """Bland-rule simplex from a feasible tableau of the kept rows, for the
+    integer objective c: (numerators of the point, None if unbounded; den;
+    dual numerators over den, empty without identity columns).  ``tab``
+    and ``basis`` are updated in place and end as the final tableau, with
+    no cost row."""
     # The cost row reduced against the basis: den * c - sum c_B * row,
     # with c = 0 on any identity columns between the x columns and the rhs.
-    cost = [den * x for x in c] + [0] * (len(tab[0]) - len(c) if tab else 1)
+    n = len(c)
+    cost = [den * x for x in c] + [0] * (len(tab[0]) - n if tab else 1)
     for b, row in zip(basis, tab):
-        cb = c[b]
-        if cb != 0:
+        if cb := c[b]:
             cost = [x - cb * t for x, t in zip(cost, row)]
     tab.append(cost)
-    status, den = _iterate(tab, basis, den, allowed_max=len(c))
-    cost = tab.pop()
-    if status == UNBOUNDED:
-        return UNBOUNDED, None, den, None
-
-    # x_j = (basic numerator of x_j) / den, or 0 when x_j is nonbasic.
-    nums = [0] * len(c)
-    for b, row in zip(basis, tab):
-        nums[b] = row[-1]
-    return OPTIMAL, nums, den, tuple(-x for x in cost[len(c):-1])
-
-
-def _iterate(tab, basis, den, allowed_max) -> tuple[str, int]:
-    """Bland-rule simplex iterations on an existing feasible tableau whose
-    last row is the cost row; returns the status and the common
-    denominator it ends with.
-
-    Entering: lowest-index column with negative reduced cost (restricted to
-    columns below ``allowed_max`` so phase 2 never re-enters artificials).
-    Leaving: minimum-ratio row, ties broken by lowest basic variable index.
-    Ratios rhs/a with a > 0 are compared by cross-multiplying.
-    """
     while True:
+        # Entering: the lowest column of c (never an identity column) with a
+        # negative reduced cost; a plain loop, as a generator costs more.
         cost = tab[-1]
-        enter = next(
-            (j for j in range(allowed_max) if cost[j] < 0), None
-        )
-        if enter is None:
-            return OPTIMAL, den
+        for enter in range(n):
+            if cost[enter] < 0:
+                break
+        else:
+            break
+        # Leaving: the minimum-ratio row, ties to the lowest basic column;
+        # ratios rhs/a with a > 0 are compared by cross-multiplying.
         leave, best_b, best_a = None, 0, 1
         for i in range(len(tab) - 1):
             row = tab[i]
@@ -317,9 +284,17 @@ def _iterate(tab, basis, den, allowed_max) -> tuple[str, int]:
                         continue
                 leave, best_b, best_a = i, row[-1], a
         if leave is None:
-            return UNBOUNDED, den
+            tab.pop()
+            return None, den, None
         den = _pivot(tab, leave, enter, den)
         basis[leave] = enter
+    tab.pop()
+
+    # x_j = (basic numerator of x_j) / den, or 0 when x_j is nonbasic.
+    nums = [0] * n
+    for b, row in zip(basis, tab):
+        nums[b] = row[-1]
+    return nums, den, tuple(-x for x in cost[n:-1])
 
 
 def _pivot(tab, r, c, den) -> int:

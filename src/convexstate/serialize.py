@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -70,7 +71,16 @@ def read_numbers(values, source: str, error: type[Exception], read=rat) -> list:
     out = []
     for i, value in enumerate(values):
         try:
-            out.append(read(value))
+            out.append(q := read(value))
+            # Decimal text with an exponent can read to a numerator or denominator
+            # longer than str() writes, which int() refuses in int text.  As
+            # 2**(3*limit) < 10**limit, a short int skips the power of ten.
+            if type(value) is str and ("e" in value or "E" in value) and type(q) is Fraction:
+                limit = sys.get_int_max_str_digits()
+                big = max(-q.numerator, q.numerator, q.denominator)
+                if limit and big.bit_length() >= 3 * limit and big >= 10 ** limit:
+                    raise ValueError(f"Exceeds the limit ({limit} digits) for integer string "
+                                     "conversion in the exact value of a decimal")
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise error(f"{source} {i}: {exc}") from exc
     return out

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from convexstate import cli
+from convexstate import cli, config
 from convexstate.errors import InternalCheckError
 from convexstate.polytope import AmbiguousMixtureCertificate
 
@@ -254,6 +254,13 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, target):
     assert not (tmp_path / "missing").exists()
 
 
+def test_empty_out_is_usage_error(capsys):
+    # An empty path is unwritable, not stdout.
+    code, out, err = run(capsys, "trace", "--out", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("convexstate: cannot write : ") and err.count("\n") == 1
+
+
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
@@ -463,7 +470,9 @@ def test_env_tolerance_and_flag_precedence(capsys, monkeypatch):
     assert code == 3
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
+# Tolerance text is read by lp.rat: ASCII digits, no '_', no spaces, finite.
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc", "١e-6", "1_0e-7", " 1e-6 ",
+                                   "1e400", "1/0"])
 def test_bad_tol_flag_is_usage_error(capsys, value):
     # A NaN or infinite tolerance would make every "> tol" check false.
     code, out, err = run(capsys, "ratio", "full2x2", "01", "10", "--tol", value)
@@ -472,7 +481,7 @@ def test_bad_tol_flag_is_usage_error(capsys, value):
     assert repr(value) in err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc", " 1e-6 ", "١e-6", "1e400"])
 def test_bad_env_tolerance_is_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv("CONVEXSTATE_TOL", value)
     code, out, err = run(capsys, "ratio", "full2x2", "01", "10")
@@ -481,6 +490,19 @@ def test_bad_env_tolerance_is_usage_error(capsys, monkeypatch, value):
     # The flag wins, and a subcommand that reads no tolerance ignores it.
     assert run(capsys, "ratio", "full2x2", "01", "10", "--tol", "1e-9")[0] == 0
     assert run(capsys, "analyze", "spekkens")[0] == 0
+
+
+def test_tol_text_is_read_exactly(capsys):
+    assert run(capsys, "protocol", "clone", "--tol", "1/3")[0] == 0
+    assert config.tolerance("1e-400") == 0.0 and config.tolerance(1e-6) == 1e-6
+
+
+@pytest.mark.parametrize("value", ["1e400", "inf", "nan", "٦٠", "6_0", " 60 ", "1/0"])
+def test_bad_bloch_angle_is_usage_error(capsys, value):
+    # Read by lp.rat like every number, and finite: nan was a domain error (3).
+    code, out, err = run(capsys, "protocol", "clone", "--bloch-angle", value)
+    assert (code, out) == (2, "")
+    assert f"argument --bloch-angle: must be a finite number, got {value!r}" in err
 
 
 @pytest.mark.parametrize("argv", [["ratio", "separable2x2"], ["ratio", "full2x2"],

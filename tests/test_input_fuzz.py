@@ -1,6 +1,7 @@
 """Fuzz contract for the input boundary: theory files, state files, state
-tokens, the ``protocol bc`` budgets and seed, and ``trace --claim`` text,
-each read through ``cli.main``.  The binding search itself never runs.
+tokens, the ``protocol bc`` budgets and seed, ``trace --claim`` text, the
+number flags ``--tol`` and ``--bloch-angle``, and ``--out`` targets, each
+read through ``cli.main``.  The binding search itself never runs.
 
 Whatever the input, the CLI exits 0, 2 or 3 and raises nothing.  On exit 2
 or 3 stderr holds exactly one ``convexstate`` error line and stdout is
@@ -168,6 +169,33 @@ def test_overlong_integer_text_is_a_theory_error(folder, text):
     assert "vertex 0 coordinate 0: Exceeds the limit (4300 digits)" in err
 
 
+@pytest.mark.parametrize("text", ["1e4400", "1e-4400", "9" * 4000 + "e999"],
+                         ids=["exponent", "negative-exponent", "long-mantissa"])
+def test_overlong_decimal_value_is_refused(folder, text):
+    # The exact value's numerator or denominator has more digits than str()
+    # may write, so no report could hold it: it is refused like over-long
+    # integer text, exit 2 in a theory file and 3 in a state.
+    path = folder / "long.json"
+    path.write_text(json.dumps({"name": "long", "ambient_dim": 1, "vertices": [[text], [0]]}))
+    code, out, err = run(["ratio", str(path), "0", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("convexstate: theory error: ") and err.count("\n") == 1
+    assert "vertex 0 coordinate 0: Exceeds the limit (4300 digits)" in err
+    code, out, err = run(["face", "spekkens", f"({text},0,0)"])
+    assert (code, out) == (3, "")
+    assert err.startswith("convexstate: domain error: ") and err.count("\n") == 1
+    assert "coordinate 0: Exceeds the limit (4300 digits)" in err
+
+
+def test_decimal_value_at_the_digit_limit_is_read(folder):
+    # 10**4299 has 4,300 digits, the most that str() may write.
+    path = folder / "long.json"
+    path.write_text(json.dumps({"name": "long", "ambient_dim": 1,
+                                "vertices": [["1e4299"], ["0"]]}))
+    code, out, _ = run(["ratio", str(path), "0", "1"])
+    assert code == 0 and json.loads(out)["value"] == "0"
+
+
 MATRIX = st.one_of(
     st.sampled_from([
         [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
@@ -228,31 +256,76 @@ def refuse_search(**budget):
     raise PreconditionError("the binding search is not run here")
 
 
+# Text for the number flags --tol and --bloch-angle: what lp.rat reads,
+# values beyond the float range or the digit limit, and text that float()
+# would read but the ASCII grammar refuses.
+NUMBER_FLAG_TOKEN = st.one_of(
+    st.sampled_from(["60", "-90", "1e-6", "1/3", "0.5", "1e300", "1e-400"]),
+    st.sampled_from(["0", "1e400", "1e4400", "1/0", "inf", "nan", "NaN", "٦٠", "6_0", " 60 ",
+                     "", "--", "9" * 5000]),
+    st.text(alphabet="0123456789.e+-/_ ٣", max_size=8),
+)
+# --out targets: a writable file, a directory, a file in a missing directory
+# and the empty path; None runs without --out.
+OUT_TARGET = st.sampled_from([None, None, "file", "directory", "missing", ""])
+
+
+def check_out_contract(argv, words, target, folder):
+    """``check_contract`` on ``argv``, and again with ``--out`` to ``target``
+    after its first ``words`` words.  A report goes to a writable file in
+    full and nothing to stdout; an unwritable target exits 2 where the
+    command would succeed, and with the command's own error otherwise."""
+    code = check_contract(argv)
+    if target is None:
+        return
+    path = {"file": folder / "report.json", "directory": folder,
+            "missing": folder / "missing" / "report.json", "": ""}[target]
+    if target == "file" and path.exists():
+        path.unlink()
+    expected = run(argv)
+    out_code, out, err = run([*argv[:words], f"--out={path}", *argv[words:]])
+    if target == "file":
+        assert (out_code, out) == (code, ""), argv
+        if code == 0:
+            assert err == "" and path.read_text(encoding="utf-8") == expected[1], argv
+        else:
+            assert err == expected[2] and not path.exists(), argv
+    elif code == 0:
+        assert (out_code, out) == (2, ""), (argv, target)
+        assert err.startswith(f"convexstate: cannot write {path}: ") and err.count("\n") == 1
+    else:
+        assert (out_code, out, err) == expected, (argv, target)
+
+
 @settings(FUZZ, max_examples=200)
 @given(command=st.sampled_from(["analyze", "ratio", "superposable", "face", "clone", "bc",
                                 "trace"]),
-       dashes=st.booleans(), data=st.data())
-def test_tokens_exit_cleanly(command, dashes, data):
+       dashes=st.booleans(), target=OUT_TARGET, data=st.data())
+def test_tokens_exit_cleanly(folder, command, dashes, target, data):
     if command == "bc":
         flags = data.draw(st.lists(st.sampled_from(["--support", "--starts", "--sweeps", "--seed"]),
                                    max_size=3, unique=True))
         argv = ["protocol", "bc", *(f"{flag}={data.draw(COUNT_TOKEN)}" for flag in flags)]
         with mock.patch.object(cli.protocols, "run_bit_commitment_analysis", refuse_search):
-            check_contract(argv)
+            check_out_contract(argv, 2, target, folder)
         return
     if command == "trace":
-        check_contract(["trace", f"--claim={data.draw(CLAIM_TOKEN)}"])
+        check_out_contract(["trace", f"--claim={data.draw(CLAIM_TOKEN)}"], 1, target, folder)
         return
     theory = data.draw(THEORY_TOKEN if command == "analyze" else THEORY)
     valid = st.sampled_from(VALID_TOKENS.get(theory, VALID_TOKENS["bloch"]))
     tokens = data.draw(st.lists(st.one_of(valid, valid, STATE_TOKEN), min_size=1, max_size=3))
+    numbers = {"--tol": command in ("ratio", "superposable", "clone"),
+               "--bloch-angle": command == "clone"}
+    options = [f"{flag}={data.draw(NUMBER_FLAG_TOKEN)}" for flag, read in numbers.items()
+               if read and data.draw(st.booleans())]
     if command == "analyze":
         argv = ["analyze", theory]
     elif command == "clone":
-        argv = ["protocol", "clone",
+        argv = ["protocol", "clone", *options,
                 *[f"{flag}={token}" for flag, token in zip(("--x", "--y"), tokens)]]
     else:
         if command != "face":
             tokens = (tokens * 2)[:2]
-        argv = [command, theory, *(["--"] if dashes else []), *tokens]
-    check_contract(argv)
+        argv = [command, theory, *options, *(["--"] if dashes else []), *tokens]
+    check_out_contract(argv, 2 if command == "clone" else 1, target, folder)

@@ -15,7 +15,7 @@ from scipy.optimize import linprog
 
 from convexstate import lp
 from convexstate.errors import InternalCheckError
-from convexstate.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_solve, rat
+from convexstate.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, WarmStart, lp_solve, rat
 from convexstate.polytope import VPolytope, affine_dimension_of, radon_partition
 from lp_forms import bounded_lp, make
 
@@ -319,25 +319,26 @@ _BAD_CLAIMS = {
 }
 
 
-def _claim(monkeypatch, point):
+def _claim(monkeypatch, point) -> WarmStart:
     """The kernel made to claim ``point`` as integer numerators over their
-    common denominator, which is how ``_verify`` receives it."""
+    common denominator, which is how ``_verify`` receives it.  Pass the
+    returned filled start to ``lp_solve``, so that no phase 1 runs first."""
     den = lcm(*(Fraction(x).denominator for x in point))
     nums = [int(Fraction(x) * den) for x in point]
-    monkeypatch.setattr(lp, "_solve_exact", lambda problem, warm=None: (OPTIMAL, nums, den, None))
+    monkeypatch.setattr(lp, "_phase2", lambda *args: (nums, den, ()))
+    return WarmStart(((_VERIFY_PROBLEM.a_eq, _VERIFY_PROBLEM.b_eq), [], [], 1))
 
 
 def test_verify_accepts_a_feasible_claim(monkeypatch):
-    _claim(monkeypatch, _FEASIBLE_CLAIM)
-    sol = lp_solve(_VERIFY_PROBLEM)
+    sol = lp_solve(_VERIFY_PROBLEM, _claim(monkeypatch, _FEASIBLE_CLAIM))
     assert sol.status == OPTIMAL and sol.value == 0
 
 
 @pytest.mark.parametrize("branch", sorted(_BAD_CLAIMS))
 def test_verify_rejects_an_infeasible_claim(monkeypatch, branch):
-    _claim(monkeypatch, _BAD_CLAIMS[branch])
+    warm = _claim(monkeypatch, _BAD_CLAIMS[branch])
     with pytest.raises(InternalCheckError, match=rf"infeasible point \({branch}\)"):
-        lp_solve(_VERIFY_PROBLEM)
+        lp_solve(_VERIFY_PROBLEM, warm)
 
 
 def gauss_jordan(rows):

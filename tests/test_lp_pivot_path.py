@@ -171,14 +171,15 @@ def test_constructed_lp_point_pinned(name):
 
 
 def test_drive_out_pivot_is_negative(monkeypatch):
-    # Pivots made outside ``_iterate`` are the drive-out pivots.
+    # Pivots made outside ``_phase2``, the one simplex loop, are the
+    # drive-out pivots.
     drive_out_pivots, iterating = [], [False]
-    pivot, iterate = lp._pivot, lp._iterate
+    pivot, phase2 = lp._pivot, lp._phase2
 
-    def iterate_spy(*args, **kwargs):
+    def phase2_spy(*args, **kwargs):
         iterating[0] = True
         try:
-            return iterate(*args, **kwargs)
+            return phase2(*args, **kwargs)
         finally:
             iterating[0] = False
 
@@ -187,7 +188,7 @@ def test_drive_out_pivot_is_negative(monkeypatch):
             drive_out_pivots.append(tab[r][c])
         return pivot(tab, r, c, den)
 
-    monkeypatch.setattr(lp, "_iterate", iterate_spy)
+    monkeypatch.setattr(lp, "_phase2", phase2_spy)
     monkeypatch.setattr(lp, "_pivot", pivot_spy)
     problem, _ = CONSTRUCTED["negative_drive_out_pivot"]
     problem.solve()
@@ -290,6 +291,35 @@ def test_analyze_runs_no_phase_one_in_a_ratio_lp(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "report.json")]) == 0
     assert len(ratio_lps) == 16 * 15
     assert not {id(p) for p in ratio_lps} & {id(p) for p in phase_one}
+
+
+# (theory, command) -> (``_pivot`` calls, ``_phase1`` calls), loading included.
+# A change that keeps every point but takes another path moves these.
+PIVOT_COUNTS = {
+    ("cube4", ("analyze",)): (1702, 0),
+    ("cube4", ("face", "1", "2", "3")): (18, 1),
+    ("bipyramid", ("analyze",)): (129, 2),
+}
+
+
+@pytest.mark.parametrize("theory, command", sorted(PIVOT_COUNTS))
+def test_pivot_path_pinned_by_count(theory, command, tmp_path, monkeypatch):
+    counts = {"_pivot": 0, "_phase1": 0}
+
+    def counting(name):
+        inner = getattr(lp, name)
+
+        def spy(*args):
+            counts[name] += 1
+            return inner(*args)
+        return spy
+
+    for name in counts:
+        monkeypatch.setattr(lp, name, counting(name))
+    verb, *args = command
+    assert cli.main([verb, _theory_file(theory, tmp_path), *args,
+                     "--out", str(tmp_path / "report.json")]) == 0
+    assert (counts["_pivot"], counts["_phase1"]) == PIVOT_COUNTS[theory, command]
 
 
 def test_every_analysis_job_is_pinned():

@@ -1,5 +1,6 @@
 """Cloning chain and bit-commitment analyses."""
 
+import importlib.util
 import math
 import warnings
 from pathlib import Path
@@ -17,6 +18,7 @@ from convexstate.protocols import (BindingSearchReport, apply_channel_a,
                                    run_bit_commitment_analysis)
 
 D0, D1, EPR = build_bb84_states()
+BINDING_SEARCH = Path(__file__).parent.parent / "scripts" / "binding_search.py"
 
 
 def random_unit(rng):
@@ -421,6 +423,19 @@ def test_binding_search_rejects_bad_budgets():
     for kwargs in ({"support": 0}, {"starts": 0}, {"sweeps": -1}):
         with pytest.raises(PreconditionError):
             binding_attack_search(**kwargs)
+
+
+@pytest.mark.parametrize("argv", [["--starts", "0"], ["--support", "-3"], ["--sweeps", "1_0"],
+                                  ["--seed", "-1"], ["--seed", "+7"]])
+def test_binding_search_script_rejects_bad_arguments(argv, capsys):
+    # Read by the CLI's budget and seed types, so the search never starts.
+    spec = importlib.util.spec_from_file_location("binding_search", BINDING_SEARCH)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    with pytest.raises(SystemExit) as exc:
+        script.main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[0]}: must be" in capsys.readouterr().err
 
 
 def test_full_report_shape():
