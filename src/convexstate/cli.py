@@ -226,22 +226,18 @@ def cmd_analyze(args) -> dict:
             "ratio_matrix": matrix,
         })
         return report
-    if h.kind == KIND_BLOCH:
-        x, y = np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])
-        pair = ["(0,0,1)", "(0,0,-1)"]
-        face_note = ("the face generated by two distinct pure states is the "
-                     "whole ball B3")
-    else:
-        pair = ["01", "10"]
-        x, y = (linalg.projector(linalg.ket(t)) for t in pair)
-        face_note = ("the face generated by two pure states is the state "
-                     "space of the spanned 2-dimensional subsystem, a ball B3")
+    pair = ["(0,0,1)", "(0,0,-1)"] if h.kind == KIND_BLOCH else ["01", "10"]
+    x, y = (parse_state(h, t) for t in pair)
     if h.kind == KIND_SEPARABLE:
         report.update({"pair": pair, "verdict": jsonable(admissibility.check_separable_pair(x, y))})
         return report
     # Bloch ball and the full two-qubit space: both conditions are
     # satisfiable, shown on a canonical orthogonal pair.
     cert = transition.superposability_search(h, x, y)
+    face_note = ("the face generated by two distinct pure states is the whole ball B3"
+                 if h.kind == KIND_BLOCH else
+                 "the face generated by two pure states is the state space of the "
+                 "spanned 2-dimensional subsystem, a ball B3")
     verdict = admissibility.JBVerdict(
         verdict=admissibility.NOT_REFUTED,
         failed_condition=None,

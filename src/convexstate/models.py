@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -41,40 +40,8 @@ def make_spekkens_hull() -> VPolytope:
 def make_classical_simplex(n: int) -> VPolytope:
     if n < 1:
         raise PreconditionError(f"simplex dimension must be >= 1, got {n}")
-    verts = [tuple(Fraction(0) for _ in range(n))]
-    for i in range(n):
-        v = [Fraction(0)] * n
-        v[i] = Fraction(1)
-        verts.append(tuple(v))
+    verts = [(0,) * n] + [tuple(int(i == j) for j in range(n)) for i in range(n)]
     return VPolytope(verts, name=f"simplex:{n}")
-
-
-# ---------------------------------------------------------------------------
-# Product states
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProductStateParam:
-    """A pure product state of two qubits, as a pair of unit Bloch vectors."""
-
-    bloch_a: tuple[float, float, float]
-    bloch_b: tuple[float, float, float]
-
-    def density(self) -> np.ndarray:
-        return linalg.tensor(linalg.bloch_projector(self.bloch_a),
-                             linalg.bloch_projector(self.bloch_b))
-
-
-def _unit(v: np.ndarray) -> tuple[float, float, float]:
-    n = float(np.sqrt(v @ v))
-    if n == 0.0:
-        return (0.0, 0.0, 1.0)
-    return tuple(float(x) for x in v / n)
-
-
-def sample_pure_product(rng: np.random.Generator) -> ProductStateParam:
-    """Uniform (Haar per factor) pure product state."""
-    return ProductStateParam(_unit(rng.normal(size=3)), _unit(rng.normal(size=3)))
 
 
 def separable_membership(rho, tol: float = PSD_SLACK) -> bool:
@@ -95,7 +62,7 @@ def separable_membership(rho, tol: float = PSD_SLACK) -> bool:
 @dataclass(frozen=True)
 class SeeSawResult:
     value: float
-    argmax: ProductStateParam
+    argmax: tuple[np.ndarray, np.ndarray]   # unit Bloch vectors (a, b)
     upper_bound: float       # largest eigenvalue of W over ALL states
     tight: bool              # product maximum meets the global bound
     starts: int
@@ -126,10 +93,8 @@ def maximize_linear_over_separable(w, starts: int = 16, seed: int = 0) -> SeeSaw
     c = linalg.pauli_coefficients(wm) / 4.0
     best_val, best_param, best_start, best_iters = -math.inf, None, -1, 0
     for s in range(starts):
-        rng = np.random.default_rng([int(seed), s])
-        p = sample_pure_product(rng)
-        a = np.array(p.bloch_a)
-        b = np.array(p.bloch_b)
+        a, b = (v / float(np.sqrt(v @ v))
+                for v in np.random.default_rng([int(seed), s]).normal(size=(2, 3)))
         val = float(np.array([1.0, *a]) @ c @ np.array([1.0, *b]))
         iters = 0
         for _ in range(500):
@@ -146,7 +111,7 @@ def maximize_linear_over_separable(w, starts: int = 16, seed: int = 0) -> SeeSaw
                 break
             val = new_val
         if val > best_val:
-            best_val, best_param = val, ProductStateParam(_unit(a), _unit(b))
+            best_val, best_param = val, tuple(v / float(np.sqrt(v @ v)) for v in (a, b))
             best_start, best_iters = s, iters
     ub = float(linalg.eigvalsh(wm)[-1])
     return SeeSawResult(

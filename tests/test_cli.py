@@ -4,9 +4,10 @@ plumbing."""
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from convexstate import cli, config
+from convexstate import cli, config, linalg
 from convexstate.errors import InternalCheckError
 from convexstate.polytope import AmbiguousMixtureCertificate
 
@@ -290,6 +291,11 @@ def test_ratio_state_file(capsys, tmp_path):
     code, out, _ = run(capsys, "ratio", "bloch", str(path), "(0,0,1)")
     assert code == 0
     assert json.loads(out)["value"] == 1.0
+
+
+def test_product_pair_token_density():
+    rho = cli.parse_state(cli.resolve_theory("separable2x2"), "(0,0,1);(0,0,-1)")
+    assert np.max(np.abs(rho - linalg.projector(linalg.ket("01")))) <= 1e-14
 
 
 def state_file(tmp_path, key: str, payload) -> Path:

@@ -6,10 +6,9 @@ import pytest
 
 from convexstate import linalg
 from convexstate.errors import PreconditionError
-from convexstate.models import (ProductStateParam, make_classical_simplex,
-                                make_spekkens_hull,
+from convexstate.models import (make_classical_simplex, make_spekkens_hull,
                                 maximize_linear_over_separable,
-                                sample_pure_product, separable_membership)
+                                separable_membership)
 from shapes import barycenter, make_square
 
 
@@ -34,6 +33,17 @@ def product_maximum_oracle(w, points: int = 4000) -> float:
     r = np.sqrt(1.0 - z * z)
     u = np.column_stack([np.ones(points), r * np.cos(phi), r * np.sin(phi), z]) @ c
     return float(np.max(u[:, 0] + np.linalg.norm(u[:, 1:], axis=1)))
+
+
+def product_density(a, b):
+    """The pure product state with Bloch vectors a and b."""
+    return linalg.tensor(linalg.bloch_projector(a), linalg.bloch_projector(b))
+
+
+def random_pure_product(rng):
+    """A uniform (Haar per factor) pure product state."""
+    a, b = (v / np.linalg.norm(v) for v in rng.normal(size=(2, 3)))
+    return product_density(a, b)
 
 
 EPR = linalg.projector(linalg.ket("01") - linalg.ket("10"))
@@ -72,13 +82,13 @@ def test_square_shape():
 def test_product_states_are_separable():
     rng = np.random.default_rng(51)
     for _ in range(10):
-        assert separable_membership(sample_pure_product(rng).density())
+        assert separable_membership(random_pure_product(rng))
 
 
 def test_mixtures_of_products_are_separable():
     rng = np.random.default_rng(52)
     for _ in range(10):
-        parts = [sample_pure_product(rng).density() for _ in range(4)]
+        parts = [random_pure_product(rng) for _ in range(4)]
         w = rng.dirichlet(np.ones(4))
         rho = sum(wi * p for wi, p in zip(w, parts))
         assert separable_membership(rho)
@@ -102,21 +112,6 @@ def test_membership_rejects_nondensity():
 
 
 # ---------------------------------------------------------------------------
-# Product parameterization
-# ---------------------------------------------------------------------------
-
-def test_product_param_density():
-    p = ProductStateParam((0, 0, 1), (0, 0, -1))
-    assert np.max(np.abs(p.density() - linalg.projector(linalg.ket("01")))) <= 1e-14
-
-
-def test_sample_pure_product_deterministic():
-    a = sample_pure_product(np.random.default_rng(9))
-    b = sample_pure_product(np.random.default_rng(9))
-    assert a == b
-
-
-# ---------------------------------------------------------------------------
 # See-saw maximizer
 # ---------------------------------------------------------------------------
 
@@ -133,7 +128,7 @@ def test_seesaw_bounded_by_operator_norm():
         w = random_hermitian4(rng)
         res = maximize_linear_over_separable(w, starts=4, seed=1)
         assert res.value <= res.upper_bound + 1e-9
-        assert abs(np.real(np.trace(w @ res.argmax.density())) - res.value) <= 1e-12
+        assert abs(np.real(np.trace(w @ product_density(*res.argmax))) - res.value) <= 1e-12
 
 
 def test_seesaw_product_target_is_tight():

@@ -17,8 +17,7 @@ from convexstate import cli, linalg, lp, polytope, transition
 from convexstate.admissibility import REFUTED, check_separable_pair
 from convexstate.errors import InternalCheckError, PreconditionError
 from convexstate.lp import OPTIMAL
-from convexstate.models import (ProductStateParam, make_spekkens_hull,
-                                separable_membership)
+from convexstate.models import make_spekkens_hull, separable_membership
 from convexstate.polytope import VPolytope, minimal_face, parse_point
 from convexstate.protocols import cloning_contradiction
 from convexstate.transition import (StateSpaceHandle, affine_ratio,
@@ -286,8 +285,8 @@ _SEPARABLE_HI = (
 def test_separable_interval_brackets_quantum_value():
     rng = np.random.default_rng(19)
     for expected_hi in _SEPARABLE_HI:
-        x = ProductStateParam(tuple(random_unit(rng)), tuple(random_unit(rng))).density()
-        y = ProductStateParam(tuple(random_unit(rng)), tuple(random_unit(rng))).density()
+        x, y = (linalg.tensor(linalg.bloch_projector(random_unit(rng)),
+                              linalg.bloch_projector(random_unit(rng))) for _ in range(2))
         r = affine_ratio_separable(x, y)
         quantum = float(np.real(np.trace(x @ y)))
         assert abs(r.hi - quantum) <= 1e-12
