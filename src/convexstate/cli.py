@@ -27,7 +27,8 @@ Exit codes: 0 success, 2 usage or parse error (a theory file that is not
 UTF-8 or not JSON, a bare second ``--`` in place of a value, a ``protocol
 bc`` budget above ``BC_MAX`` or an ``--out`` path that cannot be written),
 3 domain error (state not in the theory, a state file that cannot be
-read, precondition violated), 4 internal invariant violation.
+read, precondition violated, a report number too long to write), 4
+internal invariant violation.
 """
 
 from __future__ import annotations
@@ -533,6 +534,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if code in (None, 0) else int(code)
     try:
         report = _DISPATCH[args.command](args)
+        # Looked up per call, so a wrapper installed on a module name is seen.
+        render = {"json": canonical_json, "csv": render_csv, "text": render_text}[args.format]
+        rendered = render(report)
     except TheoryFormatError as exc:
         print(f"convexstate: theory error: {exc}", file=sys.stderr)
         return 2
@@ -542,9 +546,6 @@ def main(argv: list[str] | None = None) -> int:
     except InternalCheckError as exc:
         print(f"convexstate: internal check failed: {exc}", file=sys.stderr)
         return 4
-    # Looked up per call, so a wrapper installed on a module name is seen.
-    render = {"json": canonical_json, "csv": render_csv, "text": render_text}[args.format]
-    rendered = render(report)
     if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

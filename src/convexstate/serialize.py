@@ -3,7 +3,8 @@
 Canonical form: dict keys sorted by the emitter, Fractions as 'p/q'
 strings, numpy arrays as nested lists (complex entries as [re, im]
 pairs).  Deterministic for deterministic inputs, so identical runs give
-byte-identical JSON.
+byte-identical JSON.  A Fraction whose numerator or denominator has more
+digits than ``str()`` writes raises ``PreconditionError``.
 
 Every input file, theory or state, goes through ``read_json``, and every
 number in one through ``read_numbers``; each raises the error class its
@@ -20,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import PreconditionError
 from .lp import rat
 
 
@@ -29,7 +31,12 @@ def jsonable(obj):
     if isinstance(obj, float):
         return float(obj)
     if isinstance(obj, Fraction):
-        return str(obj)
+        try:
+            return str(obj)
+        except ValueError:  # more digits than str() may write
+            raise PreconditionError(
+                f"a number in the report exceeds the limit ({sys.get_int_max_str_digits()} "
+                "digits) for integer string conversion") from None
     if isinstance(obj, complex):
         return [float(obj.real), float(obj.imag)]
     if isinstance(obj, np.generic):

@@ -17,6 +17,8 @@ import contextlib
 import io
 import json
 import re
+from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -194,6 +196,39 @@ def test_decimal_value_at_the_digit_limit_is_read(folder):
                                 "vertices": [["1e4299"], ["0"]]}))
     code, out, _ = run(["ratio", str(path), "0", "1"])
     assert code == 0 and json.loads(out)["value"] == "0"
+
+
+# Each loads, but the exact witness of ratio 0 1 has a numerator and
+# denominator of about 8,600 digits, twice what str() may write.
+LONG_REPORT_THEORIES = {"decimal": ["1e4299", "1e-4299"],
+                        "fraction": ["1" + "0" * 4299, "1/1" + "0" * 4299]}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+@pytest.mark.parametrize("theory", sorted(LONG_REPORT_THEORIES))
+def test_report_number_too_long_to_write_is_domain_error(folder, theory, fmt):
+    path = folder / f"{theory}.json"
+    path.write_text(json.dumps({"name": "long", "ambient_dim": 1,
+                                "vertices": [[c] for c in LONG_REPORT_THEORIES[theory]]}))
+    target = folder / f"{theory}-{fmt}.out"
+    for out_args in ([], ["--out", str(target)]):
+        code, out, err = run(["ratio", str(path), "0", "1", "--format", fmt, *out_args])
+        assert (code, out) == (3, "")
+        assert err.startswith("convexstate: domain error: ") and err.count("\n") == 1
+        assert "exceeds the limit (4300 digits)" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_rendered_number_too_long_to_write_is_domain_error(fmt, monkeypatch):
+    # lo, hi and value reach the report as Fractions and are first written
+    # when the report is rendered.
+    huge = Fraction(1, 10 ** 4300)
+    monkeypatch.setattr(cli.transition, "affine_ratio", lambda *args: SimpleNamespace(
+        lo=huge, hi=huge, exact=True, value=huge, witness=None, detail={}))
+    code, out, err = run(["ratio", "spekkens", "e1", "e2", "--format", fmt])
+    assert (code, out) == (3, "")
+    assert err.startswith("convexstate: domain error: ") and err.count("\n") == 1
 
 
 MATRIX = st.one_of(
