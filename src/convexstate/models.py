@@ -8,7 +8,10 @@ Polytope models
 Separable two-qubit set
     membership is the partial-transpose test, which is exact (necessary and
     sufficient) at 2x2; linear functionals are maximized over pure product
-    states by a see-saw ascent.
+    states by a see-saw ascent, which returns its maximizer as the pair
+    (a, b) of unit Bloch vectors.  The state itself is
+    linalg.tensor(linalg.bloch_projector(a), linalg.bloch_projector(b)),
+    the one way the package builds a pure product state.
 """
 
 from __future__ import annotations
