@@ -14,6 +14,7 @@ Usage:
 """
 
 import argparse
+import os
 import sys
 import time
 
@@ -53,4 +54,13 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Stdout was closed early (say, by `| head`).  As Python's signal
+        # docs advise, point it at devnull, so that the flush at exit
+        # raises nothing more, and exit 1.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

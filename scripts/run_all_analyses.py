@@ -11,6 +11,7 @@ Usage:
 """
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -44,7 +45,7 @@ def jobs(seed: int, full_bc: bool):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", default="reports", type=Path)
-    parser.add_argument("--seed", default=0, type=int)
+    parser.add_argument("--seed", default=0, type=cli.seed)
     parser.add_argument("--full-bc", action="store_true",
                         help="run the binding search at its full budget "
                              "(under 1 s instead of about 0.2 s)")
@@ -65,4 +66,13 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Stdout was closed early (say, by `| head`).  As Python's signal
+        # docs advise, point it at devnull, so that the flush at exit
+        # raises nothing more, and exit 1.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
