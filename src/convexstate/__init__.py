@@ -26,7 +26,6 @@ from .protocols import (binding_attack_search, build_bb84_states,
 from .transition import (RatioResult, StateSpaceHandle, affine_ratio,
                          affine_ratio_bloch, affine_ratio_polytope,
                          affine_ratio_quantum, affine_ratio_separable,
-                         path_connect_product_states, path_report,
                          superposability_search)
 
 __version__ = "0.1.0"
@@ -65,8 +64,6 @@ __all__ = [
     "make_classical_simplex",
     "make_spekkens_hull",
     "minimal_face",
-    "path_connect_product_states",
-    "path_report",
     "qm_unbinding_demo",
     "run_bit_commitment_analysis",
     "separable_membership",

@@ -13,7 +13,9 @@ algebra with the symmetrized product) is constrained:
 
 ``check_polytope`` and ``check_separable_pair`` return a JBVerdict that
 carries the certificate of its verdict and nothing else: for a polytope,
-one read off its first affine circuit, or the simplex (the state space of R^n).
+one read off its first affine circuit, or the simplex (the state space of R^n);
+for the separable pair, the closed-form path certificate (factor angles,
+Lipschitz constant, norm identity) and the superposability transcript.
 
 Jordan-algebra sanity checks for matrix inputs (the Jordan identity and
 the JB norm inequalities) live here too.
@@ -22,8 +24,6 @@ the JB norm inequalities) live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import linalg, transition
 from .config import DEFAULT_TOL
@@ -181,32 +181,23 @@ def check_polytope(k: VPolytope) -> JBVerdict:
     return JBVerdict(NOT_REFUTED if failed is None else REFUTED, failed, certificate)
 
 
-PATH_STEPS = 64  # segments per leg of the separable pair's product-state path
-
-
 def check_separable_pair(x, y) -> JBVerdict:
     """Connectivity vs superposability for the separable two-qubit theory.
 
     The inputs must be orthogonal pure product states, orthogonal in both
-    factors.  A norm-continuous path of pure product states connects them,
-    yet no pure product state is an equal superposition of them; a JB state
-    space with path-connected extreme points cannot do that.
+    factors.  A Lipschitz path of pure product states connects them (its
+    certificate is the factor angles and one norm identity), yet no pure
+    product state is an equal superposition of them; a JB state space with
+    path-connected extreme points cannot do that.
     """
     x, y = transition.product_state(x, what="x"), transition.product_state(y, what="y")
-    path = transition.path_connect_product_states(x, y, steps=PATH_STEPS)
-    prep = transition.path_report(path)
+    path = transition.product_path_certificate(x, y)
     search = transition.superposability_search(transition.StateSpaceHandle.separable_2x2(), x, y)
-    bound = float(np.pi / PATH_STEPS * np.sqrt(2.0))
-    if not (prep["factor_identity_deviation"] <= 1e-12
-            and prep["max_consecutive_distance"] <= bound):
-        raise PreconditionError(f"path construction failed its own bounds: {prep}")
+    if not path["factor_identity_deviation"] <= 1e-12:
+        raise PreconditionError(f"product path failed its norm identity: {path}")
     certificate = {
         "kind": "connected_but_unsuperposable",
-        "path": {
-            "steps_per_leg": PATH_STEPS,
-            **prep,
-            "distance_bound": bound,
-        },
+        "path": path,
         "search": {
             "found": search.found,
             "overlaps": search.overlaps,

@@ -112,17 +112,17 @@ CLAIMS: tuple[Claim, ...] = (
         id="product-path-connectivity",
         statement=(
             "Any two pure product states are joined by a norm-continuous "
-            "path of pure product states; the discretized path moves one "
-            "factor at a time, so each consecutive Hilbert-Schmidt distance "
-            "equals the corresponding single-qubit factor distance."
+            "path of pure product states: turning one factor at a time "
+            "along its Bloch great circle, the path is Lipschitz with "
+            "constant max(theta_A, theta_B)/sqrt(2), since "
+            "||(P - P') (x) Q||_HS = ||P - P'||_HS for a pure Q.  The "
+            "certificate is the two factor angles; no path is sampled."
         ),
         operations=(
-            "transition.path_connect_product_states",
-            "transition.path_report",
+            "transition.product_path_certificate",
         ),
         tests=(
-            "tests/test_transition.py::test_path_factor_identity",
-            "tests/test_acceptance.py::test_product_path_distances",
+            "tests/test_acceptance.py::test_product_path_certificate",
         ),
     ),
     Claim(
@@ -130,13 +130,14 @@ CLAIMS: tuple[Claim, ...] = (
         statement=(
             "The separable two-qubit state space has norm-connected extreme "
             "points but lacks equal superpositions, so it is refuted as a "
-            "Jordan-algebraic state space; both certificate halves "
+            "Jordan-algebraic state space; both certificate halves, the "
+            "closed-form path certificate and the overlap-square identity, "
             "re-validate independently."
         ),
         operations=(
             "admissibility.check_separable_pair",
             "transition.superposability_search",
-            "transition.path_connect_product_states",
+            "transition.product_path_certificate",
         ),
         tests=(
             "tests/test_admissibility.py::test_separable_pair_refuted",

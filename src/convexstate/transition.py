@@ -20,7 +20,8 @@ Engines by state-space kind:
   witnesses and is not computed in general; the engine returns the
   certified bracket [lo, Tr(xy)] instead.  The functional rho -> Tr(x rho)
   stays feasible on the smaller space, so Tr(xy) is an upper bound; the
-  certified lower bound is 0 (or 1 when x == y, forced by f(x) = 1).
+  certified lower bound is 0, or Tr(xy) itself when x == y within the
+  tolerance (f(x) = 1 forces the ratio to 1).
 
 ``product_state`` checks a separable-engine input once into a
 ``ProductState`` record, which every separable engine takes as it is.
@@ -31,9 +32,11 @@ bounding a + c - 2ac over (a, c) in [0,1]^2.  By the identity
 1 - (a + c - 2ac) = (1 - a)(1 - c) + ac the maximum is 1, attained only at
 (0,1) and (1,0), where the product states are y and x themselves and one
 transition probability vanishes, so no such z exists.  The pure product
-states are still norm-path-connected: a path is one (2 * steps + 1, 4, 4)
-array, a Bloch great circle per factor, checked from the 4x4 states by
-``linalg.hs_norm`` and ``linalg.partial_trace`` over the whole stack.
+states are still norm-path-connected, and ``product_path_certificate``
+proves it without building a path: turning one factor at a time along its
+Bloch great circle gives a path whose Lipschitz constant is the larger
+factor angle over sqrt(2), by ||(P - P') (x) Q||_HS = ||P - P'||_HS for a
+pure Q.
 """
 
 from __future__ import annotations
@@ -230,13 +233,14 @@ def affine_ratio_separable(x, y, tol: float = DEFAULT_TOL) -> RatioResult:
 
     hi is Tr(xy): the full-space minimizer rho -> Tr(x rho), the witness,
     stays feasible on the smaller space, so the separable infimum can only
-    be lower.  lo is the bound actually certified: 1 when x == y (forced by
-    f(x) = 1), else 0.
+    be lower.  lo is the bound actually certified: hi when x == y within
+    ``tol`` (f(x) = 1 forces the ratio to 1, and hi is Tr(xx) = 1 up to
+    rounding), else 0.
     """
     mx = product_state(x, tol, "x").matrix
     my = product_state(y, tol, "y").matrix
     hi = min(1.0, max(0.0, float(np.real(np.trace(mx @ my)))))
-    lo = 1.0 if float(np.max(np.abs(mx - my))) <= tol else 0.0
+    lo = hi if float(np.max(np.abs(mx - my))) <= tol else 0.0
     return RatioResult(lo=lo, hi=hi, witness=mx,
                        detail={"upper_bound_formula": "Tr(xy) on the full space"})
 
@@ -362,8 +366,6 @@ def overlap_square_surface(a: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 SURFACE_IDENTITY = "1 - (a + c - 2ac) = (1 - a)(1 - c) + ac"
-# Both right-hand terms are >= 0 on [0,1]^2 and vanish together only here.
-SURFACE_MAXIMISERS = ((0.0, 1.0), (1.0, 0.0))
 
 
 def _superposable_separable(x, y, tol: float) -> SuperposabilityCertificate:
@@ -388,11 +390,13 @@ def _superposable_separable(x, y, tol: float) -> SuperposabilityCertificate:
             f"factors; factor overlaps are {oa:.3e} (A) and {ob:.3e} (B)"
         )
 
-    # At the corner (a, c) = (0, 1) the product state z has z_A = y_A and
-    # z_B = y_B, so z = y; at (1, 0) it is x.  Verify with the full complex
-    # states that one transition probability vanishes there.
+    # Both right-hand terms of SURFACE_IDENTITY are >= 0 on [0,1]^2 and
+    # vanish together only at the corners.  At (a, c) = (0, 1) the product
+    # state z has z_A = y_A and z_B = y_B, so z = y; at (1, 0) it is x.
+    # Verify with the full complex states that one transition probability
+    # vanishes there.
     corner_reports = []
-    for (a_val, c_val), z in zip(SURFACE_MAXIMISERS, (my, mx)):
+    for a_val, c_val, z in ((0.0, 1.0, my), (1.0, 0.0, mx)):
         u1 = float(np.real(np.trace(mx @ z)))
         u2 = float(np.real(np.trace(my @ z)))
         corner_reports.append({
@@ -407,9 +411,6 @@ def _superposable_separable(x, y, tol: float) -> SuperposabilityCertificate:
         overlaps=corner_reports[0]["overlaps"],
         transcript={
             "identity": SURFACE_IDENTITY,
-            "surface_max": 1.0,
-            "near_max_points": list(SURFACE_MAXIMISERS),
-            "corners_only": True,
             "corner_reports": corner_reports,
             "conclusion": (
                 "both ratios 1/2 would need a + c - 2ac >= 1; the maximum is 1 "
@@ -423,72 +424,29 @@ def _superposable_separable(x, y, tol: float) -> SuperposabilityCertificate:
 # Norm-continuous paths of product states
 # ---------------------------------------------------------------------------
 
-def qubit_great_circle(p: np.ndarray, q: np.ndarray, steps: int) -> np.ndarray:
-    """Pure-state path from qubit projector p to q along the Bloch great
-    circle, with `steps` segments, as a (steps + 1, 2, 2) array; endpoints
-    are the inputs themselves."""
-    if steps < 1:
-        raise PreconditionError(f"steps must be >= 1, got {steps}")
-    a = linalg.bloch_vector(p)
-    b = linalg.bloch_vector(q)
-    dot = float(np.clip(a @ b, -1.0, 1.0))
-    theta = math.acos(dot)
-    if theta < 1e-12:
-        return np.repeat(p[None], steps + 1, axis=0)
-    # acos is ill-conditioned at -1: antipodal vectors a few ulps off give
-    # theta ~ pi - 1e-8, where b - dot * a is rounding noise, not a direction.
-    if math.pi - theta < 1e-6:
-        ortho = _perp_unit(a)
-    else:
-        ortho = b - dot * a
-        ortho = ortho / float(np.sqrt(ortho @ ortho))
-    ang = theta * np.arange(1, steps) / steps
-    n = np.cos(ang)[:, None] * a + np.sin(ang)[:, None] * ortho
-    # Row-wise n . n through matmul: the same dot kernel as a single n @ n.
-    n = n / np.sqrt(n[:, None] @ n[:, :, None])[:, 0]
-    nrm = np.linalg.norm(n, axis=1)
-    if not np.all(np.abs(nrm - 1.0) <= 1e-10):
-        raise PreconditionError(f"Bloch vectors must be unit length, |n| = {nrm!r}")
-    c = n[:, :, None, None]
-    inner = 0.5 * (linalg.IDENT2 + c[:, 0] * linalg.PAULI_X + c[:, 1] * linalg.PAULI_Y
-                   + c[:, 2] * linalg.PAULI_Z)
-    return np.concatenate([p[None], inner, q[None]])
+def product_path_certificate(x, y) -> dict:
+    """Lipschitz certificate for a path of pure product states from x to y.
 
-
-def path_connect_product_states(x, y, steps: int = 64) -> np.ndarray:
-    """Norm-continuous path of pure product states from x to y, as a
-    (2 * steps + 1, 4, 4) array.
-
-    Two legs: rotate the A factor with B frozen, then the B factor with A
-    frozen.  On each leg the difference of consecutive states factorizes as
-    (f(t) - f(t')) tensor P with P a projector, and the Hilbert-Schmidt
-    norm is multiplicative, so consecutive distances equal the single-qubit
-    factor distances.  Endpoints are exactly the inputs.
+    The path x -> y_A (x) x_B -> y turns one factor per leg along its Bloch
+    great circle, through the angle theta between the factors' Bloch
+    vectors, at constant speed.  On a leg the other factor Q is a fixed pure
+    state, so by ||(P - P') (x) Q||_HS = ||P - P'||_HS two path states are
+    as far apart as their moving qubit factors: |n - n'| / sqrt(2) <=
+    theta |t - t'| / sqrt(2).  The path is therefore Lipschitz with constant
+    max(theta_A, theta_B) / sqrt(2), and no state of it is built.  The
+    identity is re-checked on each leg's end states.
     """
-    px, py = product_state(x, 1e-10, "x"), product_state(y, 1e-10, "y")
+    px, py = product_state(x, what="x"), product_state(y, what="y")
     (xa, xb), (ya, yb) = px.factors, py.factors
-    fa = np.concatenate([qubit_great_circle(xa, ya, steps),
-                         np.broadcast_to(ya, (steps, 2, 2))])
-    fb = np.concatenate([np.broadcast_to(xb, (steps + 1, 2, 2)),
-                         qubit_great_circle(xb, yb, steps)[1:]])
-    # np.kron's outer product, state by state: path[n] = fa[n] (x) fb[n]
-    path = (fa[:, :, None, :, None] * fb[:, None, :, None, :]).reshape(-1, 4, 4)
-    path[0], path[-1] = px.matrix, py.matrix
-    return path
-
-
-def path_report(path: np.ndarray) -> dict:
-    """Summary of a product-state path: consecutive distances and the
-    factor-distance identity (checked from the states themselves)."""
-    states = np.asarray(path, dtype=complex)
-    dists = linalg.hs_norm(np.diff(states, axis=0))
-    da = linalg.hs_norm(np.diff(linalg.partial_trace(states, "B", validate=False), axis=0))
-    db = linalg.hs_norm(np.diff(linalg.partial_trace(states, "A", validate=False), axis=0))
-    # On each leg exactly one factor moves; the moving factor's distance
-    # must reproduce the full distance (HS norm multiplicativity).
-    identity_dev = np.abs(dists - np.maximum(da, db))
+    angles = [math.acos(float(np.clip(linalg.bloch_vector(p) @ linalg.bloch_vector(q),
+                                      -1.0, 1.0)))
+              for p, q in ((xa, ya), (xb, yb))]
+    mid = linalg.tensor(ya, xb)
+    legs = ((px.matrix, mid, xa, ya), (mid, py.matrix, xb, yb))
     return {
-        "points": len(states),
-        "max_consecutive_distance": float(np.max(dists, initial=0.0)),
-        "factor_identity_deviation": float(np.max(identity_dev, initial=0.0)),
+        "factor_angles": angles,
+        "lipschitz_constant": max(angles) / math.sqrt(2.0),
+        "identity": "||(P - P') (x) Q||_HS = ||P - P'||_HS for a pure Q",
+        "factor_identity_deviation": max(
+            abs(linalg.hs_distance(s, t) - linalg.hs_distance(p, q)) for s, t, p, q in legs),
     }

@@ -33,8 +33,7 @@ from convexstate.transition import (
     affine_ratio_bloch,
     affine_ratio_polytope,
     overlap_square_surface,
-    path_connect_product_states,
-    path_report,
+    product_path_certificate,
     superposability_search,
 )
 from shapes import make_square
@@ -152,9 +151,7 @@ def test_overlap_surface_corners():
 
         assert not cert.found
         t = cert.transcript
-        assert abs(t["surface_max"] - 1.0) <= 1e-10
-        assert t["corners_only"]
-        assert sorted(t["near_max_points"]) == [(0.0, 1.0), (1.0, 0.0)]
+        assert [(r["a"], r["c"]) for r in t["corner_reports"]] == [(0.0, 1.0), (1.0, 0.0)]
         for report in t["corner_reports"]:
             assert report["vanishing_bound"] <= 1e-12
 
@@ -169,21 +166,68 @@ def test_overlap_surface_corners():
 
 
 # ---------------------------------------------------------------------------
-# 5. The two-leg product path has exact endpoints and every step's full-state
-#    distance equals the moving factor's distance.
+# 5. The product-path certificate: its factor angles are the Bloch angles,
+#    and a path the test samples itself, x -> y_A (x) x_B -> y along Bloch
+#    great circles, is Lipschitz with exactly the certified constant.
 # ---------------------------------------------------------------------------
 
-def test_product_path_distances():
-    with criterion("product path distances"):
-        x = linalg.projector(linalg.ket("01"))
-        y = linalg.projector(linalg.ket("10"))
-        path = path_connect_product_states(x, y, steps=64)
+def _arc(u, v, t):
+    """Point at fraction t of the Bloch great circle from u to v."""
+    dot = float(np.clip(u @ v, -1.0, 1.0))
+    w = v - dot * u
+    if np.linalg.norm(w) < 1e-6:  # equal or antipodal: any perpendicular
+        w = np.cross(u, (1.0, 0.0, 0.0) if abs(u[0]) < 0.9 else (0.0, 1.0, 0.0))
+    w = w / np.linalg.norm(w)
+    theta = np.arccos(dot) * np.asarray(t)[:, None]
+    return np.cos(theta) * u + np.sin(theta) * w
 
-        assert np.array_equal(path[0], x)
-        assert np.array_equal(path[-1], y)
-        report = path_report(path)
-        assert report["factor_identity_deviation"] <= 1e-12
-        assert report["max_consecutive_distance"] <= np.pi / 64 * np.sqrt(2.0)
+
+def _product_pairs():
+    rng = np.random.default_rng(41)
+
+    def unit():
+        v = rng.normal(size=3)
+        return v / np.linalg.norm(v)
+
+    pairs = [((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.0, 0.0, -1.0), (0.0, 0.0, 1.0))]  # 01, 10
+    for _ in range(4):
+        pairs.append((unit(), unit(), unit(), unit()))
+    a, b, d = unit(), unit(), unit()
+    pairs += [(a, b, -a, -b),                # both factors antipodal
+              (a, b, a, d), (a, b, d, b)]    # one factor equal
+    return [tuple(np.asarray(v, dtype=float) for v in p) for p in pairs]
+
+
+def test_product_path_certificate():
+    with criterion("product path certificate"):
+        bp = linalg.bloch_projector
+        t = np.linspace(0.0, 1.0, 33)
+        for a, b, c, d in _product_pairs():
+            x, y = linalg.tensor(bp(a), bp(b)), linalg.tensor(bp(c), bp(d))
+            cert = product_path_certificate(x, y)
+            theta_a, theta_b = cert["factor_angles"]
+            for theta, dot in ((theta_a, a @ c), (theta_b, b @ d)):
+                assert 0.0 <= theta <= np.pi
+                assert abs(np.cos(theta) - dot) <= 1e-12
+            lip = cert["lipschitz_constant"]
+            assert lip == max(theta_a, theta_b) / np.sqrt(2.0)
+            assert cert["factor_identity_deviation"] <= 1e-12
+
+            # The path over s in [0, 2]: leg 1 turns A with B = b, leg 2
+            # turns B with A = c.
+            na = np.concatenate([_arc(a, c, t), np.repeat(c[None], len(t) - 1, axis=0)])
+            nb = np.concatenate([np.repeat(b[None], len(t), axis=0), _arc(b, d, t)[1:]])
+            s = np.concatenate([t, 1.0 + t[1:]])
+            states = np.array([linalg.tensor(bp(p), bp(q)) for p, q in zip(na, nb)])
+            assert np.max(np.abs(states[0] - x)) <= 1e-12
+            assert np.max(np.abs(states[-1] - y)) <= 1e-12
+            dist = linalg.hs_norm(states[:, None] - states[None, :])
+            gap = np.abs(s[:, None] - s[None, :])
+            assert np.all(dist <= lip * gap + 1e-12)
+            # The constant is tight: the fastest step is within a chord's
+            # worth (sin(u)/u at u = pi/64) of it.
+            steps = np.diag(dist, 1) / np.diff(s)
+            assert np.max(steps) >= lip * (1.0 - 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +245,12 @@ def test_separable_theory_refutation():
 
         cert = verdict.certificate
         path_half = cert["path"]
+        assert path_half["factor_angles"] == [np.pi, np.pi]
+        assert abs(path_half["lipschitz_constant"] - np.pi / np.sqrt(2.0)) <= 1e-15
         assert path_half["factor_identity_deviation"] <= 1e-12
-        assert path_half["max_consecutive_distance"] <= path_half["distance_bound"]
 
         search_half = cert["search"]
         assert search_half["found"] is False
-        assert search_half["corners_only"]
-        assert abs(search_half["surface_max"] - 1.0) <= 1e-10
         for report in search_half["corner_reports"]:
             assert report["vanishing_bound"] <= 1e-12
 

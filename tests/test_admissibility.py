@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from convexstate import linalg
 from convexstate.admissibility import (CONNECTED_BUT_UNSUPERPOSABLE,
                                        FACE_NOT_BALL, FINITE_NONSIMPLEX,
-                                       NOT_REFUTED, PATH_STEPS, REFUTED,
+                                       NOT_REFUTED, REFUTED,
                                        ball_descriptor,
                                        check_polytope, check_separable_pair,
                                        jb_norm_inequalities,
@@ -349,12 +349,12 @@ def test_separable_pair_refuted():
     assert verdict.failed_condition == CONNECTED_BUT_UNSUPERPOSABLE
     cert = verdict.certificate
     path = cert["path"]
-    assert path["steps_per_leg"] == PATH_STEPS
-    assert path["factor_identity_deviation"] <= 1e-12
-    assert path["max_consecutive_distance"] <= path["distance_bound"]
+    assert path["factor_angles"] == [np.pi, np.pi]
+    assert path["lipschitz_constant"] == np.pi / np.sqrt(2.0)
+    assert path["factor_identity_deviation"] == 0.0
     search = cert["search"]
     assert search["found"] is False
-    assert search["corners_only"]
+    assert [c["vanishing_bound"] for c in search["corner_reports"]] == [0.0, 0.0]
 
 
 def test_separable_pair_runs_no_seesaw(monkeypatch, tmp_path):

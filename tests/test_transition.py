@@ -25,8 +25,8 @@ from convexstate.transition import (StateSpaceHandle, affine_ratio,
                                     affine_ratio_quantum,
                                     affine_ratio_separable, is_orthogonal,
                                     overlap_square_surface,
-                                    path_connect_product_states, path_report,
-                                    qubit_great_circle, superposability_search)
+                                    product_path_certificate,
+                                    superposability_search)
 from lp_forms import bounded_lp
 from shapes import FLAT_POLYTOPES, barycenter
 
@@ -300,6 +300,23 @@ def test_separable_same_state_is_one():
     assert r.exact and abs(r.value - 1.0) <= 1e-12
 
 
+def test_separable_bracket_is_ordered_at_any_tol():
+    # Tr(xx) rounds to just below 1 for many products, and at tol 1 every
+    # pair counts as equal, so the lower bound must follow hi, not be 1.
+    rng = np.random.default_rng(37)
+    bp = linalg.bloch_projector
+    for _ in range(20):
+        a, b, c, d = (random_unit(rng) for _ in range(4))
+        x = linalg.tensor(bp(a), bp(b))
+        for y, same in ((x, True), (linalg.tensor(bp(-a), bp(-b)), False),
+                        (linalg.tensor(bp(c), bp(d)), False)):
+            for tol in (1e-10, 1.0):
+                r = affine_ratio_separable(x, y, tol)
+                assert r.lo <= r.hi, (tol, r.lo, r.hi)
+                if same:
+                    assert r.exact and abs(r.value - 1.0) <= 1e-12
+
+
 def test_separable_orthogonal_pair_is_zero():
     x = linalg.projector(linalg.ket("01"))
     y = linalg.projector(linalg.ket("10"))
@@ -309,7 +326,7 @@ def test_separable_orthogonal_pair_is_zero():
 
 _SEPARABLE_ENTRY_POINTS = {
     "affine_ratio_separable": affine_ratio_separable,
-    "path_connect_product_states": path_connect_product_states,
+    "product_path_certificate": product_path_certificate,
     "superposability_search": functools.partial(superposability_search,
                                                 StateSpaceHandle.separable_2x2()),
     "check_separable_pair": check_separable_pair,
@@ -447,8 +464,7 @@ def test_separable_superposability_absent():
     cert = superposability_search(h, x, y)
     assert not cert.found
     t = cert.transcript
-    assert abs(t["surface_max"] - 1.0) <= 1e-10
-    assert t["corners_only"]
+    assert [(rep["a"], rep["c"]) for rep in t["corner_reports"]] == [(0.0, 1.0), (1.0, 0.0)]
     for rep in t["corner_reports"]:
         assert rep["vanishing_bound"] <= 1e-12
 
@@ -473,153 +489,8 @@ def test_overlap_surface_shape():
     assert abs(overlap_square_surface(np.float64(0.5), np.float64(0.5)) - 0.5) == 0.0
 
 
-# ---------------------------------------------------------------------------
-# Product-state paths
-# ---------------------------------------------------------------------------
-
-def test_great_circle_endpoints_and_steps():
-    rng = np.random.default_rng(23)
-    p = linalg.bloch_projector(random_unit(rng))
-    q = linalg.bloch_projector(random_unit(rng))
-    path = qubit_great_circle(p, q, steps=16)
-    assert len(path) == 17
-    assert np.array_equal(path[0], p)
-    assert np.array_equal(path[-1], q)
-    blochs = [linalg.bloch_vector(r) for r in path]
-    for v in blochs:
-        assert abs(np.linalg.norm(v) - 1) <= 1e-10
-    angles = [np.arccos(np.clip(blochs[i] @ blochs[i + 1], -1, 1))
-              for i in range(16)]
-    assert np.ptp(angles) <= 1e-9
-
-
-def test_great_circle_same_and_antipodal():
-    p = linalg.projector(linalg.ket("0"))
-    q = linalg.projector(linalg.ket("1"))
-    same = qubit_great_circle(p, p, steps=4)
-    assert all(np.array_equal(r, p) for r in same)
-    anti = qubit_great_circle(p, q, steps=8)
-    assert np.array_equal(anti[-1], q)
-    for r in anti:
-        linalg.require_rank1_projection(r)
-
-
-def test_path_factor_identity():
-    x = linalg.projector(linalg.ket("01"))
-    y = linalg.projector(linalg.ket("10"))
-    path = path_connect_product_states(x, y, steps=32)
-    assert len(path) == 65
-    assert np.array_equal(path[0], x)
-    assert np.array_equal(path[-1], y)
-    rep = path_report(path)
-    assert rep["factor_identity_deviation"] <= 1e-12
-    assert rep["max_consecutive_distance"] <= np.pi / 32 * np.sqrt(2)
-
-
-def test_path_states_are_pure_products():
-    x = linalg.projector(linalg.ket("0-"))
-    y = linalg.projector(linalg.ket("+1"))
-    path = path_connect_product_states(x, y, steps=8)
-    for rho in path:
-        linalg.require_rank1_projection(rho)
-        ra = linalg.partial_trace(rho, "B")
-        # the reduction of a pure product state is again pure
-        assert abs(np.real(np.trace(ra @ ra)) - 1.0) <= 1e-10
-
-
-def test_path_rejects_entangled_endpoint():
-    epr = linalg.projector(linalg.ket("01") - linalg.ket("10"))
-    prod = linalg.projector(linalg.ket("00"))
-    with pytest.raises(PreconditionError):
-        path_connect_product_states(epr, prod, steps=8)
-
-
-# The per-state construction the array code replaced, kept as an oracle: one
-# bloch_projector per great-circle point, one tensor per path state, and
-# partial traces and hs_distance per consecutive pair.
-
-def _oracle_great_circle(p, q, steps):
-    a = linalg.bloch_vector(p)
-    b = linalg.bloch_vector(q)
-    dot = float(np.clip(a @ b, -1.0, 1.0))
-    theta = math.acos(dot)
-    if theta < 1e-12:
-        return [p.copy() for _ in range(steps + 1)]
-    if abs(theta - math.pi) < 1e-12:
-        ortho = transition._perp_unit(a)
-    else:
-        ortho = b - dot * a
-        ortho = ortho / float(np.sqrt(ortho @ ortho))
-    path = [p.copy()]
-    for i in range(1, steps):
-        ang = theta * i / steps
-        n = math.cos(ang) * a + math.sin(ang) * ortho
-        path.append(linalg.bloch_projector(n / float(np.sqrt(n @ n))))
-    path.append(q.copy())
-    return path
-
-
-def _oracle_path(x, y, steps):
-    mx = linalg.require_rank1_projection(x)
-    my = linalg.require_rank1_projection(y)
-    xa, xb = (linalg.partial_trace(mx, s, validate=False) for s in "BA")
-    ya, yb = (linalg.partial_trace(my, s, validate=False) for s in "BA")
-    path = [mx]
-    for f in _oracle_great_circle(xa, ya, steps)[1:]:
-        path.append(linalg.tensor(f, xb))
-    for g in _oracle_great_circle(xb, yb, steps)[1:]:
-        path.append(linalg.tensor(ya, g))
-    path[-1] = my
-    return path
-
-
-def _oracle_report(path):
-    dists = [linalg.hs_distance(path[i], path[i + 1]) for i in range(len(path) - 1)]
-    identity_dev = 0.0
-    for i in range(len(path) - 1):
-        da = linalg.hs_distance(linalg.partial_trace(path[i], "B", validate=False),
-                                linalg.partial_trace(path[i + 1], "B", validate=False))
-        db = linalg.hs_distance(linalg.partial_trace(path[i], "A", validate=False),
-                                linalg.partial_trace(path[i + 1], "A", validate=False))
-        identity_dev = max(identity_dev, abs(dists[i] - max(da, db)))
-    return {
-        "points": len(path),
-        "max_consecutive_distance": max(dists) if dists else 0.0,
-        "factor_identity_deviation": identity_dev,
-    }
-
-
-def _oracle_pairs():
-    rng = np.random.default_rng(29)
-    bp = linalg.bloch_projector
-
-    def kets(u, v):
-        return linalg.projector(linalg.ket(u)), linalg.projector(linalg.ket(v))
-
-    pairs = [kets("01", "10"),      # both legs antipodal: theta = pi
-             kets("+0", "+1"),      # A leg theta = 0, B leg theta = pi
-             kets("0+", "-+")]      # A leg a quarter turn, B leg theta = 0
-    for _ in range(4):
-        a, b, c, d = (random_unit(rng) for _ in range(4))
-        pairs.append((linalg.tensor(bp(a), bp(b)), linalg.tensor(bp(c), bp(d))))
-    a, b, d = (random_unit(rng) for _ in range(3))
-    pairs.append((linalg.tensor(bp(a), bp(b)), linalg.tensor(bp(a), bp(d))))
-    return pairs
-
-
-@pytest.mark.parametrize("steps", [1, 8, 64])
-def test_path_matches_per_state_oracle(steps):
-    for x, y in _oracle_pairs():
-        want = _oracle_path(x, y, steps)
-        got = path_connect_product_states(x, y, steps=steps)
-        assert got.shape == (2 * steps + 1, 4, 4)
-        assert np.array_equal(got, np.array(want))
-        assert path_report(got) == _oracle_report(want)
-
-
 def test_separable_corners_are_the_inputs_for_non_ket_pairs():
     # Random pairs orthogonal in both factors: Bloch vectors a, -a and b, -b.
-    # Both great-circle legs are antipodal, a few ulps off after rounding.
     rng = np.random.default_rng(31)
     h = StateSpaceHandle.separable_2x2()
     bp = linalg.bloch_projector
